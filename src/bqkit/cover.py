@@ -166,14 +166,11 @@ class CoverQuiver:
 
     def arrow_over(self, total_vertex, base_arrow_name, direction=FORWARD):
         """The unique incident total arrow over a base arrow, or None."""
-        hits = []
-        for e in self.total.arrows:
-            if self.arrow_map[e.name] != base_arrow_name:
-                continue
-            if direction == FORWARD and e.source == total_vertex:
-                hits.append(e)
-            elif direction == INVERSE and e.target == total_vertex:
-                hits.append(e)
+        if direction == FORWARD:
+            incident = self.total.arrows_from(total_vertex)
+        else:
+            incident = self.total.arrows_into(total_vertex)
+        hits = [e for e in incident if self.arrow_map[e.name] == base_arrow_name]
         if len(hits) > 1:
             raise CoverError("local bijectivity broken at %s over %s"
                              % (total_vertex, base_arrow_name))

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from . import coset
 from .errors import HomotopyError, UnresolvedError
 from .ideal import Ideal
-from .quiver import (FORWARD, INVERSE, Quiver, Walk, longest_path_length,
+from .quiver import (FORWARD, INVERSE, Path, Quiver, Walk, longest_path_length,
                      enumerate_paths, path_key, paths_between, walk_of_path)
+from .snf import RowLattice
 
 HOMOTOPIC = "homotopic"
 NOT_HOMOTOPIC = "not-homotopic"
@@ -114,8 +115,6 @@ class GroupPresentation:
 
 def abelianization(gp: GroupPresentation):
     """(free rank, invariant torsion factors) of the presented group."""
-    from .snf import RowLattice
-
     lattice = RowLattice(gp.exponent_rows(), len(gp.generators))
     return lattice.invariants()
 
@@ -193,8 +192,6 @@ class HomotopyRelation:
 
     def __init__(self, ideal: Ideal, x0=None, coset_fallback=False,
                  cap=None, max_states=DEFAULT_MAX_STATES):
-        from .snf import RowLattice
-
         self.ideal = ideal
         self.quiver = ideal.quiver
         if x0 is None:
@@ -208,9 +205,7 @@ class HomotopyRelation:
 
         self.tree = SpanningTree(self.quiver, x0)
         self.generating_pairs = self._generating_pairs()
-        self.presentation = self._presentation()
-        self._lattice = RowLattice(self.presentation.exponent_rows(),
-                                   len(self.presentation.generators))
+        self.presentation, self._lattice = self._presentation()
         self._patterns = self._replacement_patterns()
         self._decisions = {}
         self._coset_table = None
@@ -230,6 +225,8 @@ class HomotopyRelation:
         return tuple(pairs)
 
     def _presentation(self):
+        """The chord presentation of pi1 and the lattice of its exponent
+        rows, from which the abelian invariants are read."""
         relators = []
         for u, v in self.generating_pairs:
             word = _free_reduce_word(
@@ -239,7 +236,8 @@ class HomotopyRelation:
                 relators.append(word)
         gens = self.tree.chords
         gp = GroupPresentation(gens, tuple(relators), (0, ()))
-        return GroupPresentation(gens, tuple(relators), abelianization(gp))
+        lattice = RowLattice(gp.exponent_rows(), len(gens))
+        return GroupPresentation(gens, gp.relators, lattice.invariants()), lattice
 
     def _replacement_patterns(self):
         patterns = []
@@ -259,96 +257,98 @@ class HomotopyRelation:
         """Union-find over paths: generating pairs, closed under composition
         with arrows and under cancellation of a shared first or last arrow
         (both derivable because the relation on walks is compatible with
-        concatenation)."""
-        from .quiver import Path
+        concatenation).
 
-        paths = enumerate_paths(self.quiver)
-        arrow = {a.name: a for a in self.quiver.arrows}
-        parent = {p: p for p in paths}
+        A pending-list closure (Downey, Sethi and Tarjan 1980): only a
+        pair whose union merged two classes is extended by the arrows on
+        either side.  Extending the merged pair suffices, because each
+        class already has its members' extensions in one class.
+        Cancellation needs more than the merged pair: two members that
+        share a first arrow may both differ from it.  So each class keeps
+        one member per first arrow and one per last arrow.  When two
+        classes merge, the tails of their members with the same first
+        arrow, and the heads of those with the same last arrow, are
+        queued; within each class they are already equivalent.
 
-        def find(p):
-            while parent[p] != p:
-                parent[p] = parent[parent[p]]
-                p = parent[p]
-            return p
+        Returns the class root of every path.
+        """
+        quiver = self.quiver
+        paths = enumerate_paths(quiver)
+        index = {p: i for i, p in enumerate(paths)}
+        parent = list(range(len(paths)))
+        by_first = [{p.arrows[0]: p} if p.arrows else {} for p in paths]
+        by_last = [{p.arrows[-1]: p} if p.arrows else {} for p in paths]
 
-        def union(p, q):
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[rp] = rq
-                return True
-            return False
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
 
-        for u, v in self.generating_pairs:
-            union(u, v)
-        changed = True
-        while changed:
-            changed = False
-            classes = {}
-            for p in paths:
-                classes.setdefault(find(p), []).append(p)
-            for members in classes.values():
-                for i in range(len(members)):
-                    for j in range(i + 1, len(members)):
-                        p, q = members[i], members[j]
-                        if (p.source, p.target) != (q.source, q.target):
-                            continue
-                        for a in self.quiver.arrows_from(p.target):
-                            ap = Path(p.source, a.target, p.arrows + (a.name,))
-                            aq = Path(q.source, a.target, q.arrows + (a.name,))
-                            if union(ap, aq):
-                                changed = True
-                        for b in self.quiver.arrows_into(p.source):
-                            pb = Path(b.source, p.target, (b.name,) + p.arrows)
-                            qb = Path(b.source, q.target, (b.name,) + q.arrows)
-                            if union(pb, qb):
-                                changed = True
-                        if p.arrows and q.arrows and p.arrows != q.arrows:
-                            if p.arrows[0] == q.arrows[0]:
-                                mid = arrow[p.arrows[0]].target
-                                tp = Path(mid, p.target, p.arrows[1:])
-                                tq = Path(mid, q.target, q.arrows[1:])
-                                if union(tp, tq):
-                                    changed = True
-                            if p.arrows[-1] == q.arrows[-1]:
-                                mid = arrow[p.arrows[-1]].source
-                                ip = Path(p.source, mid, p.arrows[:-1])
-                                iq = Path(q.source, mid, q.arrows[:-1])
-                                if union(ip, iq):
-                                    changed = True
-        return {p: find(p) for p in paths}
+        def tail(p):
+            return Path(quiver.arrow(p.arrows[0]).target, p.target, p.arrows[1:])
+
+        def head(p):
+            return Path(p.source, quiver.arrow(p.arrows[-1]).source, p.arrows[:-1])
+
+        pending = list(self.generating_pairs)
+        while pending:
+            p, q = pending.pop()
+            rp, rq = find(index[p]), find(index[q])
+            if rp == rq:
+                continue
+            parent[rp] = rq
+            for a in quiver.arrows_from(p.target):
+                pending.append((Path(p.source, a.target, p.arrows + (a.name,)),
+                                Path(q.source, a.target, q.arrows + (a.name,))))
+            for b in quiver.arrows_into(p.source):
+                pending.append((Path(b.source, p.target, (b.name,) + p.arrows),
+                                Path(b.source, q.target, (b.name,) + q.arrows)))
+            for table, cancel in ((by_first, tail), (by_last, head)):
+                kept = table[rq]
+                for a, u in table[rp].items():
+                    w = kept.setdefault(a, u)
+                    if w is not u:
+                        pending.append((cancel(u), cancel(w)))
+                table[rp] = None
+        return {p: paths[find(i)] for i, p in enumerate(paths)}
 
     def _fingerprint(self):
+        classes = self._path_classes
         tags = {}
+        decided = []  # pairs in different congruence classes
         for x in self.quiver.vertices:
             for y in self.quiver.vertices:
                 paths = paths_between(self.quiver, x, y)
                 for i in range(len(paths)):
                     for j in range(i + 1, len(paths)):
                         u, v = paths[i], paths[j]
-                        if self._path_classes[u] == self._path_classes[v]:
+                        if classes[u] == classes[v]:
                             tags[(u, v)] = HOMOTOPIC
                             continue
                         d = self.decide(walk_of_path(u), walk_of_path(v),
                                         want_chain=False)
                         tags[(u, v)] = d.status
-        # consistency: transitively close the Homotopic classes
-        parent = {}
+                        decided.append((u, v))
+        # consistency: transitively close the Homotopic classes; pairs
+        # inside one congruence class are Homotopic already, so the
+        # union-find runs over class roots
+        parent = {r: r for r in classes.values()}
 
-        def find(p):
-            while parent[p] != p:
-                parent[p] = parent[parent[p]]
-                p = parent[p]
-            return p
+        def find(r):
+            while parent[r] != r:
+                parent[r] = parent[parent[r]]
+                r = parent[r]
+            return r
 
-        for (u, v), tag in tags.items():
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            if tag == HOMOTOPIC:
-                parent[find(u)] = find(v)
-        for (u, v), tag in tags.items():
-            if find(u) == find(v):
-                if tag == NOT_HOMOTOPIC:
+        for u, v in decided:
+            if tags[(u, v)] == HOMOTOPIC:
+                ru, rv = find(classes[u]), find(classes[v])
+                if ru != rv:
+                    parent[ru] = rv
+        for u, v in decided:
+            if find(classes[u]) == find(classes[v]):
+                if tags[(u, v)] == NOT_HOMOTOPIC:
                     raise HomotopyError(
                         "inconsistent homotopy certificates for %s and %s" % (u, v))
                 tags[(u, v)] = HOMOTOPIC

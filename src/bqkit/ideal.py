@@ -107,7 +107,13 @@ def mul_relations(quiver: Quiver, fld: Field, later: Relation, earlier: Relation
 
 
 class _HomSpace:
-    """Echelon basis of one hom-pair subspace, in coordinates."""
+    """Echelon basis of one hom-pair subspace, in coordinates.
+
+    A vector is a sparse ``{path index: coefficient}`` dict with no zero
+    entries; ``rows`` maps each pivot to its basis row.  The basis is
+    kept fully reduced, so a row has coefficient 1 at its own pivot and
+    no entry at any other pivot.
+    """
 
     def __init__(self, quiver, fld, x, y):
         self.quiver = quiver
@@ -116,53 +122,40 @@ class _HomSpace:
         self.y = y
         self.paths = paths_between(quiver, x, y)
         self.index = {p: i for i, p in enumerate(self.paths)}
-        self.rows = {}  # pivot index -> coefficient list
+        self.rows = {}  # pivot index -> sparse row
 
     def vector(self, r: Relation):
-        vec = [self.fld.zero] * len(self.paths)
-        for p, c in r.terms:
-            vec[self.index[p]] = c
-        return vec
+        return {self.index[p]: c for p, c in r.terms
+                if not self.fld.is_zero(c)}
 
     def relation(self, vec) -> Relation:
-        terms = [(self.paths[i], c) for i, c in enumerate(vec)
-                 if not self.fld.is_zero(c)]
-        return Relation(self.x, self.y, tuple(terms))
-
-    def _lead(self, vec):
-        for i in range(len(vec) - 1, -1, -1):
-            if not self.fld.is_zero(vec[i]):
-                return i
-        return None
+        return Relation(self.x, self.y,
+                        tuple((self.paths[i], vec[i]) for i in sorted(vec)))
 
     def reduce(self, vec):
-        """Fully reduce against the basis; one downward sweep suffices
-        because a row with pivot i only touches coordinates <= i."""
+        """Fully reduce against the basis.  Subtracting a row clears its
+        pivot and touches no other pivot, so each pivot entry of the
+        input is cleared once, in any order."""
         fld = self.fld
-        vec = list(vec)
-        for i in range(len(vec) - 1, -1, -1):
-            if i in self.rows and not fld.is_zero(vec[i]):
-                c = vec[i]
-                row = self.rows[i]
-                for k in range(i + 1):
-                    vec[k] = fld.sub(vec[k], fld.mul(c, row[k]))
+        vec = dict(vec)
+        for i in [i for i in vec if i in self.rows]:
+            _subtract_multiple(fld, vec, vec.pop(i), self.rows[i], i)
         return vec
 
     def insert(self, vec) -> bool:
         """Reduce and add to the basis; True if the span grew."""
         fld = self.fld
         vec = self.reduce(vec)
-        lead = self._lead(vec)
-        if lead is None:
+        if not vec:
             return False
+        lead = max(vec)
         inv = fld.inv(vec[lead])
-        vec = [fld.mul(inv, c) for c in vec]
+        vec = {k: fld.mul(inv, c) for k, c in vec.items()}
         # keep the basis reduced: clear this pivot from existing rows
         for row in self.rows.values():
-            if len(row) > lead and not fld.is_zero(row[lead]):
-                c = row[lead]
-                for k in range(lead + 1):
-                    row[k] = fld.sub(row[k], fld.mul(c, vec[k]))
+            c = row.pop(lead, None)
+            if c is not None:
+                _subtract_multiple(fld, row, c, vec, lead)
         self.rows[lead] = vec
         return True
 
@@ -170,11 +163,26 @@ class _HomSpace:
         return tuple(self.relation(self.rows[p]) for p in sorted(self.rows))
 
     def contains(self, r: Relation) -> bool:
-        return self._lead(self.reduce(self.vector(r))) is None
+        return not self.reduce(self.vector(r))
 
     @property
     def dim(self):
         return len(self.rows)
+
+
+def _subtract_multiple(fld, vec, c, row, skip):
+    """vec -= c * row in place on sparse vectors, leaving out row's entry
+    at ``skip`` (the pivot the caller has cleared); entries that cancel
+    are dropped."""
+    for k, x in row.items():
+        if k == skip:
+            continue
+        y = fld.mul(c, x)
+        y = fld.sub(vec[k], y) if k in vec else fld.neg(y)
+        if fld.is_zero(y):
+            del vec[k]
+        else:
+            vec[k] = y
 
 
 class Ideal:
@@ -322,20 +330,12 @@ def decompose_minimal(ideal: Ideal, r: Relation):
         raise IdealError("relation %s does not lie in the ideal" % r.to_text(fld))
     space = ideal._space(r.source, r.target)
 
-    # coordinates of r over the echelon basis (downward sweep)
-    vec = space.vector(r)
-    used = {}
-    for i in range(len(vec) - 1, -1, -1):
-        if i in space.rows and not fld.is_zero(vec[i]):
-            c = vec[i]
-            used[i] = c
-            row = space.rows[i]
-            for k in range(i + 1):
-                vec[k] = fld.sub(vec[k], fld.mul(c, row[k]))
+    # coordinates of r over the reduced echelon basis: its entries at
+    # the pivots
+    used = {i: c for i, c in space.vector(r).items() if i in space.rows}
 
     # components of the support-overlap graph of the basis elements used
     pivots = sorted(used)
-    supports = {p: set(space.relation(space.rows[p]).support()) for p in pivots}
     parent = {p: p for p in pivots}
 
     def find(p):
@@ -346,7 +346,7 @@ def decompose_minimal(ideal: Ideal, r: Relation):
 
     for i, p in enumerate(pivots):
         for q in pivots[i + 1:]:
-            if supports[p] & supports[q]:
+            if space.rows[p].keys() & space.rows[q].keys():
                 parent[find(p)] = find(q)
 
     groups = {}

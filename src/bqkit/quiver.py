@@ -6,12 +6,18 @@ path that applies b, then c, then d prints as ``d*c*b``.  All canonical
 orderings derive from declaration order of vertices and arrows, never
 from lexicography of the ids themselves, so renaming ids never changes
 any result.
+
+Each ``Quiver`` indexes itself once, at construction: names, arrow
+positions and in/out adjacency.  It also owns the caches of the
+functions below that depend on it alone (``enumerate_paths``, the
+hom-sets of ``paths_between``, ``longest_path_length`` and a memo of
+``path_key``), filled on first use.  The caches live and die with the
+quiver, so a cover quiver that is dropped takes its paths with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import QuiverError
 
@@ -42,28 +48,44 @@ class Quiver:
             if v in seen:
                 raise QuiverError("duplicate vertex id %r" % v)
             seen.add(v)
-        vset = set(self.vertices)
-        names = set()
+        by_name = {}
+        outgoing = {v: [] for v in self.vertices}
+        incoming = {v: [] for v in self.vertices}
         for a in self.arrows:
-            if a.name in names or a.name in vset:
+            if a.name in by_name or a.name in seen:
                 raise QuiverError("duplicate id %r" % a.name)
-            names.add(a.name)
-            if a.source not in vset:
+            by_name[a.name] = a
+            if a.source not in seen:
                 raise QuiverError("arrow %r has dangling source %r" % (a.name, a.source))
-            if a.target not in vset:
+            if a.target not in seen:
                 raise QuiverError("arrow %r has dangling target %r" % (a.name, a.target))
+            outgoing[a.source].append(a)
+            incoming[a.target].append(a)
+        index = {a.name: i for i, a in enumerate(self.arrows)}
+        setattr_ = object.__setattr__
+        setattr_(self, "_by_name", by_name)
+        setattr_(self, "_index", index)
+        setattr_(self, "_out", {v: tuple(arrs) for v, arrs in outgoing.items()})
+        setattr_(self, "_in", {v: tuple(arrs) for v, arrs in incoming.items()})
+        setattr_(self, "_hash", hash((self.name, self.vertices, self.arrows)))
+        # filled on first use by enumerate_paths, paths_between,
+        # longest_path_length and path_key
+        setattr_(self, "_paths", None)
+        setattr_(self, "_homs", None)
+        setattr_(self, "_longest", None)
+        setattr_(self, "_keys", {})
         self._check_acyclic()
 
+    def __hash__(self):
+        return self._hash
+
     def _check_acyclic(self):
-        outgoing = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            outgoing[a.source].append(a.target)
         state = {}
 
         def visit(v, stack):
             state[v] = "open"
             stack.append(v)
-            for w in outgoing[v]:
+            for w in (a.target for a in self._out[v]):
                 if state.get(w) == "open":
                     cycle = stack[stack.index(w):] + [w]
                     raise QuiverError("oriented cycle through %s" % " -> ".join(cycle))
@@ -79,25 +101,29 @@ class Quiver:
     # -- lookups ---------------------------------------------------------
 
     def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise QuiverError("no arrow named %r in quiver %r" % (name, self.name))
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise QuiverError("no arrow named %r in quiver %r"
+                              % (name, self.name)) from None
 
     def has_vertex(self, v) -> bool:
-        return v in self.vertices
+        return v in self._out
 
     def arrow_index(self, name: str) -> int:
-        for i, a in enumerate(self.arrows):
-            if a.name == name:
-                return i
-        raise QuiverError("no arrow named %r in quiver %r" % (name, self.name))
+        try:
+            return self._index[name]
+        except KeyError:
+            raise QuiverError("no arrow named %r in quiver %r"
+                              % (name, self.name)) from None
 
     def arrows_from(self, v):
-        return [a for a in self.arrows if a.source == v]
+        """Arrows with source v, in declaration order."""
+        return self._out.get(v, ())
 
     def arrows_into(self, v):
-        return [a for a in self.arrows if a.target == v]
+        """Arrows with target v, in declaration order."""
+        return self._in.get(v, ())
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -175,16 +201,18 @@ def compose_paths(quiver: Quiver, later: Path, earlier: Path) -> Path:
     return Path(earlier.source, later.target, earlier.arrows + later.arrows)
 
 
-@lru_cache(maxsize=None)
-def _arrow_indices(quiver: Quiver):
-    return {a.name: i for i, a in enumerate(quiver.arrows)}
-
-
-@lru_cache(maxsize=None)
 def path_key(quiver: Quiver, path: Path):
-    """Canonical total order: length, then lex on the written form."""
-    idx = _arrow_indices(quiver)
-    return (len(path.arrows), tuple(idx[a] for a in reversed(path.arrows)))
+    """Canonical total order: length, then lex on the written form.
+
+    Memoised on the quiver: a caller that keeps many keys (such as
+    ``fingerprint_key``) then shares one tuple per path.
+    """
+    key = quiver._keys.get(path)
+    if key is None:
+        idx = quiver._index
+        key = (len(path.arrows), tuple(idx[a] for a in reversed(path.arrows)))
+        quiver._keys[path] = key
+    return key
 
 
 @dataclass(frozen=True)
@@ -282,32 +310,44 @@ class Bypass:
     path: Path
 
 
-@lru_cache(maxsize=None)
 def enumerate_paths(quiver: Quiver):
-    """All paths of the quiver, sorted by the canonical total order."""
-    paths = [trivial_path(quiver, x) for x in quiver.vertices]
-    frontier = [Path(a.source, a.target, (a.name,)) for a in quiver.arrows]
-    while frontier:
-        paths.extend(frontier)
-        nxt = []
-        for p in frontier:
-            for a in quiver.arrows_from(p.target):
-                nxt.append(Path(p.source, a.target, p.arrows + (a.name,)))
-        frontier = nxt
-    paths.sort(key=lambda p: path_key(quiver, p))
-    return tuple(paths)
+    """All paths of the quiver, sorted by the canonical total order.
+
+    Computed once per quiver, together with the hom-sets that
+    ``paths_between`` returns.
+    """
+    if quiver._paths is None:
+        paths = [trivial_path(quiver, x) for x in quiver.vertices]
+        frontier = [Path(a.source, a.target, (a.name,)) for a in quiver.arrows]
+        while frontier:
+            paths.extend(frontier)
+            nxt = []
+            for p in frontier:
+                for a in quiver.arrows_from(p.target):
+                    nxt.append(Path(p.source, a.target, p.arrows + (a.name,)))
+            frontier = nxt
+        paths.sort(key=lambda p: path_key(quiver, p))
+        homs = {}
+        for p in paths:
+            homs.setdefault((p.source, p.target), []).append(p)
+        object.__setattr__(quiver, "_homs",
+                           {k: tuple(v) for k, v in homs.items()})
+        object.__setattr__(quiver, "_paths", tuple(paths))
+    return quiver._paths
 
 
-@lru_cache(maxsize=None)
 def paths_between(quiver: Quiver, x, y):
     """Paths from x to y in canonical order (the hom-pair basis)."""
-    return tuple(p for p in enumerate_paths(quiver)
-                 if p.source == x and p.target == y)
+    if quiver._homs is None:
+        enumerate_paths(quiver)
+    return quiver._homs.get((x, y), ())
 
 
-@lru_cache(maxsize=None)
 def longest_path_length(quiver: Quiver) -> int:
-    return max((len(p) for p in enumerate_paths(quiver)), default=0)
+    if quiver._longest is None:
+        object.__setattr__(quiver, "_longest", max(
+            (len(p) for p in enumerate_paths(quiver)), default=0))
+    return quiver._longest
 
 
 def find_bypasses(quiver: Quiver):

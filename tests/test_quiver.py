@@ -1,11 +1,15 @@
+import gc
+import weakref
+
 import pytest
 
+from bqkit.cover import universal_cover
 from bqkit.dsl import parse_path, parse_quiver, parse_walk
 from bqkit.errors import ParseError, QuiverError
-from bqkit.quiver import (FORWARD, INVERSE, enumerate_paths, find_bypasses,
-                          find_double_bypasses, longest_path_length, make_path,
-                          make_walk, path_key, paths_between, trivial_path,
-                          walk_of_path)
+from bqkit.quiver import (FORWARD, INVERSE, Quiver, enumerate_paths,
+                          find_bypasses, find_double_bypasses,
+                          longest_path_length, make_path, make_walk, path_key,
+                          paths_between, trivial_path, walk_of_path)
 
 
 def brute_paths(quiver):
@@ -182,3 +186,35 @@ def test_longest_path_length(exple1, twobypass):
 def test_paths_between(twobypass):
     hom15 = [p.to_text() for p in paths_between(twobypass, "1", "5")]
     assert hom15 == ["d*a", "d*c*b", "f*e*a", "f*e*c*b"]
+
+
+def test_paths_between_without_paths_is_empty(twobypass):
+    assert paths_between(twobypass, "5", "1") == ()
+    assert paths_between(twobypass, "2", "4") != ()
+
+
+def test_unknown_arrow_name_raises(exple1):
+    with pytest.raises(QuiverError):
+        exple1.arrow("z")
+    with pytest.raises(QuiverError):
+        exple1.arrow_index("z")
+
+
+def test_equal_quivers_give_equal_paths_and_hashes(twobypass):
+    twin = Quiver(twobypass.name, twobypass.vertices, twobypass.arrows)
+    assert twin == twobypass and twin is not twobypass
+    assert hash(twin) == hash(twobypass)
+    assert enumerate_paths(twin) == enumerate_paths(twobypass)
+    for x in twobypass.vertices:
+        for y in twobypass.vertices:
+            assert paths_between(twin, x, y) == paths_between(twobypass, x, y)
+    assert longest_path_length(twin) == longest_path_length(twobypass)
+
+
+def test_dropped_cover_quiver_is_freed(ideal_I0):
+    cov = universal_cover(ideal_I0, radius=4)
+    enumerate_paths(cov.total)
+    ref = weakref.ref(cov.total)
+    del cov
+    gc.collect()
+    assert ref() is None
