@@ -12,11 +12,10 @@ from .quiver import (Arrow, Bypass, Path, Quiver, Walk, enumerate_paths,
                      paths_between, trivial_path, trivial_walk)
 from .dsl import parse_quiver, parse_path, parse_source, parse_walk
 from .ideal import (Ideal, Relation, close_ideal, decompose_minimal,
-                    groebner_basis, ideals_equal, is_constricted,
-                    make_relation, minimal_relations, support_equivalence)
+                    ideals_equal, is_constricted, make_relation,
+                    support_equivalence)
 from .homotopy import (GroupPresentation, HomotopyRelation, abelianization,
-                       decide_homotopic, homotopy_relation, pi1_presentation,
-                       relations_equal, walk_reduce)
+                       homotopy_relation, relations_equal)
 from .transform import (Derivation, Dilatation, PathAutomorphism, Transvection,
                         apply_automorphism, compose, decompose_DT,
                         exp_derivation, log_unipotent)

@@ -19,8 +19,7 @@ from .dsl import parse_path, parse_source, parse_walk
 from .errors import BqError
 from .gamma import (CONFIRMED, REFUTED, check_surjection, explore_gamma,
                     find_sources)
-from .homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, decide_homotopic,
-                       homotopy_relation, pi1_presentation)
+from .homotopy import HOMOTOPIC, NOT_HOMOTOPIC, homotopy_relation
 from .quiver import Bypass, enumerate_paths
 from .transform import Transvection, make_dilatation
 
@@ -92,7 +91,7 @@ def cmd_pi1(args):
     ws = _load(args.file)
     ideal = ws.ideal(args.ideal, args.char)
     h = homotopy_relation(ideal, args.base)
-    gp = pi1_presentation(h)
+    gp = h.presentation
     rank, torsion = gp.abelian_invariants
     human = ("generators: %s\nrelators: %d\nabelian invariants: rank %d, "
              "torsion %s" % (", ".join(gp.generators) or "(none)",
@@ -108,14 +107,13 @@ def cmd_homotopic(args):
     q = ideal.quiver
     u = parse_walk(q, args.u)
     v = parse_walk(q, args.v)
-    d = decide_homotopic(h, u, v, cap=args.cap)
+    d = h.decide(u, v, cap=args.cap)
     if d.status == HOMOTOPIC:
         print("Homotopic")
         if d.chain is None:
             print("  certified by the completed coset action (order %d)"
                   % d.certificate["order"])
         else:
-            cur = u
             for step in d.chain:
                 print("  %s -> %s" % (step.kind, step.result.to_text()))
         return EXIT_OK
@@ -395,10 +393,10 @@ def compute_example_report():
     smash1 = smash_product(ideal_I, grading)
     galois1 = is_galois(smash1)
     report["exple1"] = {
-        "pi1_I": _pi1_payload(pi1_presentation(h_I)),
-        "pi1_J": _pi1_payload(pi1_presentation(h_J)),
-        "homotopic_a_cb_under_I": decide_homotopic(h_I, a, cb).status,
-        "homotopic_a_cb_under_J": decide_homotopic(h_J, a, cb).status,
+        "pi1_I": _pi1_payload(h_I.presentation),
+        "pi1_J": _pi1_payload(h_J.presentation),
+        "homotopic_a_cb_under_I": h_I.decide(a, cb).status,
+        "homotopic_a_cb_under_J": h_J.decide(a, cb).status,
         "gamma": {"vertices": len(gamma1.vertices),
                   "edges": len(gamma1.edges),
                   "sources": len(gamma1.sources())},
@@ -416,9 +414,9 @@ def compute_example_report():
     cov0 = universal_cover(ideal_I0, radius=8)
     galois0 = is_galois(cov0)
     report["twobypass_char0"] = {
-        "pi1_I0": _pi1_payload(pi1_presentation(homotopy_relation(ideal_I0))),
-        "pi1_I1": _pi1_payload(pi1_presentation(homotopy_relation(ideal_I1))),
-        "pi1_I2": _pi1_payload(pi1_presentation(homotopy_relation(ideal_I2))),
+        "pi1_I0": _pi1_payload(homotopy_relation(ideal_I0).presentation),
+        "pi1_I1": _pi1_payload(homotopy_relation(ideal_I1).presentation),
+        "pi1_I2": _pi1_payload(homotopy_relation(ideal_I2).presentation),
         "gamma_from_I2": {"vertices": len(gamma0.vertices),
                           "edges": len(gamma0.edges),
                           "sources": len(gamma0.sources())},
@@ -437,9 +435,9 @@ def compute_example_report():
     i2p = ws2.ideal("I2", char=2)
     gamma2 = explore_gamma(i1p)
     report["twobypass_char2"] = {
-        "pi1_I0": _pi1_payload(pi1_presentation(homotopy_relation(i0p))),
-        "pi1_I1": _pi1_payload(pi1_presentation(homotopy_relation(i1p))),
-        "pi1_I2": _pi1_payload(pi1_presentation(homotopy_relation(i2p))),
+        "pi1_I0": _pi1_payload(homotopy_relation(i0p).presentation),
+        "pi1_I1": _pi1_payload(homotopy_relation(i1p).presentation),
+        "pi1_I2": _pi1_payload(homotopy_relation(i2p).presentation),
         "gamma_from_I1": {"vertices": len(gamma2.vertices),
                           "edges": len(gamma2.edges),
                           "sources": len(gamma2.sources())},

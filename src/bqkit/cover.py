@@ -14,13 +14,16 @@ from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import CoverError
+from .gamma import check_lemma_3_3_chain
 from .homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, UNKNOWN, HomotopyRelation,
                        homotopy_relation, relations_equal, EQUAL)
-from .ideal import (Ideal, Relation, add_relations, close_ideal, make_relation,
-                    mul_relations, relation_of_path, scale_relation)
-from .quiver import (FORWARD, INVERSE, Arrow, Path, Quiver, Walk,
-                     trivial_walk, walk_of_path)
-from .transform import Dilatation, Transvection, apply_automorphism
+from .ideal import (Ideal, Relation, add_relations, close_ideal, ideals_equal,
+                    make_relation, mul_relations, relation_of_path,
+                    scale_relation)
+from .quiver import (FORWARD, INVERSE, Arrow, Path, Quiver, Walk, make_path,
+                     trivial_path, trivial_walk, walk_of_path)
+from .transform import (Dilatation, Transvection, apply_automorphism,
+                        as_path_automorphism, compose, identity_automorphism)
 
 
 def default_radius(quiver: Quiver) -> int:
@@ -187,9 +190,7 @@ class CoverQuiver:
             arrows.append(e.name)
             cur = e.target
         if arrows:
-            from .quiver import make_path
             return make_path(self.total, arrows)
-        from .quiver import trivial_path
         return trivial_path(self.total, cur)
 
     def lift_walk(self, walk: Walk, start_vertex):
@@ -208,10 +209,8 @@ class CoverQuiver:
         for p, c in rel.terms:
             base_arrows = tuple(self.arrow_map[name] for name in p.arrows)
             if base_arrows:
-                from .quiver import make_path
                 terms.append((make_path(self.base_quiver, base_arrows), c))
             else:
-                from .quiver import trivial_path
                 terms.append((trivial_path(self.base_quiver,
                                            self.vertex_map[p.source]), c))
         src = self.vertex_map[rel.source]
@@ -251,16 +250,11 @@ class _Ball:
         self.classes = []
         self.lookup = {}
         self.transitions = {}
-        root = trivial_walk(self.quiver, h.base_point)
-        self._new_class(root)
+        self._root = trivial_walk(self.quiver, h.base_point)
+        self._new_class(self._root)
 
     def _image_key(self, walk: Walk):
-        vec = [0] * len(self.h.presentation.generators)
-        index = {g: i for i, g in enumerate(self.h.presentation.generators)}
-        for name, d in walk.letters:
-            if name in index:
-                vec[index[name]] += d
-        return (walk.target, self.h._lattice.image(vec))
+        return (walk.target, self.h.abelian_image(walk, self._root))
 
     def _new_class(self, rep: Walk):
         cls = _WalkClass(len(self.classes), rep, self._image_key(rep))
@@ -398,16 +392,10 @@ def _universal_deck_generators(cover: CoverQuiver):
     """Deck maps for the chord loops; partial where the ball cuts them off."""
     ball = cover._ball
     h = cover._h
-    quiver = cover.base_quiver
     names = {cls.index: "w%d" % cls.index for cls in ball.classes}
     generators = []
     for chord in h.tree.chords:
-        a = quiver.arrow(chord)
-        loop = (h.tree.walk_from_root(a.source).letters
-                + ((chord, FORWARD),)
-                + h.tree.walk_from_root(a.target).inverse().letters)
-        gamma = Walk(h.base_point, h.base_point, tuple(loop)).reduced()
-        gamma_inv = gamma.inverse()
+        gamma_inv = h.tree.chord_loop(chord).inverse()
         vmap = {}
         for cls in ball.classes:
             moved = Walk(h.base_point, cls.rep.target,
@@ -584,10 +572,8 @@ def _lift_relation_backward(cover, rel, end):
             cur = e.source
         arrows.reverse()
         if arrows:
-            from .quiver import make_path
             terms.append((make_path(cover.total, arrows), c))
         else:
-            from .quiver import trivial_path
             terms.append((trivial_path(cover.total, cur), c))
     sources = {p.source for p, _ in terms}
     if len(sources) != 1:
@@ -664,7 +650,6 @@ def _extend_deck_map(cover: CoverQuiver, anchor, image):
     for rel in cover.relations:
         moved_terms = []
         for p, c in rel.terms:
-            from .quiver import make_path, trivial_path
             if p.arrows:
                 moved_terms.append((make_path(cover.total,
                                               tuple(amap[n] for n in p.arrows)), c))
@@ -693,7 +678,6 @@ class CoverMorphism:
 
     def apply_to_path(self, path: Path) -> Relation:
         fld = self.target.field
-        from .quiver import trivial_path
         acc = relation_of_path(self.target.total, fld,
                                trivial_path(self.target.total,
                                             self.vertex_map[path.source]))
@@ -776,109 +760,85 @@ def _verify_equivariance(morphism: CoverMorphism, pairs):
 
 def lift_dilatation(cov0: CoverQuiver, dil: Dilatation) -> CoverMorphism:
     """The isomorphism between universal covers induced by a dilatation."""
-    if cov0.kind != "universal":
-        raise CoverError("lifts start from a universal cover")
-    ideal = cov0.base_ideal
-    fld = ideal.field
-    image_ideal = apply_automorphism(dil, ideal)
-    h0 = cov0._h
-    h1 = homotopy_relation(image_ideal, h0.base_point, coset_fallback=True)
-    if relations_equal(h0, h1) != (EQUAL, None):
+    h1 = _image_relation(cov0, dil)
+    if relations_equal(cov0._h, h1) != (EQUAL, None):
         raise CoverError("dilatation changed the homotopy relation")
-    cov1 = universal_cover(image_ideal, h0.base_point, cov0.radius, h1)
-
-    vmap = _match_vertices_by_reps(cov0, cov1)
-    images = {}
-    for e in cov0.total.arrows:
-        base_name = cov0.arrow_map[e.name]
-        over = cov1.arrow_over(vmap[e.source], base_name, FORWARD)
-        if over is None or over.target != vmap[e.target]:
-            raise CoverError("dilatation lift misses arrow %s" % e.name)
-        images[e.name] = scale_relation(
-            cov1.total, fld, dil.scale(base_name, fld),
-            relation_of_path(cov1.total, fld,
-                             Path(over.source, over.target, (over.name,))))
-
-    base_images = {}
-    for a in ideal.quiver.arrows:
-        base_images[a.name] = scale_relation(
-            ideal.quiver, fld, dil.scale(a.name, fld),
-            relation_of_path(ideal.quiver, fld,
-                             Path(a.source, a.target, (a.name,))))
-
-    morphism = CoverMorphism(cov0, cov1, vmap, images, dil.to_text(fld))
-    morphism.checks["squares"] = _verify_squares(morphism, base_images)
-    morphism.checks["relations"] = _verify_ideal_mapped(morphism)
-    pairs = list(zip(cov0.action, cov1.action))
-    morphism.checks["equivariance"] = _verify_equivariance(morphism, pairs)
+    morphism = _lift_automorphism(cov0, dil, h1)
     morphism.checks["bijective"] = (
-        sorted(morphism.vertex_map.values()) == sorted(cov1.total.vertices))
+        sorted(morphism.vertex_map.values())
+        == sorted(morphism.target.total.vertices))
     return morphism
 
 
 def lift_transvection(cov0: CoverQuiver, t: Transvection) -> CoverMorphism:
     """The covering morphism between universal covers induced by a
     transvection whose bypass becomes homotopic in the image."""
-    if cov0.kind != "universal":
-        raise CoverError("lifts start from a universal cover")
-    ideal = cov0.base_ideal
-    fld = ideal.field
-    image_ideal = apply_automorphism(t, ideal)
-    h0 = cov0._h
-    h1 = homotopy_relation(image_ideal, h0.base_point, coset_fallback=True)
-    a = ideal.quiver.arrow(t.arrow)
+    h1 = _image_relation(cov0, t)
+    a = h1.quiver.arrow(t.arrow)
     status = h1.pair_status(Path(a.source, a.target, (a.name,)), t.path)
     if status == UNKNOWN:
         raise CoverError("cannot certify the bypass in the image relation")
-    if status == NOT_HOMOTOPIC and not fld.is_zero(t.tau):
+    if status == NOT_HOMOTOPIC and not cov0.field.is_zero(t.tau):
         raise CoverError("the construction needs the arrow homotopic to its "
                          "bypass path in the image")
-    cov1 = universal_cover(image_ideal, h0.base_point, cov0.radius, h1)
+    morphism = _lift_automorphism(cov0, t, h1)
+    morphism.checks["kernel_abelianized"] = _kernel_report(cov0._h, h1)
+    return morphism
+
+
+def _image_relation(cov0: CoverQuiver, phi) -> HomotopyRelation:
+    """The homotopy relation of phi(I), based where cov0 is."""
+    if cov0.kind != "universal":
+        raise CoverError("lifts start from a universal cover")
+    image_ideal = apply_automorphism(phi, cov0.base_ideal)
+    return homotopy_relation(image_ideal, cov0._h.base_point,
+                             coset_fallback=True)
+
+
+def _lift_automorphism(cov0: CoverQuiver, phi, h1: HomotopyRelation):
+    """The morphism from cov0 to the universal cover of phi(I) = h1.ideal
+    over the automorphism phi.
+
+    An arrow e over a is sent to the lift of each term of phi(a) from the
+    image of e's source; an arrow with a term that leaves the ball is
+    skipped and listed under "skipped_arrows".
+    """
+    fld = cov0.field
+    base_images = as_path_automorphism(phi, cov0.base_quiver, fld).images
+    cov1 = universal_cover(h1.ideal, h1.base_point, cov0.radius, h1)
+    label = phi.to_text(fld)
 
     vmap = _match_vertices_by_reps(cov0, cov1)
     images = {}
     skipped = []
     for e in cov0.total.arrows:
+        start, end = vmap[e.source], vmap[e.target]
         base_name = cov0.arrow_map[e.name]
-        over = cov1.arrow_over(vmap[e.source], base_name, FORWARD)
-        if over is None or over.target != vmap[e.target]:
-            raise CoverError("transvection lift misses arrow %s" % e.name)
-        image = relation_of_path(cov1.total, fld,
-                                 Path(over.source, over.target, (over.name,)))
-        if base_name == t.arrow and not fld.is_zero(t.tau):
-            u_lift = cov1.lift_path(t.path, vmap[e.source])
-            if u_lift is None:
+        over = cov1.arrow_over(start, base_name, FORWARD)
+        if over is None or over.target != end:
+            raise CoverError("lift of %s misses arrow %s" % (label, e.name))
+        terms = []
+        for p, c in base_images[base_name].terms:
+            lifted = cov1.lift_path(p, start)
+            if lifted is None:
                 skipped.append(e.name)
-                continue
-            if u_lift.target != over.target:
+                break
+            if lifted.target != end:
                 raise CoverError(
-                    "bypass path lift ends at %s instead of %s although the "
-                    "pair is homotopic" % (u_lift.target, over.target))
-            image = add_relations(cov1.total, fld, image,
-                                  scale_relation(cov1.total, fld, t.tau,
-                                                 relation_of_path(cov1.total,
-                                                                  fld, u_lift)))
-        images[e.name] = image
+                    "the lift of %s from %s ends at %s instead of %s although "
+                    "the pair is homotopic" % (p.to_text(), start,
+                                               lifted.target, end))
+            terms.append((lifted, c))
+        else:
+            images[e.name] = make_relation(cov1.total, fld, start, end, terms)
 
-    base_images = {}
-    for arrow in ideal.quiver.arrows:
-        rel = relation_of_path(ideal.quiver, fld,
-                               Path(arrow.source, arrow.target, (arrow.name,)))
-        if arrow.name == t.arrow:
-            rel = add_relations(ideal.quiver, fld, rel,
-                                scale_relation(ideal.quiver, fld, t.tau,
-                                               relation_of_path(ideal.quiver,
-                                                                fld, t.path)))
-        base_images[arrow.name] = rel
-
-    morphism = CoverMorphism(cov0, cov1, vmap, images, t.to_text(fld))
+    morphism = CoverMorphism(cov0, cov1, vmap, images, label)
     morphism.checks["squares"] = _verify_squares(morphism, base_images)
     morphism.checks["relations"] = _verify_ideal_mapped(morphism)
     pairs = list(zip(cov0.action, cov1.action))
     morphism.checks["equivariance"] = _verify_equivariance(morphism, pairs)
     morphism.checks["skipped_arrows"] = skipped
     morphism.checks["fiber_sizes"] = morphism.fiber_sizes()
-    morphism.checks["kernel_abelianized"] = _kernel_report(h0, h1)
     return morphism
 
 
@@ -896,7 +856,6 @@ def factor_through_cover(univ: CoverQuiver, target: CoverQuiver) -> CoverMorphis
         raise CoverError("factorization starts from a universal cover")
     if not target.complete:
         raise CoverError("factorization needs a complete target cover")
-    from .ideal import ideals_equal
     if not ideals_equal(univ.base_ideal, target.base_ideal):
         raise CoverError("covers live over different ideals")
     h = univ._h
@@ -970,8 +929,6 @@ def theorem_b_pipeline(privileged: Ideal, target_cover: CoverQuiver,
     """Compose transvection/dilatation lifts along the chain from the
     privileged presentation, then factor onto the target cover; report the
     induced group data 1 -> N -> pi1 -> G -> 1 at the abelianized level."""
-    from .gamma import check_lemma_3_3_chain
-
     target_ideal = target_cover.base_ideal
     galois = is_galois(target_cover)
     if galois.status != GALOIS:
@@ -1007,13 +964,7 @@ def theorem_b_pipeline(privileged: Ideal, target_cover: CoverQuiver,
     chord_images = {}
     image_autos = []
     for chord in h0.tree.chords:
-        a = h0.quiver.arrow(chord)
-        loop = Walk(h0.base_point, h0.base_point,
-                    tuple(h0.tree.walk_from_root(a.source).letters
-                          + ((chord, FORWARD),)
-                          + h0.tree.walk_from_root(a.target).inverse().letters)
-                    ).reduced()
-        end = target_cover.lift_walk(loop, anchor)
+        end = target_cover.lift_walk(h0.tree.chord_loop(chord), anchor)
         if end is None:
             raise CoverError("chord loop does not lift in the target cover")
         hit = next((g for g in autos if g.vertex_map[anchor] == end), None)
@@ -1049,7 +1000,6 @@ def theorem_b_pipeline(privileged: Ideal, target_cover: CoverQuiver,
 
 
 def _compose_base_chain(ideal: Ideal, chain):
-    from .transform import as_path_automorphism, identity_automorphism, compose
     quiver, fld = ideal.quiver, ideal.field
     acc = identity_automorphism(quiver, fld)
     for step in chain:

@@ -78,6 +78,12 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def pow(self, a, e: int):
+        """a to the integer power e (a nonzero when e < 0)."""
+        if e < 0:
+            a, e = self.inv(a), -e
+        return a ** e if self.char == 0 else pow(a, e, self.char)
+
     def is_zero(self, a) -> bool:
         return a == 0
 

@@ -88,25 +88,6 @@ def ratio_candidates(ideal: Ideal, bypass: Bypass):
     return tuple(out)
 
 
-def target_ratio_candidates(target: Ideal, bypass: Bypass):
-    """Coefficients mu/lambda read off the intended image ideal."""
-    fld = target.field
-    out = []
-    for rel in target.minimal_relations():
-        for p, lam in rel.terms:
-            if bypass.arrow not in p.arrows:
-                continue
-            i = p.arrows.index(bypass.arrow)
-            partner = Path(p.source, p.target,
-                           p.arrows[:i] + bypass.path.arrows + p.arrows[i + 1:])
-            mu = rel.coefficient(partner, fld)
-            if not fld.is_zero(mu):
-                cand = fld.div(mu, lam)
-                if not fld.is_zero(cand) and cand not in out:
-                    out.append(cand)
-    return tuple(out)
-
-
 @dataclass
 class ProbeResult:
     hits: list = dataclass_field(default_factory=list)      # (tv, ideal, homotopy)
@@ -531,7 +512,9 @@ def check_lemma_3_3_chain(source_ideal: Ideal, target_ideal: Ideal,
                 continue
             candidates = []
             if final:
-                candidates.extend(target_ratio_candidates(target_ideal, bypass))
+                # the image ideal's own ratios, with the opposite sign
+                candidates.extend(fld.neg(c) for c in
+                                  ratio_candidates(target_ideal, bypass))
             if bypass == edge.transvection.bypass \
                     and edge.transvection.tau not in candidates:
                 candidates.append(edge.transvection.tau)

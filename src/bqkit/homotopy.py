@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import coset
+from .disjoint_sets import DisjointSets
 from .errors import HomotopyError, UnresolvedError
 from .ideal import Ideal
 from .quiver import (FORWARD, INVERSE, Path, Quiver, Walk, longest_path_length,
@@ -25,11 +26,6 @@ NOT_HOMOTOPIC = "not-homotopic"
 UNKNOWN = "unknown"
 
 DEFAULT_MAX_STATES = 40_000
-
-
-def walk_reduce(walk: Walk) -> Walk:
-    """Freely reduce a walk (cancel adjacent formal-inverse pairs)."""
-    return walk.reduced()
 
 
 @dataclass(frozen=True)
@@ -176,6 +172,14 @@ class SpanningTree:
         letters.reverse()
         return Walk(self.x0, v, tuple(letters))
 
+    def chord_loop(self, chord) -> Walk:
+        """The reduced loop at the root through a chord: the tree walk to
+        its source, the chord, and the tree walk back from its target."""
+        a = self.quiver.arrow(chord)
+        return Walk(self.x0, self.x0,
+                    self.walk_from_root(a.source).letters + ((chord, FORWARD),)
+                    + self.walk_from_root(a.target).inverse().letters).reduced()
+
     def chord_word(self, walk: Walk):
         """Image of a walk under the retraction onto the chords.
 
@@ -206,6 +210,8 @@ class HomotopyRelation:
         self.tree = SpanningTree(self.quiver, x0)
         self.generating_pairs = self._generating_pairs()
         self.presentation, self._lattice = self._presentation()
+        self._generator_index = {g: i for i, g in
+                                 enumerate(self.presentation.generators)}
         self._patterns = self._replacement_patterns()
         self._decisions = {}
         self._coset_table = None
@@ -275,15 +281,10 @@ class HomotopyRelation:
         quiver = self.quiver
         paths = enumerate_paths(quiver)
         index = {p: i for i, p in enumerate(paths)}
-        parent = list(range(len(paths)))
+        sets = DisjointSets(range(len(paths)))
+        union = sets.union
         by_first = [{p.arrows[0]: p} if p.arrows else {} for p in paths]
         by_last = [{p.arrows[-1]: p} if p.arrows else {} for p in paths]
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
 
         def tail(p):
             return Path(quiver.arrow(p.arrows[0]).target, p.target, p.arrows[1:])
@@ -294,10 +295,10 @@ class HomotopyRelation:
         pending = list(self.generating_pairs)
         while pending:
             p, q = pending.pop()
-            rp, rq = find(index[p]), find(index[q])
-            if rp == rq:
+            merged = union(index[p], index[q])
+            if merged is None:
                 continue
-            parent[rp] = rq
+            rp, rq = merged
             for a in quiver.arrows_from(p.target):
                 pending.append((Path(p.source, a.target, p.arrows + (a.name,)),
                                 Path(q.source, a.target, q.arrows + (a.name,))))
@@ -311,7 +312,7 @@ class HomotopyRelation:
                     if w is not u:
                         pending.append((cancel(u), cancel(w)))
                 table[rp] = None
-        return {p: paths[find(i)] for i, p in enumerate(paths)}
+        return {p: paths[sets.find(i)] for i, p in enumerate(paths)}
 
     def _fingerprint(self):
         classes = self._path_classes
@@ -333,21 +334,12 @@ class HomotopyRelation:
         # consistency: transitively close the Homotopic classes; pairs
         # inside one congruence class are Homotopic already, so the
         # union-find runs over class roots
-        parent = {r: r for r in classes.values()}
-
-        def find(r):
-            while parent[r] != r:
-                parent[r] = parent[parent[r]]
-                r = parent[r]
-            return r
-
+        roots = DisjointSets(classes.values())
         for u, v in decided:
             if tags[(u, v)] == HOMOTOPIC:
-                ru, rv = find(classes[u]), find(classes[v])
-                if ru != rv:
-                    parent[ru] = rv
+                roots.union(classes[u], classes[v])
         for u, v in decided:
-            if find(classes[u]) == find(classes[v]):
+            if roots.find(classes[u]) == roots.find(classes[v]):
                 if tags[(u, v)] == NOT_HOMOTOPIC:
                     raise HomotopyError(
                         "inconsistent homotopy certificates for %s and %s" % (u, v))
@@ -370,7 +362,7 @@ class HomotopyRelation:
         """Net chord exponents of the loop u * v^-1 (order irrelevant
         in the abelianization, so no conjugation is needed)."""
         vec = [0] * len(self.presentation.generators)
-        index = {g: i for i, g in enumerate(self.presentation.generators)}
+        index = self._generator_index
         for name, d in u.letters:
             if name in index:
                 vec[index[name]] += d
@@ -409,7 +401,7 @@ class HomotopyRelation:
 
         if not self.presentation.relators:
             # no relations at all: distinct reduced walks are inequivalent
-            cert = {"kind": "free", "reduced": (u_red.to_text(), v_red.to_text())}
+            cert = {"kind": "free", "reduced": (u_red, v_red)}
             return Decision(NOT_HOMOTOPIC, (), cert)
 
         image = self.abelian_image(u_red, v_red)
@@ -455,8 +447,8 @@ class HomotopyRelation:
         return Decision(HOMOTOPIC, None, cert)
 
     def _signed_word(self, word):
-        index = {g: i + 1 for i, g in enumerate(self.presentation.generators)}
-        return tuple(index[g] * e for g, e in word)
+        index = self._generator_index
+        return tuple((index[g] + 1) * e for g, e in word)
 
     def _cosets(self):
         if not self._coset_tried:
@@ -630,14 +622,6 @@ def homotopy_relation(ideal: Ideal, x0=None, coset_fallback=False,
                       cap=None) -> HomotopyRelation:
     """Build the homotopy relation of (Q, I) based at x0."""
     return HomotopyRelation(ideal, x0, coset_fallback=coset_fallback, cap=cap)
-
-
-def decide_homotopic(h: HomotopyRelation, u: Walk, v: Walk, cap=None) -> Decision:
-    return h.decide(u, v, cap=cap)
-
-
-def pi1_presentation(h: HomotopyRelation) -> GroupPresentation:
-    return h.presentation
 
 
 EQUAL = "equal"

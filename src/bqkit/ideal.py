@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .disjoint_sets import DisjointSets
 from .errors import IdealError
 from .fields import Field
 from .quiver import (Path, Quiver, compose_paths, enumerate_paths, path_key,
@@ -312,14 +313,6 @@ def close_ideal(quiver: Quiver, fld: Field, generators) -> Ideal:
     return Ideal(quiver, fld, gens, spaces)
 
 
-def groebner_basis(ideal: Ideal, x, y):
-    return ideal.groebner_basis(x, y)
-
-
-def minimal_relations(ideal: Ideal):
-    return ideal.minimal_relations()
-
-
 def decompose_minimal(ideal: Ideal, r: Relation):
     """Split r in I into minimal relations with pairwise disjoint supports."""
     fld = ideal.field
@@ -336,27 +329,16 @@ def decompose_minimal(ideal: Ideal, r: Relation):
 
     # components of the support-overlap graph of the basis elements used
     pivots = sorted(used)
-    parent = {p: p for p in pivots}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
+    overlap = DisjointSets(pivots)
     for i, p in enumerate(pivots):
         for q in pivots[i + 1:]:
             if space.rows[p].keys() & space.rows[q].keys():
-                parent[find(p)] = find(q)
-
-    groups = {}
-    for p in pivots:
-        groups.setdefault(find(p), []).append(p)
+                overlap.union(p, q)
 
     pieces = []
-    for root in sorted(groups):
+    for group in overlap.classes():
         piece = Relation(r.source, r.target, ())
-        for p in groups[root]:
+        for p in group:
             piece = add_relations(quiver, fld, piece,
                                   scale_relation(quiver, fld, used[p],
                                                  space.relation(space.rows[p])))
@@ -395,24 +377,13 @@ def _split_off_minimal(ideal: Ideal, r: Relation):
 def support_equivalence(ideal: Ideal, x, y):
     """The classes of parallel paths x -> y linked through basis supports."""
     quiver = ideal.quiver
-    paths = paths_between(quiver, x, y)
-    parent = {p: p for p in paths}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
+    linked = DisjointSets(paths_between(quiver, x, y))
     for rel in ideal.groebner_basis(x, y):
         supp = rel.support()
         for p in supp[1:]:
-            parent[find(p)] = find(supp[0])
-
-    classes = {}
-    for p in paths:
-        classes.setdefault(find(p), []).append(p)
-    out = [tuple(sorted(v, key=lambda p: path_key(quiver, p))) for v in classes.values()]
+            linked.union(p, supp[0])
+    out = [tuple(sorted(v, key=lambda p: path_key(quiver, p)))
+           for v in linked.classes()]
     out.sort(key=lambda cls: path_key(quiver, cls[0]))
     return tuple(out)
 

@@ -231,13 +231,16 @@ class Walk:
                     tuple((a, -d) for a, d in reversed(self.letters)))
 
     def reduced(self) -> "Walk":
-        """Freely reduce: cancel adjacent (letter, formal inverse) pairs."""
+        """Freely reduce: cancel adjacent (letter, formal inverse) pairs.
+        A walk that is reduced already is returned as it is."""
         out = []
         for letter in self.letters:
             if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
                 out.pop()
             else:
                 out.append(letter)
+        if len(out) == len(self.letters):
+            return self
         return Walk(self.source, self.target, tuple(out))
 
     def is_reduced(self) -> bool:

@@ -2,21 +2,25 @@
 
 Used for abelian invariants of group presentations, for deciding
 membership of a vector in the row lattice of a relator matrix, and for
-solving monomial equation systems when matching ideals by dilatation.
+solving monomial equation systems when matching ideals by dilatation
+(which replays the row operations on the right-hand side).
 Plain Python ints throughout, so there is no overflow to worry about.
 """
 
 from __future__ import annotations
 
 
-def smith_normal_form(rows):
+def smith_normal_form(rows, row_ops=None):
     """Return (diag, V) for the integer matrix ``rows`` (list of lists).
 
     diag is the list of invariant factors d_1 | d_2 | ... (the rank-many
     diagonal entries, all positive), and V is the square column-transform
     matrix such that U * M * V is the diagonal Smith form for some
-    unimodular U (not returned; row operations do not change the row
-    lattice, which is all the callers need).
+    unimodular U.  U is not returned, since row operations do not change
+    the row lattice; a caller that needs it passes a list as ``row_ops``,
+    to which each row operation is appended in order: ``(dst, src, c)``
+    adds c times row src to row dst, and ``(i, j, None)`` swaps rows i
+    and j.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -25,6 +29,8 @@ def smith_normal_form(rows):
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
+        if row_ops is not None:
+            row_ops.append((i, j, None))
 
     def swap_cols(i, j):
         for r in a:
@@ -37,6 +43,8 @@ def smith_normal_form(rows):
         row_d = a[dst]
         for k in range(n):
             row_d[k] += c * row_s[k]
+        if row_ops is not None:
+            row_ops.append((dst, src, c))
 
     def add_col(dst, src, c):
         for r in a:

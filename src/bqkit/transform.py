@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 from .errors import TransformError
 from .fields import Field
-from .ideal import (Ideal, Relation, add_relations, close_ideal,
+from .ideal import (Ideal, Relation, add_relations, close_ideal, ideals_equal,
                     mul_relations, relation_of_path, scale_relation)
 from .quiver import Bypass, Path, Quiver, trivial_path
+from .snf import smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -495,113 +496,40 @@ def match_by_dilatation(a: Ideal, b: Ideal):
     scales = [(quiver.arrows[i].name, solution[i]) for i in range(narrows)
               if solution[i] != fld.one]
     dil = Dilatation(tuple(scales))
-    from .ideal import ideals_equal
     if not ideals_equal(apply_automorphism(dil, a), b):
         return None
     return dil
 
 
 def _solve_monomial_system(fld: Field, rows, rhs, nvars):
-    """Solve prod_j x_j^{A[i][j]} = rhs[i] for nonzero field elements x."""
+    """Solve prod_j x_j^{A[i][j]} = rhs[i] for nonzero field elements x.
+
+    The Smith form U * A * V = D turns the system, with x = V z, into
+    z_i^{d_i} = s_i, where s is rhs under the row operations of U
+    replayed multiplicatively.
+    """
     if not rows:
         return [fld.one] * nvars
-    # Run the Smith elimination on the exponent matrix while mirroring
-    # the row operations multiplicatively on the right-hand side: with
-    # x = V z the system becomes z_i^{d_i} = s_i.
-    m = len(rows)
-    a = [list(r) for r in rows]
+    ops = []
+    diag, v = smith_normal_form(rows, ops)
     s = list(rhs)
-
-    # mirror the Smith reduction with the multiplicative right-hand side
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        s[i], s[j] = s[j], s[i]
-
-    def add_row(dst, src, c):
-        for k in range(nvars):
-            a[dst][k] += c * a[src][k]
-        base = s[src]
-        if c >= 0:
-            factor = base ** c if fld.char == 0 else pow(base, c, fld.char)
+    for dst, src, c in ops:
+        if c is None:
+            s[dst], s[src] = s[src], s[dst]
         else:
-            factor = fld.inv(base) ** (-c) if fld.char == 0 \
-                else pow(fld.inv(base), -c, fld.char)
-        s[dst] = fld.mul(s[dst], factor)
-
-    cols = [[1 if i == j else 0 for j in range(nvars)] for i in range(nvars)]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in cols:
-            r[i], r[j] = r[j], r[i]
-
-    def add_col(dst, src, c):
-        for r in a:
-            r[dst] += c * r[src]
-        for r in cols:
-            r[dst] += c * r[src]
-
-    def negate_col(i):
-        for r in a:
-            r[i] = -r[i]
-        for r in cols:
-            r[i] = -r[i]
-
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, nvars):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    pivot, best = (i, j), abs(a[i][j])
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            for i in range(t + 1, m):
-                while a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-            for j in range(t + 1, nvars):
-                while a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-            if all(a[i][t] == 0 for i in range(t + 1, m)):
-                break
-        if a[t][t] < 0:
-            negate_col(t)
-        t += 1
-
-    # now (reduced a) = D with column transform `cols`; solve z_i^{d_i} = s_i
+            s[dst] = fld.mul(s[dst], fld.pow(s[src], c))
     z = [fld.one] * nvars
-    for i in range(m):
-        if i < t:
-            root = fld.nth_root(s[i], a[i][i])
-            if root is None:
+    for i, si in enumerate(s):
+        if i < len(diag):
+            z[i] = fld.nth_root(si, diag[i])
+            if z[i] is None:
                 return None
-            z[i] = root
-        elif s[i] != fld.one:
+        elif si != fld.one:
             return None
-    x = [fld.one] * nvars
-    for j in range(nvars):
+    x = []
+    for row in v:
         val = fld.one
-        for i in range(nvars):
-            e = cols[j][i]
-            if e == 0 or z[i] == fld.one:
-                continue
-            if e > 0:
-                val = fld.mul(val, z[i] ** e if fld.char == 0
-                              else pow(z[i], e, fld.char))
-            else:
-                inv = fld.inv(z[i])
-                val = fld.mul(val, inv ** (-e) if fld.char == 0
-                              else pow(inv, -e, fld.char))
-        x[j] = val
+        for zi, e in zip(z, row):
+            val = fld.mul(val, fld.pow(zi, e))
+        x.append(val)
     return x

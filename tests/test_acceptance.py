@@ -15,8 +15,7 @@ from bqkit.fields import Field
 from bqkit.gamma import (CONFIRMED, check_surjection, explore_gamma,
                          find_sources, tau_schedule)
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
-                            decide_homotopic, fingerprint_key,
-                            homotopy_relation, pi1_presentation,
+                            fingerprint_key, homotopy_relation,
                             relations_equal)
 from bqkit.ideal import close_ideal, ideals_equal, relation_of_path
 from bqkit.quiver import (Arrow, Bypass, Path, Quiver, find_bypasses,
@@ -47,8 +46,8 @@ def replay(chain, start, goal):
 def test_criterion_01_exple1_fundamental_groups(ws4, exple1, ideal_I, ideal_J):
     h_I = homotopy_relation(ideal_I)
     h_J = homotopy_relation(ideal_J)
-    gp_I = pi1_presentation(h_I)
-    gp_J = pi1_presentation(h_J)
+    gp_I = h_I.presentation
+    gp_J = h_J.presentation
     ok = gp_I.abelian_invariants == (1, ())
     # trivial presentation: the single relator kills the single chord
     ok = ok and len(gp_J.generators) == 1 and len(gp_J.relators) == 1
@@ -57,8 +56,8 @@ def test_criterion_01_exple1_fundamental_groups(ws4, exple1, ideal_I, ideal_J):
 
     a = walk_of_path(parse_path(exple1, "a"))
     cb = walk_of_path(parse_path(exple1, "c*b"))
-    d_I = decide_homotopic(h_I, a, cb)
-    d_J = decide_homotopic(h_J, a, cb)
+    d_I = h_I.decide(a, cb)
+    d_J = h_J.decide(a, cb)
     ok = ok and d_I.status == NOT_HOMOTOPIC and d_J.status == HOMOTOPIC
     # replay both certificates
     replay(d_J.chain, a, cb)
@@ -92,11 +91,11 @@ def test_criterion_03_two_bypass_char0(ideal_I0, ideal_I1, ideal_I2):
     ok = ok and len(sources) == 1
     ok = ok and sources[0].key == fingerprint_key(homotopy_relation(ideal_I0))
     invs = {
-        pi1_presentation(homotopy_relation(ideal_I0)).abelian_invariants,
-        pi1_presentation(homotopy_relation(ideal_I1)).abelian_invariants,
-        pi1_presentation(homotopy_relation(ideal_I2)).abelian_invariants,
+        homotopy_relation(ideal_I0).presentation.abelian_invariants,
+        homotopy_relation(ideal_I1).presentation.abelian_invariants,
+        homotopy_relation(ideal_I2).presentation.abelian_invariants,
     }
-    ok = ok and pi1_presentation(homotopy_relation(ideal_I0)).abelian_invariants == (0, (2,))
+    ok = ok and homotopy_relation(ideal_I0).presentation.abelian_invariants == (0, (2,))
     ok = ok and invs == {(0, (2,)), (0, ())}
     report(3, ok, "char 0: Gamma from I2 is I0 -> I1 with unique source; "
                   "pi1: Z/2, 1, 1")
@@ -120,7 +119,7 @@ def test_criterion_04_two_bypass_char2(ws5, twobypass):
     GAMMAS.append(gamma)
     ok = ok and len(gamma.vertices) == 3 and len(gamma.edges) == 2
     ok = ok and len(find_sources(gamma)) == 2
-    gp2 = pi1_presentation(homotopy_relation(i2))
+    gp2 = homotopy_relation(i2).presentation
     ok = ok and gp2.abelian_invariants == (1, ())
     surj = check_surjection(i2, i0)
     ok = ok and surj.status == CONFIRMED

@@ -6,9 +6,8 @@ from bqkit.dsl import parse_path, parse_quiver, parse_walk
 from bqkit.errors import HomotopyError
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             GroupPresentation, abelianization,
-                            decide_homotopic, fingerprint_key,
-                            homotopy_relation, pi1_presentation,
-                            relations_equal, walk_reduce)
+                            fingerprint_key, homotopy_relation,
+                            relations_equal)
 from bqkit.ideal import close_ideal
 from bqkit.quiver import FORWARD, make_walk, walk_of_path
 from bqkit.snf import RowLattice
@@ -34,10 +33,10 @@ def h_J(ideal_J):
 
 def test_walk_reduce(exple1):
     w = parse_walk(exple1, "a^-1*a")
-    assert walk_reduce(w).letters == ()
+    assert w.reduced().letters == ()
     w2 = parse_walk(exple1, "d*c*c^-1*c*b")
-    assert walk_reduce(w2) == parse_walk(exple1, "d*c*b")
-    assert walk_reduce(walk_reduce(w2)) == walk_reduce(w2)
+    assert w2.reduced() == parse_walk(exple1, "d*c*b")
+    assert w2.reduced().reduced() == w2.reduced()
 
 
 def test_generating_pairs(h_I, h_J, exple1):
@@ -51,11 +50,11 @@ def test_decide_homotopic_exple1(h_I, h_J, exple1):
     a = walk_of_path(parse_path(exple1, "a"))
     cb = walk_of_path(parse_path(exple1, "c*b"))
 
-    under_J = decide_homotopic(h_J, a, cb)
+    under_J = h_J.decide(a, cb)
     assert under_J.status == HOMOTOPIC
     replay(under_J.chain, a, cb)
 
-    under_I = decide_homotopic(h_I, a, cb)
+    under_I = h_I.decide(a, cb)
     assert under_I.status == NOT_HOMOTOPIC
     cert = under_I.certificate
     # pi1(Q, I) is free on the single chord, so the cheap free-groupoid
@@ -69,7 +68,7 @@ def test_decide_homotopic_exple1(h_I, h_J, exple1):
 
 def test_decide_reflexive(h_I, exple1):
     u = walk_of_path(parse_path(exple1, "d*a"))
-    d = decide_homotopic(h_I, u, u)
+    d = h_I.decide(u, u)
     assert d.status == HOMOTOPIC
     assert d.chain == ()
 
@@ -78,13 +77,13 @@ def test_decide_rejects_non_parallel(h_I, exple1):
     a = walk_of_path(parse_path(exple1, "a"))
     b = walk_of_path(parse_path(exple1, "b"))
     with pytest.raises(HomotopyError):
-        decide_homotopic(h_I, a, b)
+        h_I.decide(a, b)
 
 
 def test_decide_unreduced_inputs(h_J, exple1):
     u = parse_walk(exple1, "d^-1*d*a")
     v = parse_walk(exple1, "c*b")
-    d = decide_homotopic(h_J, u, v)
+    d = h_J.decide(u, v)
     assert d.status == HOMOTOPIC
     replay(d.chain, u, v)
 
@@ -108,12 +107,12 @@ def test_zero_ideal_fingerprint(exple1, rationals):
 
 
 def test_pi1_exple1(h_I, h_J):
-    gp_I = pi1_presentation(h_I)
+    gp_I = h_I.presentation
     assert gp_I.generators == ("c",)
     assert gp_I.relators == ()
     assert gp_I.abelian_invariants == (1, ())
 
-    gp_J = pi1_presentation(h_J)
+    gp_J = h_J.presentation
     assert gp_J.generators == ("c",)
     assert len(gp_J.relators) == 1
     assert gp_J.abelian_invariants == (0, ())
@@ -124,23 +123,23 @@ def test_pi1_exple1(h_I, h_J):
 
 def test_pi1_two_bypass_I0(ideal_I0):
     h = homotopy_relation(ideal_I0)
-    gp = pi1_presentation(h)
+    gp = h.presentation
     assert gp.abelian_invariants == (0, (2,))
 
 
 def test_pi1_two_bypass_char0_I1_I2(ws5):
     for name in ("I1", "I2"):
         h = homotopy_relation(ws5.ideal(name))
-        assert pi1_presentation(h).abelian_invariants == (0, ())
+        assert h.presentation.abelian_invariants == (0, ())
 
 
 def test_pi1_two_bypass_char2(ws5):
     h0 = homotopy_relation(ws5.ideal("I0", char=2))
-    assert pi1_presentation(h0).abelian_invariants == (0, (2,))
+    assert h0.presentation.abelian_invariants == (0, (2,))
     h1 = homotopy_relation(ws5.ideal("I1", char=2))
-    assert pi1_presentation(h1).abelian_invariants == (0, ())
+    assert h1.presentation.abelian_invariants == (0, ())
     h2 = homotopy_relation(ws5.ideal("I2", char=2))
-    assert pi1_presentation(h2).abelian_invariants == (1, ())
+    assert h2.presentation.abelian_invariants == (1, ())
 
 
 def test_abelianization_cases():
@@ -156,7 +155,7 @@ def test_abelian_invariants_independent_of_base_point(ideal_I0):
     invs = set()
     for x0 in ideal_I0.quiver.vertices:
         h = homotopy_relation(ideal_I0, x0)
-        invs.add(pi1_presentation(h).abelian_invariants)
+        invs.add(h.presentation.abelian_invariants)
     assert invs == {(0, (2,))}
 
 
@@ -199,7 +198,7 @@ def test_congruence_property_seeded(ideal_J, exple1):
         for a in exple1.arrows_from(u.target):
             wu = make_walk(exple1, tuple((n, FORWARD) for n in u.arrows) + ((a.name, FORWARD),))
             wv = make_walk(exple1, tuple((n, FORWARD) for n in v.arrows) + ((a.name, FORWARD),))
-            d = decide_homotopic(h, wu, wv)
+            d = h.decide(wu, wv)
             assert d.status == HOMOTOPIC
             replay(d.chain, wu, wv)
 
@@ -216,7 +215,7 @@ def test_never_both_under_cap_variation(h_J, exple1):
     cb = walk_of_path(parse_path(exple1, "c*b"))
     outcomes = set()
     for cap in (4, 6, 10, 16):
-        outcomes.add(decide_homotopic(h_J, a, cb, cap=cap).status)
+        outcomes.add(h_J.decide(a, cb, cap=cap).status)
     assert NOT_HOMOTOPIC not in outcomes
     assert HOMOTOPIC in outcomes
 
@@ -227,9 +226,9 @@ def test_chain_needing_context_insertion(h_J, exple1):
     from bqkit.quiver import trivial_walk
     u = trivial_walk(exple1, "1")
     v = parse_walk(exple1, "b^-1*c^-1*a")
-    d = decide_homotopic(h_J, u, v)
+    d = h_J.decide(u, v)
     assert d.status == HOMOTOPIC
     replay(d.chain, u, v)
-    back = decide_homotopic(h_J, v, u)
+    back = h_J.decide(v, u)
     assert back.status == HOMOTOPIC
     replay(back.chain, v, u)

@@ -6,8 +6,8 @@ from bqkit.dsl import parse_path, parse_source
 from bqkit.errors import FieldError, IdealError
 from bqkit.fields import Field
 from bqkit.ideal import (close_ideal, decompose_minimal, ideals_equal,
-                         is_constricted, make_relation, minimal_relations,
-                         relation_of_path, support_equivalence)
+                         is_constricted, make_relation, relation_of_path,
+                         support_equivalence)
 from bqkit.quiver import paths_between
 
 
@@ -123,10 +123,10 @@ def test_groebner_leading_paths_strict(twobypass, ideal_I0):
 
 
 def test_minimal_relations(exple1, ideal_I, ideal_I0, rationals):
-    assert [r.to_text(rationals) for r in minimal_relations(ideal_I)] == ["d*a"]
-    assert len(minimal_relations(ideal_I0)) == 2
+    assert [r.to_text(rationals) for r in ideal_I.minimal_relations()] == ["d*a"]
+    assert len(ideal_I0.minimal_relations()) == 2
     zero = close_ideal(exple1, rationals, [])
-    assert minimal_relations(zero) == ()
+    assert zero.minimal_relations() == ()
 
 
 def brute_minimal(ideal, rel):
@@ -146,7 +146,7 @@ def brute_minimal(ideal, rel):
 
 def test_groebner_elements_are_minimal(ideal_I0, ideal_J, ideal_I1):
     for ideal in (ideal_I0, ideal_J, ideal_I1):
-        for rel in minimal_relations(ideal):
+        for rel in ideal.minimal_relations():
             assert brute_minimal(ideal, rel)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from bqkit.transform import (Derivation, Transvection,
                              apply_automorphism, as_path_automorphism, compose,
                              decompose_DT, exp_derivation, identity_automorphism,
                              log_unipotent, make_dilatation, match_by_dilatation,
-                             recompose_DT)
+                             recompose_DT, _solve_monomial_system)
 
 
 @pytest.fixture(scope="module")
@@ -331,3 +332,51 @@ def test_match_by_dilatation_prime_field(ws5, twobypass):
     found = match_by_dilatation(ideal, moved)
     assert found is not None
     assert ideals_equal(apply_automorphism(found, ideal), moved)
+
+
+# -- the monomial system behind match_by_dilatation ---------------------------
+
+def _satisfies(fld, rows, rhs, x):
+    for row, want in zip(rows, rhs):
+        got = fld.one
+        for xj, e in zip(x, row):
+            got = fld.mul(got, fld.pow(xj, e))
+        if got != want:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("char, rows, rhs, nvars, solvable", [
+    (0, [[2]], [Fraction(4)], 1, True),               # torsion: x = +-2
+    (5, [[2]], [4], 1, True),                         # x = 2 or 3
+    (0, [[2]], [Fraction(2)], 1, False),              # no rational root
+    (5, [[2]], [2], 1, False),                        # 2 is not a square mod 5
+    (7, [[1, 1], [0, 0]], [3, 2], 2, False),          # zero row, rhs not 1
+    (7, [[1, 1], [0, 0]], [3, 1], 2, True),           # zero row, rhs 1
+    (0, [[1, 0]], [Fraction(-3)], 2, True),           # x_1 is free
+    (0, [[2, 4], [1, -1]], [Fraction(324), Fraction(2, 3)], 2, True),
+])
+def test_monomial_system_cases(char, rows, rhs, nvars, solvable):
+    fld = Field(char)
+    x = _solve_monomial_system(fld, rows, rhs, nvars)
+    assert (x is not None) == solvable
+    if solvable:
+        assert len(x) == nvars
+        assert _satisfies(fld, rows, rhs, x)
+
+
+@pytest.mark.parametrize("char", [5, 7])
+def test_monomial_system_matches_brute_force(char):
+    fld = Field(char)
+    rng = random.Random(char)
+    for _ in range(150):
+        nvars = rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(nvars)]
+                for _ in range(rng.randint(1, 3))]
+        rhs = [rng.randint(1, char - 1) for _ in rows]
+        x = _solve_monomial_system(fld, rows, rhs, nvars)
+        brute = any(_satisfies(fld, rows, rhs, y)
+                    for y in itertools.product(range(1, char), repeat=nvars))
+        assert (x is not None) == brute, (rows, rhs)
+        if x is not None:
+            assert _satisfies(fld, rows, rhs, x), (rows, rhs, x)
