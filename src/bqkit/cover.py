@@ -247,6 +247,7 @@ class _Ball:
         self.radius = radius
         self.quiver = h.quiver
         self.cap = 2 * (radius + 1) + h.default_cap
+        self._free = not h.presentation.relators
         self.classes = []
         self.lookup = {}
         self.transitions = {}
@@ -267,12 +268,17 @@ class _Ball:
         the representative fits in the ball)."""
         walk = walk.reduced()
         key = self._image_key(walk)
+        word = self.h.tree.chord_word(walk)
         for cls in self.lookup.get(key, ()):
             if walk in cls.members:
                 return cls
-            if self.h.tree.chord_word(walk) == self.h.tree.chord_word(cls.rep):
+            if word == self.h.tree.chord_word(cls.rep):
                 cls.members.add(walk)
                 return cls
+            if self._free:
+                # no relators: walks with different chord words are
+                # not homotopic, as ``h.decide`` would certify
+                continue
             decision = self.h.decide(walk, cls.rep, cap=self.cap,
                                      want_chain=False)
             if decision.status == HOMOTOPIC:

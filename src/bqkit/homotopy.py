@@ -212,7 +212,7 @@ class HomotopyRelation:
         self.presentation, self._lattice = self._presentation()
         self._generator_index = {g: i for i, g in
                                  enumerate(self.presentation.generators)}
-        self._patterns = self._replacement_patterns()
+        self._rules = None
         self._decisions = {}
         self._coset_table = None
         self._coset_tried = False
@@ -321,14 +321,16 @@ class HomotopyRelation:
         for x in self.quiver.vertices:
             for y in self.quiver.vertices:
                 paths = paths_between(self.quiver, x, y)
+                walks = None
                 for i in range(len(paths)):
                     for j in range(i + 1, len(paths)):
                         u, v = paths[i], paths[j]
                         if classes[u] == classes[v]:
                             tags[(u, v)] = HOMOTOPIC
                             continue
-                        d = self.decide(walk_of_path(u), walk_of_path(v),
-                                        want_chain=False)
+                        if walks is None:
+                            walks = [walk_of_path(p) for p in paths]
+                        d = self.decide(walks[i], walks[j], want_chain=False)
                         tags[(u, v)] = d.status
                         decided.append((u, v))
         # consistency: transitively close the Homotopic classes; pairs
@@ -462,13 +464,15 @@ class HomotopyRelation:
         return self._coset_table
 
     def _bfs(self, start: Walk, goal: Walk, cap, want_chain):
-        """Breadth-first search through rewriting moves on reduced walks.
+        """Breadth-first search over reduced walks of length at most cap.
 
-        A move substitutes x^-1 * q * y^-1 for an occurrence of s, where
-        p = x * s * y runs over all contiguous splittings of a pattern
-        (s may be empty) -- the reduced shadow of any chain of elementary
-        moves, so the search is complete up to the caps.  Returns the
-        elementary expansion of the found move sequence, or None.
+        A move inserts a cyclic relator loop at a vertex of the walk and
+        reduces (see ``_insertion_rules``).  A word is trivial in pi1
+        exactly when it is a product of conjugates of relators
+        (Lyndon and Schupp 1977, ch. IV), so these moves reach every
+        homotopic walk and the search is complete up to the caps.
+        Returns the elementary expansion of the found move sequence, or
+        None.
         """
         if len(start.letters) > cap or len(goal.letters) > cap:
             cap = max(cap, len(start.letters), len(goal.letters))
@@ -499,43 +503,72 @@ class HomotopyRelation:
                 queue.append(nxt)
         return None
 
+    def _insertion_rules(self):
+        """The moves of the search, built on first use: one
+        ``(anchor vertex, loop, move)`` per pattern p -> q and cut
+        p = y * x, where the loop is the reduced y^-1 * q * x^-1 at the
+        vertex between y and x, in pattern order then cut order, keeping
+        the first of any repeated (vertex, loop).
+
+        Inserting the loop at a visit of its anchor and reducing is the
+        move "insert a cyclic relator loop at a vertex, then reduce".
+        Substituting y^-1 * q * x^-1 for an occurrence of an inner piece
+        s of p = y * s * x adds no move: it gives the same reduced walk
+        as inserting the loop of the cut y | s * x just before that
+        occurrence, since (s * x)^-1 ends in s^-1.  A repeated rule gives
+        the same walks as its first copy.  As p != q, every loop is a
+        nontrivial reduced word, so no insertion gives back the walk.
+        """
+        if self._rules is None:
+            quiver = self.quiver
+            rules = []
+            seen = set()
+            for psrc, pdst in self._replacement_patterns():
+                anchor = _pattern_source(quiver, psrc)
+                for cut in range(len(psrc) + 1):
+                    if cut:
+                        name, d = psrc[cut - 1]
+                        a = quiver.arrow(name)
+                        anchor = a.target if d == FORWARD else a.source
+                    y, x = psrc[:cut], psrc[cut:]
+                    loop = _free_reduce_word(
+                        _invert_word(y) + pdst + _invert_word(x))
+                    if (anchor, loop) not in seen:
+                        seen.add((anchor, loop))
+                        rules.append((anchor, loop, (y, (), x, pdst)))
+            self._rules = tuple(rules)
+        return self._rules
+
     def _rewrites(self, w: Walk, cap):
+        """The distinct walks, other than w and at most cap long, that one
+        rule of ``_insertion_rules`` makes from w, each with its move
+        ``(position, y, (), x, q)`` for ``_expand_rewrite``."""
         quiver = self.quiver
         letters = w.letters
-        n = len(letters)
-        vertices = [w.source]
-        for name, d in letters:
+        visits = {w.source: [0]}
+        for i, (name, d) in enumerate(letters, 1):
             a = quiver.arrow(name)
-            vertices.append(a.target if d == FORWARD else a.source)
+            visits.setdefault(a.target if d == FORWARD else a.source,
+                              []).append(i)
         produced = set()
-        for psrc, pdst in self._patterns:
-            np_ = len(psrc)
-            pverts = [_pattern_source(quiver, psrc)]
-            for name, d in psrc:
-                a = quiver.arrow(name)
-                pverts.append(a.target if d == FORWARD else a.source)
-            for a_idx in range(np_ + 1):
-                for b_idx in range(a_idx, np_ + 1):
-                    y = psrc[:a_idx]
-                    s = psrc[a_idx:b_idx]
-                    x = psrc[b_idx:]
-                    replacement = (_invert_letters(y) + pdst + _invert_letters(x))
-                    if s:
-                        positions = [i for i in range(n - len(s) + 1)
-                                     if letters[i:i + len(s)] == s]
-                    else:
-                        anchor = pverts[a_idx]
-                        positions = [i for i in range(n + 1)
-                                     if vertices[i] == anchor]
-                    for i in positions:
-                        raw = letters[:i] + replacement + letters[i + len(s):]
-                        nxt = Walk(w.source, w.target, raw).reduced()
-                        if nxt == w or len(nxt.letters) > cap:
-                            continue
-                        if nxt in produced:
-                            continue
-                        produced.add(nxt)
-                        yield nxt, (i, y, s, x, pdst)
+        for anchor, loop, move in self._insertion_rules():
+            for i in visits.get(anchor, ()):
+                # walk and loop are reduced: cancel only at the two joins
+                new = _join(_join(letters[:i], loop), letters[i:])
+                if len(new) > cap or new in produced:
+                    continue
+                produced.add(new)
+                yield Walk(w.source, w.target, new), (i,) + move
+
+
+def _join(left, right):
+    """Reduced form of left + right for reduced letter tuples."""
+    k = 0
+    n = min(len(left), len(right))
+    while (k < n and left[-1 - k][0] == right[k][0]
+           and left[-1 - k][1] == -right[k][1]):
+        k += 1
+    return left[:len(left) - k] + right[k:]
 
 
 def _reduction_steps(walk: Walk):
@@ -569,10 +602,6 @@ def _invert_steps(original: Walk, steps):
         pair = before.letters[i:i + 2]
         out.append(MoveStep("insert", i, pair, before))
     return tuple(out)
-
-
-def _invert_letters(letters):
-    return tuple((name, -d) for name, d in reversed(letters))
 
 
 def _pattern_source(quiver, letters):

@@ -1,15 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from conftest import TWO_BYPASS
 
 from bqkit.cover import (GALOIS, NOT_GALOIS, TRUNCATED, FiniteGroup,
                          check_covering, factor_through_cover, is_galois,
                          lift_dilatation, lift_transvection, make_grading,
                          smash_product, theorem_b_pipeline, universal_cover)
-from bqkit.dsl import parse_path, parse_quiver
+from bqkit.dsl import parse_path, parse_quiver, parse_source
 from bqkit.errors import CoverError
+from bqkit.homotopy import HomotopyRelation, homotopy_relation
 from bqkit.ideal import close_ideal
-from bqkit.quiver import Arrow, Bypass, Quiver
+from bqkit.quiver import FORWARD, INVERSE, Arrow, Bypass, Quiver
 from bqkit.transform import Dilatation, Transvection
 
 
@@ -24,6 +26,44 @@ def test_universal_cover_two_bypass_complete(ideal_I0):
     res = is_galois(cov)
     assert res.status == GALOIS
     assert res.group_order == 2
+
+
+def reduced_walk_count(quiver, x0, radius):
+    """Number of reduced walks of length <= radius from x0, listed one by
+    one: a reduced walk never uses the inverse of the letter before it."""
+    walks = [(x0, None)]
+    total = 1
+    for _ in range(radius):
+        longer = []
+        for at, last in walks:
+            for a in quiver.arrows:
+                for letter, src, dst in (((a.name, FORWARD), a.source, a.target),
+                                         ((a.name, INVERSE), a.target, a.source)):
+                    if src == at and (last is None
+                                      or letter != (last[0], -last[1])):
+                        longer.append((dst, letter))
+        walks = longer
+        total += len(walks)
+    return total
+
+
+def test_universal_cover_free_group_makes_no_decisions(monkeypatch):
+    """With no relators, pi1 is free and walks with different chord words
+    are different classes: the ball needs no homotopy decision."""
+    ws = parse_source(TWO_BYPASS + "ideal F over twobypass(0) "
+                                   "{ rel d*a; rel f*e*c*b; }")
+    ideal = ws.ideal("F")
+    h = homotopy_relation(ideal, coset_fallback=True)
+    assert not h.presentation.relators
+
+    def no_decisions(*args, **kwargs):
+        raise AssertionError("universal_cover asked for a homotopy decision")
+
+    monkeypatch.setattr(HomotopyRelation, "decide", no_decisions)
+    cov = universal_cover(ideal, radius=6, h=h)
+    expected = reduced_walk_count(ideal.quiver, ideal.quiver.vertices[0], 6)
+    assert len(cov.total.vertices) == expected
+    assert len(cov.total.arrows) == expected - 1
 
 
 def test_universal_cover_trivial_group_is_identity(ideal_J):

@@ -6,6 +6,10 @@ reference implementations.
 The closures are compared by their partitions of the paths, not only by
 fingerprints: a closure that misses a cancellation can still produce the
 same fingerprint, because ``decide`` certifies the pairs it left apart.
+
+The homotopy search's rewrites are compared with the split enumeration
+they replaced, move for move, so the search visits the same walks in the
+same order and returns the same chains.
 """
 
 import random
@@ -15,9 +19,10 @@ from conftest import make_random_bound_quiver
 
 from bqkit import ideal as ideal_module
 from bqkit.dsl import parse_source
-from bqkit.homotopy import homotopy_relation
+from bqkit.homotopy import HomotopyRelation, homotopy_relation
 from bqkit.ideal import Relation, close_ideal
-from bqkit.quiver import Path, enumerate_paths, paths_between
+from bqkit.quiver import (FORWARD, INVERSE, Path, Walk, enumerate_paths,
+                          paths_between, walk_of_path)
 
 SEEDS = range(60)
 CHARS = (0, 2, 3)
@@ -190,3 +195,146 @@ def test_worklist_closure_matches_pairwise_closure():
         h = homotopy_relation(ideal)
         reference = pairwise_closure(h.quiver, h.generating_pairs)
         assert partition(h._path_classes) == partition(reference)
+
+
+def split_rewrites(h, w, cap):
+    """The search's moves by enumerating every split p = y * s * x of every
+    pattern p -> q and substituting y^-1 * q * x^-1 for each occurrence
+    of s in w (at each visit of the vertex before x when s is empty)."""
+    def invert(letters):
+        return tuple((name, -d) for name, d in reversed(letters))
+
+    def end(name, d):
+        a = h.quiver.arrow(name)
+        return a.target if d == FORWARD else a.source
+
+    letters = w.letters
+    n = len(letters)
+    vertices = [w.source] + [end(name, d) for name, d in letters]
+    produced = set()
+    for psrc, pdst in h._replacement_patterns():
+        np_ = len(psrc)
+        first = h.quiver.arrow(psrc[0][0])
+        pverts = [first.source if psrc[0][1] == FORWARD else first.target]
+        pverts += [end(name, d) for name, d in psrc]
+        for a_idx in range(np_ + 1):
+            for b_idx in range(a_idx, np_ + 1):
+                y = psrc[:a_idx]
+                s = psrc[a_idx:b_idx]
+                x = psrc[b_idx:]
+                replacement = invert(y) + pdst + invert(x)
+                if s:
+                    positions = [i for i in range(n - len(s) + 1)
+                                 if letters[i:i + len(s)] == s]
+                else:
+                    positions = [i for i in range(n + 1)
+                                 if vertices[i] == pverts[a_idx]]
+                for i in positions:
+                    raw = letters[:i] + replacement + letters[i + len(s):]
+                    nxt = Walk(w.source, w.target, raw).reduced()
+                    if nxt == w or len(nxt.letters) > cap:
+                        continue
+                    if nxt in produced:
+                        continue
+                    produced.add(nxt)
+                    yield nxt, (i, y, s, x, pdst)
+
+
+def i0_chain(units):
+    """``units`` copies of twobypass/I0 glued end to end over Q: vertex 5
+    of one unit is vertex 1 of the next."""
+    lines = ["quiver chain {",
+             "  vertices: %s;" % " ".join(str(v) for v in range(1, 4 * units + 2))]
+    rels = []
+    for k in range(units):
+        v = {i: str(4 * k + i) for i in range(1, 6)}
+        for name, src, tgt in (("a", 1, 3), ("b", 1, 2), ("c", 2, 3),
+                               ("d", 3, 5), ("e", 3, 4), ("f", 4, 5)):
+            lines.append("  arrow %s%d: %s -> %s;" % (name, k, v[src], v[tgt]))
+        rels += ["d{0}*a{0} + f{0}*e{0}*c{0}*b{0}".format(k),
+                 "f{0}*e{0}*a{0} + d{0}*c{0}*b{0}".format(k)]
+    lines.append("}")
+    lines.append("ideal I over chain(0) { %s }"
+                 % " ".join("rel %s;" % r for r in rels))
+    return parse_source("\n".join(lines)).ideal("I")
+
+
+def random_reduced_walk(quiver, rng, length, start=None):
+    at = start if start is not None else rng.choice(quiver.vertices)
+    source = at
+    letters = []
+    for _ in range(length):
+        steps = [((a.name, FORWARD), a.target) for a in quiver.arrows_from(at)]
+        steps += [((a.name, INVERSE), a.source) for a in quiver.arrows_into(at)]
+        if letters:
+            steps = [st for st in steps
+                     if st[0] != (letters[-1][0], -letters[-1][1])]
+        if not steps:
+            break
+        letter, at = rng.choice(steps)
+        letters.append(letter)
+    return Walk(source, at, tuple(letters))
+
+
+def assert_same_rewrites(h, walks):
+    for w in walks:
+        assert w.is_reduced()
+        for cap in sorted({len(w), len(w) + 1, len(w) + 4, h.default_cap}):
+            expected = list(split_rewrites(h, w, cap))
+            assert list(h._rewrites(w, cap)) == expected, (w, cap)
+
+
+def test_loop_insertion_matches_split_rewrites_on_random_quivers():
+    for k, ideal in enumerate(random_ideals()):
+        h = homotopy_relation(ideal)
+        rng = random.Random(k)
+        walks = [random_reduced_walk(h.quiver, rng, rng.randint(0, 6))
+                 for _ in range(3)]
+        assert_same_rewrites(h, walks)
+
+
+def test_loop_insertion_matches_split_rewrites_on_i0_chains():
+    rng = random.Random(4)
+    for units in (1, 2):
+        h = homotopy_relation(i0_chain(units))
+        assert h._replacement_patterns()
+        walks = [random_reduced_walk(h.quiver, rng, length)
+                 for length in range(0, 11) for _ in range(2)]
+        assert_same_rewrites(h, walks)
+
+
+PAIRS = 6
+
+
+def test_loop_insertion_search_matches_split_search():
+    """Same decisions, chains included, on two-unit I0 walk pairs: u, and
+    u with two loops p * q^-1 (p != q, from one minimal relation each)
+    inserted."""
+    ideal = i0_chain(2)
+    loops = {}
+    for rel in ideal.minimal_relations():
+        loops.setdefault(rel.source, []).append(rel.support())
+    rng = random.Random(11)
+    pairs = []
+    while len(pairs) < PAIRS:
+        u = random_reduced_walk(ideal.quiver, rng, rng.randint(2, 6),
+                                start=ideal.quiver.vertices[0])
+        visits = [u.source] + [ideal.quiver.arrow(n).target if d == FORWARD
+                               else ideal.quiver.arrow(n).source
+                               for n, d in u.letters]
+        spots = [i for i, x in enumerate(visits) if x in loops]
+        if not spots:
+            continue
+        letters = u.letters
+        for i in sorted(rng.sample(spots, min(2, len(spots))), reverse=True):
+            p, q = rng.sample(rng.choice(loops[visits[i]]), 2)
+            loop = walk_of_path(p).letters + walk_of_path(q).inverse().letters
+            letters = letters[:i] + loop + letters[i:]
+        pairs.append((u, Walk(u.source, u.target, letters)))
+    new = HomotopyRelation(ideal)
+    ref = HomotopyRelation(ideal)
+    ref._rewrites = lambda w, cap: split_rewrites(ref, w, cap)
+    for u, v in pairs:
+        d = new.decide(u, v, want_chain=True)
+        assert d.is_homotopic and d.chain
+        assert d == ref.decide(u, v, want_chain=True)
