@@ -232,10 +232,11 @@ class CoverQuiver:
 # -- universal covers ---------------------------------------------------------
 
 class _WalkClass:
-    def __init__(self, index, rep: Walk, image):
+    def __init__(self, index, rep: Walk, image, word):
         self.index = index
         self.rep = rep
         self.image = image
+        self.word = word  # chord word of rep
         self.members = {rep}
 
 
@@ -252,27 +253,27 @@ class _Ball:
         self.lookup = {}
         self.transitions = {}
         self._root = trivial_walk(self.quiver, h.base_point)
-        self._new_class(self._root)
+        self._new_class(self._root, self._image_key(self._root),
+                        h.tree.chord_word(self._root))
 
     def _image_key(self, walk: Walk):
         return (walk.target, self.h.abelian_image(walk, self._root))
 
-    def _new_class(self, rep: Walk):
-        cls = _WalkClass(len(self.classes), rep, self._image_key(rep))
+    def _new_class(self, rep: Walk, image, word):
+        cls = _WalkClass(len(self.classes), rep, image, word)
         self.classes.append(cls)
-        self.lookup.setdefault(cls.image, []).append(cls)
+        self.lookup.setdefault(image, []).append(cls)
         return cls
 
     def classify(self, walk: Walk, create=False):
-        """The class holding the walk, or None (creating it if asked and
-        the representative fits in the ball)."""
-        walk = walk.reduced()
+        """The class holding the reduced walk, or None (creating it if
+        asked and the representative fits in the ball)."""
         key = self._image_key(walk)
         word = self.h.tree.chord_word(walk)
         for cls in self.lookup.get(key, ()):
             if walk in cls.members:
                 return cls
-            if word == self.h.tree.chord_word(cls.rep):
+            if word == cls.word:
                 cls.members.add(walk)
                 return cls
             if self._free:
@@ -289,7 +290,7 @@ class _Ball:
                     "homotopy query unresolved while building the cover: "
                     "%s vs %s" % (walk.to_text(), cls.rep.to_text()))
         if create and len(walk.letters) <= self.radius:
-            return self._new_class(walk)
+            return self._new_class(walk, key, word)
         return None
 
     def grow(self):
@@ -300,13 +301,17 @@ class _Ball:
             cls = self.classes[i]
             i += 1
             at = cls.rep.target
-            steps = [(a.name, FORWARD) for a in self.quiver.arrows_from(at)]
-            steps += [(a.name, INVERSE) for a in self.quiver.arrows_into(at)]
-            for name, d in steps:
-                ext = Walk(cls.rep.source,
-                           self.quiver.arrow(name).target if d == FORWARD
-                           else self.quiver.arrow(name).source,
-                           cls.rep.letters + ((name, d),)).reduced()
+            steps = [(a.name, FORWARD, a.target)
+                     for a in self.quiver.arrows_from(at)]
+            steps += [(a.name, INVERSE, a.source)
+                      for a in self.quiver.arrows_into(at)]
+            letters = cls.rep.letters
+            for name, d, end in steps:
+                # the rep is reduced, so only its last letter can cancel
+                if letters and letters[-1] == (name, -d):
+                    ext = Walk(cls.rep.source, end, letters[:-1])
+                else:
+                    ext = Walk(cls.rep.source, end, letters + ((name, d),))
                 target = self.classify(ext, create=True)
                 self.transitions[(cls.index, name, d)] = \
                     target.index if target is not None else None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import coset
 from .disjoint_sets import DisjointSets
@@ -315,37 +316,68 @@ class HomotopyRelation:
         return {p: paths[sets.find(i)] for i, p in enumerate(paths)}
 
     def _fingerprint(self):
+        """The status of every pair (u, v) of parallel paths, u before v
+        in the canonical order, decided once per pair of congruence
+        classes of a hom-set.
+
+        Paths of one class are Homotopic.  The abelian image of u * v^-1
+        is linear and vanishes on pairs inside a class, so it is the
+        difference of the images of the two classes, taken against the
+        first path of the hom-set: classes in different image buckets are
+        Not-homotopic, the verdict an abelianization certificate gives
+        any of their member pairs.  For classes with equal images,
+        ``decide`` runs on member pairs in (u, v) order until one answer
+        is not Unknown, and that answer holds for the pair of classes.
+        Then the Homotopic pairs of classes are closed transitively: a
+        pair inside a Homotopic root becomes Homotopic, or raises if it
+        was certified Not-homotopic.
+        """
         classes = self._path_classes
-        tags = {}
-        decided = []  # pairs in different congruence classes
+        homs = []  # (paths, class number of each path, class roots)
+        verdicts = {}  # (root, root) of two classes of a hom-set -> status
         for x in self.quiver.vertices:
             for y in self.quiver.vertices:
                 paths = paths_between(self.quiver, x, y)
-                walks = None
-                for i in range(len(paths)):
-                    for j in range(i + 1, len(paths)):
-                        u, v = paths[i], paths[j]
-                        if classes[u] == classes[v]:
-                            tags[(u, v)] = HOMOTOPIC
-                            continue
-                        if walks is None:
-                            walks = [walk_of_path(p) for p in paths]
-                        d = self.decide(walks[i], walks[j], want_chain=False)
-                        tags[(u, v)] = d.status
-                        decided.append((u, v))
-        # consistency: transitively close the Homotopic classes; pairs
-        # inside one congruence class are Homotopic already, so the
-        # union-find runs over class roots
-        roots = DisjointSets(classes.values())
-        for u, v in decided:
-            if tags[(u, v)] == HOMOTOPIC:
-                roots.union(classes[u], classes[v])
-        for u, v in decided:
-            if roots.find(classes[u]) == roots.find(classes[v]):
-                if tags[(u, v)] == NOT_HOMOTOPIC:
+                members = {}  # class root -> path indices, by first member
+                for i, p in enumerate(paths):
+                    members.setdefault(classes[p], []).append(i)
+                roots = list(members)
+                number = {r: k for k, r in enumerate(roots)}
+                homs.append((paths, [number[classes[p]] for p in paths], roots))
+                if len(roots) < 2:
+                    continue
+                walks = [walk_of_path(p) for p in paths]
+                images = [self.abelian_image(walks[members[r][0]], walks[0])
+                          for r in roots]
+                for a, b in combinations(range(len(roots)), 2):
+                    status = UNKNOWN if images[a] == images[b] else NOT_HOMOTOPIC
+                    for i, j in _member_pairs(members[roots[a]],
+                                              members[roots[b]]):
+                        if status != UNKNOWN:
+                            break
+                        status = self.decide(walks[i], walks[j],
+                                             want_chain=False).status
+                    verdicts[(roots[a], roots[b])] = status
+        # consistency: transitively close the Homotopic pairs of classes
+        sets = DisjointSets(r for pair in verdicts for r in pair)
+        for (ra, rb), status in verdicts.items():
+            if status == HOMOTOPIC:
+                sets.union(ra, rb)
+        for (ra, rb), status in verdicts.items():
+            if sets.find(ra) == sets.find(rb):
+                if status == NOT_HOMOTOPIC:
                     raise HomotopyError(
-                        "inconsistent homotopy certificates for %s and %s" % (u, v))
-                tags[(u, v)] = HOMOTOPIC
+                        "inconsistent homotopy certificates for the classes "
+                        "of %s and %s" % (ra, rb))
+                verdicts[(ra, rb)] = HOMOTOPIC
+        tags = {}
+        for paths, of, roots in homs:
+            table = [[HOMOTOPIC if a == b else
+                      verdicts[(ra, rb) if a < b else (rb, ra)]
+                      for b, rb in enumerate(roots)]
+                     for a, ra in enumerate(roots)]
+            tags.update(zip(combinations(paths, 2),
+                            (table[a][b] for a, b in combinations(of, 2))))
         return tags
 
     # -- queries -----------------------------------------------------------
@@ -559,6 +591,16 @@ class HomotopyRelation:
                     continue
                 produced.add(new)
                 yield Walk(w.source, w.target, new), (i,) + move
+
+
+def _member_pairs(first, second):
+    """The pairs (i, j), i < j, with one index in each of two disjoint
+    ascending index lists, in lexicographic order."""
+    in_second = set(second)
+    for i in sorted(first + second):
+        for j in first if i in in_second else second:
+            if j > i:
+                yield i, j
 
 
 def _join(left, right):

@@ -270,10 +270,16 @@ class Ideal:
 def close_ideal(quiver: Quiver, fld: Field, generators) -> Ideal:
     """Two-sided closure plus echelonization of the given relations.
 
-    Worklist saturation: every relation whose insertion grows a span is
+    Worklist saturation: every vector whose insertion grows a span is
     extended by single arrows on both sides.  Extension is linear, so
     saturating these witnesses closes the whole span; the work is bounded
     by the dimension of the result rather than by the path count squared.
+
+    The worklist holds ``(hom-space, vector)`` pairs in coordinates.
+    Composing with an arrow sends distinct paths to distinct paths with
+    coefficient 1, so it only relabels coordinates: the extension of a
+    vector is ``{m[i]: c for i, c in vec.items()}`` for the index map m of
+    its hom-set, the arrow and the side, built once per call.
     """
     gens = []
     for g in generators:
@@ -287,29 +293,45 @@ def close_ideal(quiver: Quiver, fld: Field, generators) -> Ideal:
         gens.append(g)
 
     spaces = {}
+    maps = {}
 
-    def insert(rel):
-        key = (rel.source, rel.target)
-        if key not in spaces:
-            spaces[key] = _HomSpace(quiver, fld, *key)
-        return spaces[key].insert(spaces[key].vector(rel))
+    def space(x, y):
+        s = spaces.get((x, y))
+        if s is None:
+            s = spaces[(x, y)] = _HomSpace(quiver, fld, x, y)
+        return s
 
-    todo = [g for g in gens if insert(g)]
+    def extension(src, a, after):
+        """The hom-space of a*p (after) or p*a, and the index map p -> it."""
+        key = (src.x, src.y, a.name, after)
+        hit = maps.get(key)
+        if hit is None:
+            if after:
+                dst = space(src.x, a.target)
+                m = [dst.index[Path(src.x, a.target, p.arrows + (a.name,))]
+                     for p in src.paths]
+            else:
+                dst = space(a.source, src.y)
+                m = [dst.index[Path(a.source, src.y, (a.name,) + p.arrows)]
+                     for p in src.paths]
+            hit = maps[key] = (dst, m)
+        return hit
+
+    todo = []
+    for g in gens:
+        s = space(g.source, g.target)
+        vec = s.vector(g)
+        if s.insert(vec):
+            todo.append((s, vec))
     while todo:
-        rel = todo.pop()
-        for a in quiver.arrows_from(rel.target):
-            grown = mul_relations(
-                quiver, fld,
-                relation_of_path(quiver, fld, Path(a.source, a.target, (a.name,))),
-                rel)
-            if insert(grown):
-                todo.append(grown)
-        for a in quiver.arrows_into(rel.source):
-            grown = mul_relations(
-                quiver, fld, rel,
-                relation_of_path(quiver, fld, Path(a.source, a.target, (a.name,))))
-            if insert(grown):
-                todo.append(grown)
+        s, vec = todo.pop()
+        for after, arrows in ((True, quiver.arrows_from(s.y)),
+                              (False, quiver.arrows_into(s.x))):
+            for a in arrows:
+                dst, m = extension(s, a, after)
+                grown = {m[i]: c for i, c in vec.items()}
+                if dst.insert(grown):
+                    todo.append((dst, grown))
     return Ideal(quiver, fld, gens, spaces)
 
 

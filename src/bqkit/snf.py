@@ -108,11 +108,18 @@ def smith_normal_form(rows, row_ops=None):
 
 
 class RowLattice:
-    """The sublattice of Z^n spanned by integer relator rows."""
+    """The sublattice of Z^n spanned by integer relator rows.
+
+    Zero rows and repeats of a row span nothing new, so only the first
+    copy of each nonzero row goes into the Smith normal form, in order.
+    The lattice, hence ``diag``, is the same; ``V`` may be another valid
+    column transform than that of the full matrix.
+    """
 
     def __init__(self, rows, n):
         self.n = n
-        rows = [list(r) for r in rows if any(r)]
+        rows = [list(r) for r in dict.fromkeys(tuple(r) for r in rows)
+                if any(r)]
         if rows:
             self.diag, self.v = smith_normal_form(rows)
         else:

@@ -11,7 +11,7 @@ from bqkit.dsl import parse_path, parse_quiver, parse_source
 from bqkit.errors import CoverError
 from bqkit.homotopy import HomotopyRelation, homotopy_relation
 from bqkit.ideal import close_ideal
-from bqkit.quiver import FORWARD, INVERSE, Arrow, Bypass, Quiver
+from bqkit.quiver import FORWARD, INVERSE, Arrow, Bypass, Quiver, Walk
 from bqkit.transform import Dilatation, Transvection
 
 
@@ -64,6 +64,26 @@ def test_universal_cover_free_group_makes_no_decisions(monkeypatch):
     expected = reduced_walk_count(ideal.quiver, ideal.quiver.vertices[0], 6)
     assert len(cov.total.vertices) == expected
     assert len(cov.total.arrows) == expected - 1
+
+
+def test_ball_classes_hold_reduced_walks(ideal_I0):
+    """Each step of the ball is classified as the reduced extension of the
+    class representative, and each class keeps its rep's chord word."""
+    free = parse_source(TWO_BYPASS + "ideal F over twobypass(0) "
+                                     "{ rel d*a; rel f*e*c*b; }").ideal("F")
+    for ideal, radius in ((ideal_I0, 8), (free, 6)):
+        ball = universal_cover(ideal, radius=radius)._ball
+        for (index, name, d), target in ball.transitions.items():
+            rep = ball.classes[index].rep
+            a = ball.quiver.arrow(name)
+            ext = Walk(rep.source, a.target if d == FORWARD else a.source,
+                       rep.letters + ((name, d),)).reduced()
+            if target is not None:
+                assert ext in ball.classes[target].members
+        for cls in ball.classes:
+            assert cls.rep.is_reduced()
+            assert all(w.is_reduced() for w in cls.members)
+            assert cls.word == ball.h.tree.chord_word(cls.rep)
 
 
 def test_universal_cover_trivial_group_is_identity(ideal_J):

@@ -1,11 +1,13 @@
-"""The sparse echelon rows of ``ideal._HomSpace`` and the pending-list
-congruence closure of ``HomotopyRelation`` against the dense rows and the
-pairwise rescan-to-fixpoint closure they replaced, kept here as
-reference implementations.
+"""The coordinate closure of ``ideal.close_ideal`` on sparse rows, the
+pending-list congruence closure and the per-class fingerprint of
+``HomotopyRelation`` against the Relation-based closure on dense rows,
+the pairwise rescan-to-fixpoint closure and the all-pairs fingerprint
+they replaced, kept here as reference implementations.
 
-The closures are compared by their partitions of the paths, not only by
-fingerprints: a closure that misses a cancellation can still produce the
-same fingerprint, because ``decide`` certifies the pairs it left apart.
+The congruence closures are compared by their partitions of the paths,
+not only by fingerprints: a closure that misses a cancellation can still
+produce the same fingerprint, because ``decide`` certifies the pairs it
+left apart.
 
 The homotopy search's rewrites are compared with the split enumeration
 they replaced, move for move, so the search visits the same walks in the
@@ -15,12 +17,17 @@ same order and returns the same chains.
 import random
 from importlib import resources
 
+import pytest
 from conftest import make_random_bound_quiver
 
-from bqkit import ideal as ideal_module
+from bqkit.disjoint_sets import DisjointSets
 from bqkit.dsl import parse_source
-from bqkit.homotopy import HomotopyRelation, homotopy_relation
-from bqkit.ideal import Relation, close_ideal
+from bqkit.errors import HomotopyError
+from bqkit.fields import Field
+from bqkit.homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, UNKNOWN, Decision,
+                            HomotopyRelation, homotopy_relation)
+from bqkit.ideal import (Ideal, Relation, close_ideal, mul_relations,
+                         relation_of_path)
 from bqkit.quiver import (FORWARD, INVERSE, Path, Walk, enumerate_paths,
                           paths_between, walk_of_path)
 
@@ -93,6 +100,32 @@ class DenseHomSpace:
     @property
     def dim(self):
         return len(self.rows)
+
+
+def relation_closure(quiver, fld, generators):
+    """Two-sided closure on dense rows, by multiplying every relation whose
+    insertion grows a span with each arrow on both sides."""
+    gens = [g for g in generators if not g.is_zero]
+    spaces = {}
+
+    def insert(rel):
+        key = (rel.source, rel.target)
+        if key not in spaces:
+            spaces[key] = DenseHomSpace(quiver, fld, *key)
+        return spaces[key].insert(spaces[key].vector(rel))
+
+    def arrow(a):
+        return relation_of_path(quiver, fld, Path(a.source, a.target, (a.name,)))
+
+    todo = [g for g in gens if insert(g)]
+    while todo:
+        rel = todo.pop()
+        grown = [mul_relations(quiver, fld, arrow(a), rel)
+                 for a in quiver.arrows_from(rel.target)]
+        grown += [mul_relations(quiver, fld, rel, arrow(a))
+                  for a in quiver.arrows_into(rel.source)]
+        todo.extend(g for g in grown if insert(g))
+    return Ideal(quiver, fld, gens, spaces)
 
 
 def pairwise_closure(quiver, generating_pairs):
@@ -182,11 +215,9 @@ def all_ideals():
     yield from example_ideals()
 
 
-def test_sparse_rows_match_dense_rows(monkeypatch):
-    ideals = list(all_ideals())
-    monkeypatch.setattr(ideal_module, "_HomSpace", DenseHomSpace)
-    for ideal in ideals:
-        dense = close_ideal(ideal.quiver, ideal.field, ideal.generators)
+def test_sparse_rows_match_dense_rows():
+    for ideal in all_ideals():
+        dense = relation_closure(ideal.quiver, ideal.field, ideal.generators)
         assert dense._basis_snapshot() == ideal._basis_snapshot()
 
 
@@ -338,3 +369,115 @@ def test_loop_insertion_search_matches_split_search():
         d = new.decide(u, v, want_chain=True)
         assert d.is_homotopic and d.chain
         assert d == ref.decide(u, v, want_chain=True)
+
+
+def pairwise_fingerprint(h):
+    """Decide every parallel pair in different congruence classes, then
+    close the Homotopic pairs transitively over class roots."""
+    classes = h._path_classes
+    tags = {}
+    decided = []
+    for x in h.quiver.vertices:
+        for y in h.quiver.vertices:
+            paths = paths_between(h.quiver, x, y)
+            walks = [walk_of_path(p) for p in paths]
+            for i in range(len(paths)):
+                for j in range(i + 1, len(paths)):
+                    u, v = paths[i], paths[j]
+                    if classes[u] == classes[v]:
+                        tags[(u, v)] = HOMOTOPIC
+                        continue
+                    d = h.decide(walks[i], walks[j], want_chain=False)
+                    tags[(u, v)] = d.status
+                    decided.append((u, v))
+    roots = DisjointSets(classes.values())
+    for u, v in decided:
+        if tags[(u, v)] == HOMOTOPIC:
+            roots.union(classes[u], classes[v])
+    for u, v in decided:
+        if roots.find(classes[u]) == roots.find(classes[v]):
+            if tags[(u, v)] == NOT_HOMOTOPIC:
+                raise HomotopyError("inconsistent certificates for %s and %s"
+                                    % (u, v))
+            tags[(u, v)] = HOMOTOPIC
+    return tags
+
+
+def test_class_fingerprint_matches_pairwise_fingerprint():
+    ideals = list(all_ideals()) + [i0_chain(units) for units in (1, 2, 3)]
+    for ideal in ideals:
+        for coset_fallback in (False, True):
+            h = HomotopyRelation(ideal, coset_fallback=coset_fallback)
+            expected = list(pairwise_fingerprint(h).items())
+            assert list(h.fingerprint.items()) == expected
+
+
+SQUARE = """
+quiver square {
+  vertices: 1 2 3;
+  arrow a1: 1 -> 2; arrow a2: 1 -> 2;
+  arrow b1: 2 -> 3; arrow b2: 2 -> 3;
+}
+ideal I over square(0) { rel b1*a1 - b2*a2; rel b1*a2 - b2*a1; }
+quiver three {
+  vertices: 1 2;
+  arrow x: 1 -> 2; arrow y: 1 -> 2; arrow z: 1 -> 2;
+}
+"""
+
+
+def scripted_fingerprint(monkeypatch, ideal, script):
+    """The fingerprint when every pair of classes has the same abelian
+    image and ``decide`` answers from ``script`` (written paths to
+    status, Unknown if absent); returns it and the decided pairs."""
+    calls = []
+
+    def decide(self, u, v, cap=None, want_chain=True):
+        pair = (u.to_text(), v.to_text())
+        calls.append(pair)
+        return Decision(script.get(pair, UNKNOWN))
+
+    monkeypatch.setattr(HomotopyRelation, "abelian_image", lambda self, u, v: ())
+    monkeypatch.setattr(HomotopyRelation, "decide", decide)
+    h = HomotopyRelation(ideal)
+    return {(u.to_text(), v.to_text()): tag
+            for (u, v), tag in h.fingerprint.items()}, calls
+
+
+def test_fingerprint_decides_per_pair_of_classes(monkeypatch):
+    ws = parse_source(SQUARE)
+    square = ws.ideal("I")
+    # hom-set 1 -> 3: classes {b1*a1, b2*a2} and {b1*a2, b2*a1}; member
+    # pairs in order: (b1*a1, b1*a2), (b1*a1, b2*a1), (b1*a2, b2*a2),
+    # (b2*a1, b2*a2)
+    cross = [("b1*a1", "b1*a2"), ("b1*a1", "b2*a1"),
+             ("b1*a2", "b2*a2"), ("b2*a1", "b2*a2")]
+    inside = [("b1*a1", "b2*a2"), ("b1*a2", "b2*a1")]
+
+    # Unknown on the first member pair, Homotopic on the second
+    tags, calls = scripted_fingerprint(
+        monkeypatch, square, {cross[0]: UNKNOWN, cross[1]: HOMOTOPIC})
+    assert [c for c in calls if c in cross] == cross[:2]
+    assert all(tags[p] == HOMOTOPIC for p in cross + inside)
+    assert tags[("a1", "a2")] == tags[("b1", "b2")] == UNKNOWN
+
+    # all Unknown stays Unknown, after trying every member pair
+    tags, calls = scripted_fingerprint(monkeypatch, square, {})
+    assert [c for c in calls if c in cross] == cross
+    assert all(tags[p] == UNKNOWN for p in cross)
+    assert all(tags[p] == HOMOTOPIC for p in inside)
+
+    # two certified Homotopic pairs of classes upgrade the third
+    zero = close_ideal(ws.quiver("three"), Field(0), [])
+    tags, calls = scripted_fingerprint(
+        monkeypatch, zero, {("x", "y"): HOMOTOPIC, ("y", "z"): HOMOTOPIC})
+    assert calls == [("x", "y"), ("x", "z"), ("y", "z")]
+    assert list(tags.items()) == [(("x", "y"), HOMOTOPIC),
+                                  (("x", "z"), HOMOTOPIC),
+                                  (("y", "z"), HOMOTOPIC)]
+
+    # a Not-homotopic answer inside a Homotopic root is inconsistent
+    with pytest.raises(HomotopyError):
+        scripted_fingerprint(monkeypatch, zero, {
+            ("x", "y"): HOMOTOPIC, ("y", "z"): HOMOTOPIC,
+            ("x", "z"): NOT_HOMOTOPIC})

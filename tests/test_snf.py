@@ -100,3 +100,28 @@ def test_empty_lattice():
     assert lat.invariants() == (3, ())
     assert lat.contains([0, 0, 0])
     assert not lat.contains([1, 0, 0])
+
+
+def test_repeated_and_zero_rows_span_the_same_lattice():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        distinct = []
+        for _ in range(rng.randint(1, 5)):
+            row = [rng.randint(-4, 4) for _ in range(n)]
+            if any(row) and row not in distinct:
+                distinct.append(row)
+        rows = []
+        for row in distinct:
+            rows.append(row)
+            for _ in range(rng.randint(0, 3)):
+                rows.append(list(rng.choice(rows)) if rng.random() < 0.7
+                            else [0] * n)
+        full = RowLattice(rows, n)
+        lean = RowLattice(distinct, n)
+        assert full.invariants() == lean.invariants()
+        assert full.diag == smith_normal_form(rows)[0]
+        for _ in range(20):
+            x = [rng.randint(-6, 6) for _ in range(n)]
+            assert full.contains(x) == lean.contains(x)
+            assert any(full.image(x)) == any(lean.image(x))
