@@ -44,15 +44,17 @@ class _HomotopyCache:
         self._images = {}
 
     def get(self, ideal: Ideal) -> HomotopyRelation:
-        if ideal not in self._store:
-            self._store[ideal] = homotopy_relation(ideal, self.x0)
-        return self._store[ideal]
+        h = self._store.get(ideal)
+        if h is None:
+            h = self._store[ideal] = homotopy_relation(ideal, self.x0)
+        return h
 
     def image(self, ideal: Ideal, t: Transvection) -> Ideal:
         key = (ideal, t.arrow, t.path, t.tau)
-        if key not in self._images:
-            self._images[key] = apply_automorphism(t, ideal)
-        return self._images[key]
+        image = self._images.get(key)
+        if image is None:
+            image = self._images[key] = apply_automorphism(t, ideal)
+        return image
 
 
 def _arrow_path(quiver, name) -> Path:

@@ -150,8 +150,9 @@ class _HomSpace:
         if not vec:
             return False
         lead = max(vec)
-        inv = fld.inv(vec[lead])
-        vec = {k: fld.mul(inv, c) for k, c in vec.items()}
+        if vec[lead] != 1:  # a row led by 1 is normalized already
+            inv = fld.inv(vec[lead])
+            vec = {k: fld.mul(inv, c) for k, c in vec.items()}
         # keep the basis reduced: clear this pivot from existing rows
         for row in self.rows.values():
             c = row.pop(lead, None)
@@ -187,7 +188,13 @@ def _subtract_multiple(fld, vec, c, row, skip):
 
 
 class Ideal:
-    """An admissible ideal with per-hom-pair echelon bases."""
+    """An admissible ideal with per-hom-pair echelon bases.
+
+    ``generators`` holds the relations the ideal was closed from; for an
+    image ideal of ``transform.apply_automorphism``, which closes
+    nothing, it holds the basis rows (``minimal_relations()``).  Either
+    way their two-sided closure is the ideal.
+    """
 
     def __init__(self, quiver, fld, generators, spaces):
         self.quiver = quiver
@@ -195,6 +202,8 @@ class Ideal:
         self.generators = tuple(generators)
         self._spaces = spaces
         self._radical = None
+        self._snapshot = None
+        self._hash = None
 
     @property
     def radical_length(self) -> int:
@@ -229,6 +238,26 @@ class Ideal:
             return True
         return self._space(r.source, r.target).contains(r)
 
+    def image(self, row_image) -> "Ideal":
+        """The spans, per hom-set (x, y), of ``row_image(x, y, row)`` over
+        the basis rows of I(x, y), as an ideal.
+
+        Rows are sparse ``{index: coeff}`` vectors over
+        ``paths_between(quiver, x, y)``, and ``row_image`` must return
+        one over the same hom-set.  No closure runs: the caller vouches
+        that the spans form an ideal, as the images under a
+        vertex-fixing algebra automorphism do.
+        """
+        spaces = {}
+        for (x, y), src in self._spaces.items():
+            if src.dim:
+                dst = spaces[(x, y)] = _HomSpace(self.quiver, self.field, x, y)
+                for row in src.rows.values():
+                    dst.insert(row_image(x, y, row))
+        image = Ideal(self.quiver, self.field, (), spaces)
+        image.generators = image.minimal_relations()
+        return image
+
     def dim_ideal(self, x, y) -> int:
         return self._space(x, y).dim
 
@@ -253,10 +282,13 @@ class Ideal:
         return self._basis_snapshot() == other._basis_snapshot()
 
     def __hash__(self):
-        return hash((self.quiver, self.field, self._basis_snapshot()))
+        # the basis never changes once built, so neither does the hash
+        if self._hash is None:
+            self._hash = hash((self.quiver, self.field, self._basis_snapshot()))
+        return self._hash
 
     def _basis_snapshot(self):
-        if getattr(self, "_snapshot", None) is None:
+        if self._snapshot is None:
             self._snapshot = tuple(
                 sorted((k, self._spaces[k].basis_relations())
                        for k, s in self._spaces.items() if s.dim > 0))

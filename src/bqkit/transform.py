@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .errors import TransformError
 from .fields import Field
-from .ideal import (Ideal, Relation, add_relations, close_ideal, ideals_equal,
+from .ideal import (Ideal, Relation, add_relations, ideals_equal,
                     mul_relations, relation_of_path, scale_relation)
-from .quiver import Bypass, Path, Quiver, trivial_path
+from .quiver import Bypass, Path, Quiver, paths_between, trivial_path
 from .snf import smith_normal_form
 
 
@@ -85,8 +85,26 @@ def make_dilatation(quiver: Quiver, fld: Field, scales) -> Dilatation:
     return Dilatation(tuple(out))
 
 
+class _HomImages:
+    """The images of the paths of one hom-set, filled on demand."""
+
+    __slots__ = ("paths", "pos", "images")
+
+    def __init__(self, paths):
+        self.paths = paths
+        self.pos = {p.arrows: i for i, p in enumerate(paths)}
+        self.images = [None] * len(paths)
+
+
 class PathAutomorphism:
-    """A vertex-fixing automorphism, stored by its arrow images."""
+    """A vertex-fixing automorphism, stored by its arrow images.
+
+    Paths and relations are mapped in coordinates: the image of the i-th
+    path of hom(x, y) is a sparse ``{path index: coeff}`` vector over the
+    same hom-set, in the order of ``paths_between``, the coordinates of
+    the rows of ``Ideal.image``.  Each path image is built once, on first
+    use, by a DP over prefixes: phi(p * a) = phi(a) * phi(p).
+    """
 
     def __init__(self, quiver: Quiver, fld: Field, images):
         self.quiver = quiver
@@ -102,22 +120,16 @@ class PathAutomorphism:
             full[a.name] = img
         self.images = full
         self._check_linear_part()
+        self._moved = None  # see _moved_terms
+        self._homs = {}  # (x, y) -> _HomImages
 
     def _check_linear_part(self):
         """The induced arrow-to-arrow map must be invertible per parallel class."""
-        fld = self.field
         classes = {}
         for a in self.quiver.arrows:
             classes.setdefault((a.source, a.target), []).append(a.name)
         for names in classes.values():
-            n = len(names)
-            mat = [[fld.zero] * n for _ in range(n)]
-            for j, src in enumerate(names):
-                img = self.images[src]
-                for p, c in img.terms:
-                    if len(p) == 1:
-                        mat[names.index(p.arrows[0])][j] = c
-            if not _invertible(fld, mat):
+            if not _invertible(self.field, self.linear_part(names)):
                 raise TransformError(
                     "linear part is singular on the parallel class {%s}"
                     % ", ".join(names))
@@ -132,20 +144,88 @@ class PathAutomorphism:
                     mat[names.index(p.arrows[0])][j] = c
         return mat
 
-    def apply_to_path(self, path: Path) -> Relation:
+    def _hom(self, x, y) -> _HomImages:
+        hom = self._homs.get((x, y))
+        if hom is None:
+            hom = self._homs[(x, y)] = _HomImages(paths_between(self.quiver, x, y))
+        return hom
+
+    def _moved_terms(self):
+        """Arrow name -> (arrows of path, coeff) terms of its image, for
+        the arrows whose image is not the arrow itself; read from
+        ``images`` when the first path image is built."""
+        if self._moved is None:
+            one = self.field.one
+            self._moved = {
+                name: tuple((p.arrows, c) for p, c in img.terms)
+                for name, img in self.images.items()
+                if img.terms != ((Path(img.source, img.target, (name,)), one),)}
+        return self._moved
+
+    def _path_image(self, hom: _HomImages, i):
+        """phi of the i-th path of ``hom``, as a sparse vector over it.
+
+        A path with no moved arrow maps to itself.  Otherwise the path is
+        its prefix p followed by its last arrow a, and phi(p) is a vector
+        over hom(x, z) for z the source of a.  If phi fixes a, the step
+        only relabels indices.  If not, each term c * r of phi(a) sends
+        the entry d at path q to c * d at q followed by r.  All q end at
+        z and the quiver has no oriented cycle, so distinct (q, r) give
+        distinct paths: no two products land on one index, and none is
+        zero, since the terms of a Relation are nonzero.
+        """
+        vec = hom.images[i]
+        if vec is not None:
+            return vec
+        moved = self._moved_terms()
+        arrows = hom.paths[i].arrows
+        if moved.keys().isdisjoint(arrows):
+            vec = {i: self.field.one}
+        else:
+            last = arrows[-1]
+            x = hom.paths[i].source
+            pre = self._hom(x, self.quiver.arrow(last).source)
+            prefix = self._path_image(pre, pre.pos[arrows[:-1]])
+            pos = hom.pos
+            terms = moved.get(last)
+            if terms is None:
+                step = (last,)
+                vec = {pos[pre.paths[k].arrows + step]: d
+                       for k, d in prefix.items()}
+            else:
+                mul = self.field.mul
+                vec = {pos[pre.paths[k].arrows + r]: mul(c, d)
+                       for r, c in terms for k, d in prefix.items()}
+        hom.images[i] = vec
+        return vec
+
+    def apply_to_vector(self, x, y, vec):
+        """phi of a sparse vector over hom(x, y); the result has no zero
+        entries."""
         fld = self.field
-        acc = relation_of_path(self.quiver, fld, trivial_path(self.quiver, path.source))
-        for name in path.arrows:
-            acc = mul_relations(self.quiver, fld, self.images[name], acc)
-        return acc
+        hom = self._hom(x, y)
+        images = hom.images
+        out = {}
+        for i, c in vec.items():
+            img = images[i]
+            if img is None:
+                img = self._path_image(hom, i)
+            for k, d in img.items():
+                # the image of a path phi fixes is that path with coeff 1
+                v = c if d == 1 else fld.mul(c, d)
+                out[k] = fld.add(out[k], v) if k in out else v
+        return {k: v for k, v in out.items() if not fld.is_zero(v)}
 
     def apply_to_relation(self, rel: Relation) -> Relation:
-        fld = self.field
-        out = Relation(rel.source, rel.target, ())
-        for p, c in rel.terms:
-            out = add_relations(self.quiver, fld, out,
-                                scale_relation(self.quiver, fld, c, self.apply_to_path(p)))
-        return out
+        x, y = rel.source, rel.target
+        hom = self._hom(x, y)
+        vec = self.apply_to_vector(x, y, {hom.pos[p.arrows]: c
+                                          for p, c in rel.terms})
+        return Relation(x, y, tuple((hom.paths[i], vec[i]) for i in sorted(vec)))
+
+    def apply_to_path(self, path: Path) -> Relation:
+        return self.apply_to_relation(
+            relation_of_path(self.quiver, self.field, path))
 
     def __eq__(self, other):
         if not isinstance(other, PathAutomorphism):
@@ -218,12 +298,24 @@ def compose(f, g, quiver: Quiver = None, fld: Field = None) -> PathAutomorphism:
 
 
 def apply_automorphism(phi, ideal: Ideal) -> Ideal:
-    """The image ideal phi(I), re-closed and re-echelonized."""
+    """The image ideal phi(I), one hom-set at a time.
+
+    phi fixes the vertices, so it maps each hom-space kQ(x, y) onto
+    itself, and phi(I)(x, y) = phi(I(x, y)).  The basis of phi(I)(x, y)
+    is therefore the row reduction of the images of the basis rows of
+    I(x, y).  phi(I) is an ideal because phi is an algebra automorphism,
+    so these spans are already closed under composition with arrows and
+    no closure runs.  phi is invertible, so a hom-set whose rank drops
+    means a broken automorphism and raises.
+    """
     auto = as_path_automorphism(phi, ideal.quiver, ideal.field)
-    gens = [auto.apply_to_relation(r) for r in ideal.minimal_relations()]
-    image = close_ideal(ideal.quiver, ideal.field, gens)
-    if image.total_dim() != ideal.total_dim():
-        raise TransformError("automorphism did not preserve the ideal dimension")
+    image = ideal.image(auto.apply_to_vector)
+    for x, y in ideal.hom_pairs():
+        if image.dim_ideal(x, y) != ideal.dim_ideal(x, y):
+            raise TransformError(
+                "automorphism did not preserve the ideal dimension: rank %d "
+                "of %d on hom(%s, %s)"
+                % (image.dim_ideal(x, y), ideal.dim_ideal(x, y), x, y))
     return image
 
 

@@ -12,6 +12,11 @@ left apart.
 The homotopy search's rewrites are compared with the split enumeration
 they replaced, move for move, so the search visits the same walks in the
 same order and returns the same chains.
+
+``transform.apply_automorphism`` maps basis rows in coordinates, one
+hom-set at a time; it is compared with the Relation-based version it
+replaced, which multiplies arrow images one arrow at a time and closes
+the images of the minimal relations again.
 """
 
 import random
@@ -24,12 +29,16 @@ from bqkit.disjoint_sets import DisjointSets
 from bqkit.dsl import parse_source
 from bqkit.errors import HomotopyError
 from bqkit.fields import Field
+from bqkit.gamma import tau_schedule
 from bqkit.homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, UNKNOWN, Decision,
                             HomotopyRelation, homotopy_relation)
-from bqkit.ideal import (Ideal, Relation, close_ideal, mul_relations,
-                         relation_of_path)
+from bqkit.ideal import (Ideal, Relation, add_relations, close_ideal,
+                         mul_relations, relation_of_path, scale_relation)
 from bqkit.quiver import (FORWARD, INVERSE, Path, Walk, enumerate_paths,
-                          paths_between, walk_of_path)
+                          find_bypasses, paths_between, trivial_path,
+                          walk_of_path)
+from bqkit.transform import (Dilatation, Transvection, apply_automorphism,
+                             as_path_automorphism)
 
 SEEDS = range(60)
 CHARS = (0, 2, 3)
@@ -481,3 +490,76 @@ def test_fingerprint_decides_per_pair_of_classes(monkeypatch):
         scripted_fingerprint(monkeypatch, zero, {
             ("x", "y"): HOMOTOPIC, ("y", "z"): HOMOTOPIC,
             ("x", "z"): NOT_HOMOTOPIC})
+
+
+def relation_image(auto, rel):
+    """phi(rel), multiplying the arrow images of each path one arrow at a
+    time."""
+    quiver, fld = auto.quiver, auto.field
+    out = Relation(rel.source, rel.target, ())
+    for p, c in rel.terms:
+        acc = relation_of_path(quiver, fld, trivial_path(quiver, p.source))
+        for name in p.arrows:
+            acc = mul_relations(quiver, fld, auto.images[name], acc)
+        out = add_relations(quiver, fld, out, scale_relation(quiver, fld, c, acc))
+    return out
+
+
+def closure_apply_automorphism(phi, ideal):
+    """phi(I) as the closure of the images of the minimal relations."""
+    auto = as_path_automorphism(phi, ideal.quiver, ideal.field)
+    gens = [relation_image(auto, r) for r in ideal.minimal_relations()]
+    image = close_ideal(ideal.quiver, ideal.field, gens)
+    assert image.total_dim() == ideal.total_dim()
+    return image
+
+
+APPLY_CHARS = (0, 2, 3, 5)
+
+
+def apply_corpus():
+    """The random ideals of ``random_ideals`` and every example ideal,
+    each in characteristics 0, 2, 3 and 5."""
+    for char in APPLY_CHARS:
+        for seed in SEEDS:
+            yield make_random_bound_quiver(random.Random(seed), char=char)
+    data = resources.files("bqkit") / "data" / "examples"
+    for name, ideals in (("exple1.bq", "IJ"), ("twobypass.bq", ("I0", "I1", "I2"))):
+        ws = parse_source((data / name).read_text(encoding="utf-8"))
+        for ideal_name in ideals:
+            for char in APPLY_CHARS:
+                yield ws.ideal(ideal_name, char)
+
+
+def some_dilatation(quiver, fld):
+    """Arrow k scaled by the k-th of a fixed cycle of nonzero scalars (the
+    identity over F_2, whose only nonzero scalar is 1)."""
+    if fld.char == 0:
+        cycle = [fld.scalar(2), fld.scalar(-1), fld.scalar(1, 3), fld.scalar(5)]
+    else:
+        cycle = list(fld.nonzero_elements())
+        cycle = cycle[1:] + cycle[:1]
+    return Dilatation(tuple((a.name, cycle[k % len(cycle)])
+                            for k, a in enumerate(quiver.arrows)))
+
+
+def test_coordinate_images_match_closure_of_relation_images():
+    checked = 0
+    for ideal in apply_corpus():
+        quiver, fld = ideal.quiver, ideal.field
+        phis = [Transvection(bypass, tau) for bypass in find_bypasses(quiver)
+                for tau in tau_schedule(fld)]
+        phis.append(some_dilatation(quiver, fld))
+        for phi in phis:
+            image = apply_automorphism(phi, ideal)
+            expected = closure_apply_automorphism(phi, ideal)
+            assert image._basis_snapshot() == expected._basis_snapshot(), phi
+            # an image ideal's generators are its basis rows, which
+            # close to it
+            rebuilt = relation_closure(quiver, fld, image.generators)
+            assert rebuilt._basis_snapshot() == image._basis_snapshot()
+            auto = as_path_automorphism(phi, quiver, fld)
+            for r in ideal.minimal_relations():
+                assert auto.apply_to_relation(r) == relation_image(auto, r)
+            checked += 1
+    assert checked > 1000

@@ -131,6 +131,17 @@ def test_singular_linear_part_rejected(f0):
         PathAutomorphism(q, f0, {"a": img, "b": img})
 
 
+def test_rank_drop_raises(Q, f0, ideal_J):
+    # a -> c*b is not invertible and sends d*a - d*c*b, which spans
+    # J(1, 4), to zero; the constructor's check is bypassed by
+    # overwriting the image of a valid automorphism
+    auto = as_path_automorphism(tv(Q, "a", "c*b", Fraction(2)), Q, f0)
+    auto.images["a"] = relation_of_path(Q, f0, parse_path(Q, "c*b"))
+    with pytest.raises(TransformError,
+                       match="did not preserve the ideal dimension.*hom\\(1, 4\\)"):
+        apply_automorphism(auto, ideal_J)
+
+
 # -- decompose_DT ----------------------------------------------------------
 
 def test_decompose_dilatation_only(Q, f0):
