@@ -34,8 +34,16 @@ def _load(path):
         return parse_source(fh.read())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (input error), not argparse's 2 (Unknown)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+
 def _emit(args, payload, human):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(human)
@@ -76,14 +84,13 @@ def cmd_groebner(args):
     ws = _load(args.file)
     ideal = ws.ideal(args.ideal, args.char)
     payload = {}
+    lines = []
     for x, y in ideal.hom_pairs():
         rels = [r.to_text(ideal.field) for r in ideal.groebner_basis(x, y)]
         payload["%s->%s" % (x, y)] = rels
-        print("hom(%s, %s):" % (x, y))
-        for r in rels:
-            print("  %s" % r)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        lines.append("hom(%s, %s):" % (x, y))
+        lines.extend("  %s" % r for r in rels)
+    _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
 
@@ -103,7 +110,7 @@ def cmd_pi1(args):
 def cmd_homotopic(args):
     ws = _load(args.file)
     ideal = ws.ideal(args.ideal, args.char)
-    h = homotopy_relation(ideal, args.base, coset_fallback=args.coset)
+    h = homotopy_relation(ideal, args.base)
     q = ideal.quiver
     u = parse_walk(q, args.u)
     v = parse_walk(q, args.v)
@@ -289,32 +296,37 @@ def _parse_group(text):
     text = text.strip()
     if text in ("1", "trivial"):
         return FiniteGroup.trivial()
-    if text.upper().startswith("Z"):
-        n = int(text[1:].lstrip("/"))
-        return FiniteGroup.cyclic(n)
+    order = text[1:].lstrip("/")
+    if text[:1] in ("Z", "z") and order.isascii() and order.isdigit():
+        return FiniteGroup.cyclic(int(order))
     raise BqError("unknown group %r (use 'trivial' or 'Z<n>')" % text)
 
 
-def _parse_degrees(group, text):
-    degrees = {}
-    if text:
-        for chunk in text.split(","):
-            name, val = chunk.split("=", 1)
-            degrees[name.strip()] = val.strip()
-    return degrees
+def _parse_assignments(text):
+    """``name=value,...`` as {name: value}; the empty text gives {}."""
+    values = {}
+    for chunk in text.split(",") if text else ():
+        name, eq, val = chunk.partition("=")
+        if not eq:
+            raise BqError("expected name=value, got %r" % chunk.strip())
+        values[name.strip()] = val.strip()
+    return values
 
 
 def cmd_smash(args):
     ws = _load(args.file)
     ideal = ws.ideal(args.ideal, args.char)
     group = _parse_group(args.group)
-    grading = make_grading(ideal.quiver, group, _parse_degrees(group, args.degrees))
+    grading = make_grading(ideal.quiver, group, _parse_assignments(args.degrees))
     cov = smash_product(ideal, grading)
     return _cover_exit_and_report(args, cov)
 
 
 def _parse_transvection(quiver, fld, text):
-    arrow, path_text, tau_text = text.split(":")
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise BqError("expected arrow:path:tau, got %r" % text)
+    arrow, path_text, tau_text = parts
     return Transvection(Bypass(arrow, parse_path(quiver, path_text)),
                         fld.parse(tau_text))
 
@@ -328,10 +340,8 @@ def cmd_lift(args):
         t = _parse_transvection(ideal.quiver, fld, args.transvection)
         m = lift_transvection(cov, t)
     else:
-        scales = {}
-        for chunk in args.dilatation.split(","):
-            name, val = chunk.split("=", 1)
-            scales[name.strip()] = fld.parse(val)
+        scales = {name: fld.parse(val)
+                  for name, val in _parse_assignments(args.dilatation).items()}
         m = lift_dilatation(cov, make_dilatation(ideal.quiver, fld, scales))
     payload = {"base_map": m.base_label, "checks": _jsonable(m.checks),
                "target_complete": m.target.complete}
@@ -347,7 +357,7 @@ def cmd_pipeline(args):
     target_ideal = ws.ideal(args.target, args.char) if args.target else privileged
     group = _parse_group(args.group)
     grading = make_grading(target_ideal.quiver, group,
-                           _parse_degrees(group, args.degrees))
+                           _parse_assignments(args.degrees))
     target = smash_product(target_ideal, grading)
     res = theorem_b_pipeline(privileged, target, radius=args.radius)
     payload = {
@@ -474,21 +484,23 @@ def _diff(prefix, golden, fresh):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bq", description="exact computations with bound quivers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ideal=True, file=True):
-        if file:
-            p.add_argument("file", help="DSL source file")
-        if ideal:
-            p.add_argument("--ideal", required=True, help="ideal name")
+    def on_ideal(name, func, help, base=False, json=True):
+        """A command on one ideal of a source file; ``--base`` and
+        ``--json`` only where they are read."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("file", help="DSL source file")
+        p.add_argument("--ideal", required=True, help="ideal name")
         p.add_argument("--char", type=int, default=None,
                        help="override the field characteristic")
-        p.add_argument("--base", default=None, help="base point vertex")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized probing (reserved)")
+        if base:
+            p.add_argument("--base", default=None, help="base point vertex")
+        if json:
+            p.add_argument("--json", action="store_true")
         return p
 
     p = sub.add_parser("check", help="parse and validate a source file")
@@ -501,30 +513,24 @@ def build_parser():
     p.add_argument("--quiver", default=None)
     p.set_defaults(func=cmd_paths)
 
-    p = common(sub.add_parser("groebner", help="per hom-pair echelon bases"))
-    p.set_defaults(func=cmd_groebner)
+    on_ideal("groebner", cmd_groebner, "per hom-pair echelon bases")
+    on_ideal("pi1", cmd_pi1, "fundamental group presentation", base=True)
 
-    p = common(sub.add_parser("pi1", help="fundamental group presentation"))
-    p.set_defaults(func=cmd_pi1)
-
-    p = common(sub.add_parser("homotopic", help="decide a walk pair"))
+    p = on_ideal("homotopic", cmd_homotopic, "decide a walk pair",
+                 base=True, json=False)
     p.add_argument("u")
     p.add_argument("v")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--coset", action="store_true",
-                   help="enable the coset-enumeration certifier")
-    p.set_defaults(func=cmd_homotopic)
 
-    p = common(sub.add_parser("gamma", help="explore the homotopy-relation quiver"))
+    p = on_ideal("gamma", cmd_gamma, "explore the homotopy-relation quiver")
     p.add_argument("--dot", default=None)
     p.add_argument("--tau-schedule", default=None, dest="tau_schedule",
                    help="comma-separated probe coefficients")
-    p.set_defaults(func=cmd_gamma)
 
-    p = common(sub.add_parser("source", help="find the privileged sources"))
+    p = on_ideal("source", cmd_source, "find the privileged sources",
+                 json=False)
     p.add_argument("--tau-schedule", default=None, dest="tau_schedule",
                    help="comma-separated probe coefficients")
-    p.set_defaults(func=cmd_source)
 
     p = sub.add_parser("surjection", help="check pi1(source) ->> pi1(target)")
     p.add_argument("file")
@@ -534,33 +540,30 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_surjection)
 
-    p = common(sub.add_parser("cover", help="universal cover"))
+    p = on_ideal("cover", cmd_cover, "universal cover", base=True)
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--dot", default=None)
     p.add_argument("--export", default=None)
-    p.set_defaults(func=cmd_cover)
 
-    p = common(sub.add_parser("smash", help="smash product from a grading"))
+    p = on_ideal("smash", cmd_smash, "smash product from a grading")
     p.add_argument("--group", required=True, help="trivial or Z<n>")
     p.add_argument("--degrees", default="", help="a=1,b=0,...")
     p.add_argument("--dot", default=None)
     p.add_argument("--export", default=None)
-    p.set_defaults(func=cmd_smash)
 
-    p = common(sub.add_parser("lift", help="lift a transvection or dilatation"))
-    p.add_argument("--transvection", default=None, help="arrow:path:tau")
-    p.add_argument("--dilatation", default=None, help="a=2,b=1")
+    p = on_ideal("lift", cmd_lift, "lift a transvection or dilatation",
+                 base=True)
+    kind = p.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--transvection", help="arrow:path:tau")
+    kind.add_argument("--dilatation", help="a=2,b=1")
     p.add_argument("--radius", type=int, default=None)
-    p.set_defaults(func=cmd_lift)
 
-    p = common(sub.add_parser("pipeline",
-                              help="factor a Galois cover through the "
-                                   "privileged universal cover"))
+    p = on_ideal("pipeline", cmd_pipeline, "factor a Galois cover through "
+                                           "the privileged universal cover")
     p.add_argument("--target", default=None, help="target ideal (default: same)")
     p.add_argument("--group", default="trivial")
     p.add_argument("--degrees", default="")
     p.add_argument("--radius", type=int, default=None)
-    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("examples", help="run the bundled scenarios against "
                                         "their golden outcomes")
@@ -573,9 +576,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", 0):
-        import random
-        random.seed(args.seed)
     try:
         return args.func(args)
     except BqError as exc:

@@ -1,9 +1,8 @@
 """Capped coset enumeration over the trivial subgroup.
 
-Optional second certifier for non-homotopy when the abelianized quotient
-is blind: if the presented group turns out to be finite within the coset
-cap, the completed table is the regular action, so a word acting
-nontrivially on it is certified nontrivial in the group.
+A homotopy certifier after the abelianization: if the presented group is
+finite within the coset cap, the completed table is the regular action,
+so a word is trivial in the group exactly when it fixes the start coset.
 """
 
 from __future__ import annotations

@@ -329,7 +329,7 @@ def universal_cover(ideal: Ideal, x0=None, radius=None,
     if radius is None:
         radius = default_radius(quiver)
     if h is None:
-        h = homotopy_relation(ideal, x0, coset_fallback=True)
+        h = homotopy_relation(ideal, x0)
     ball = _Ball(h, radius)
     complete = ball.grow()
 
@@ -802,8 +802,7 @@ def _image_relation(cov0: CoverQuiver, phi) -> HomotopyRelation:
     if cov0.kind != "universal":
         raise CoverError("lifts start from a universal cover")
     image_ideal = apply_automorphism(phi, cov0.base_ideal)
-    return homotopy_relation(image_ideal, cov0._h.base_point,
-                             coset_fallback=True)
+    return homotopy_relation(image_ideal, cov0._h.base_point)
 
 
 def _lift_automorphism(cov0: CoverQuiver, phi, h1: HomotopyRelation):

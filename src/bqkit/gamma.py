@@ -309,8 +309,7 @@ class GammaQuiver:
         return violations
 
 
-def explore_gamma(ideal: Ideal, schedule=None,
-                  max_representatives=DEFAULT_MAX_REPRESENTATIVES) -> GammaQuiver:
+def explore_gamma(ideal: Ideal, schedule=None) -> GammaQuiver:
     """Closure of the input's homotopy relation under successors and
     predecessors, with fingerprint dedup; raises on Unknown contamination."""
     fld = ideal.field
@@ -335,7 +334,7 @@ def explore_gamma(ideal: Ideal, schedule=None,
 
     def add_representative(key, rep, h_rep):
         vertex = vertices[key]
-        if len(vertex.representatives) >= max_representatives:
+        if len(vertex.representatives) >= DEFAULT_MAX_REPRESENTATIVES:
             return
         if any(ideals_equal(rep, known) for known in vertex.representatives):
             return

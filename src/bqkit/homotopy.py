@@ -1,17 +1,18 @@
 """The homotopy relation on walks, fundamental groups, and the tri-state
 homotopy decision procedure.
 
-A positive answer always comes with a replayable chain of elementary
-moves; a negative answer comes with a nonzero image in the abelianized
-fundamental group (or, optionally, in a finite coset action).  Whatever
-cannot be certified either way within the caps is reported Unknown, never
-guessed.
+A positive answer comes with a replayable chain of elementary moves or,
+for a finite fundamental group, its completed coset action; a negative
+one with distinct reduced walks in a free fundamental group, a nonzero
+image in the abelianization or a nontrivial coset action.  Whatever
+cannot be certified either way within the caps is reported Unknown.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import coset
@@ -195,8 +196,7 @@ class SpanningTree:
 class HomotopyRelation:
     """The homotopy relation of a bound quiver presentation."""
 
-    def __init__(self, ideal: Ideal, x0=None, coset_fallback=False,
-                 cap=None, max_states=DEFAULT_MAX_STATES):
+    def __init__(self, ideal: Ideal, x0=None):
         self.ideal = ideal
         self.quiver = ideal.quiver
         if x0 is None:
@@ -204,19 +204,14 @@ class HomotopyRelation:
         if not self.quiver.has_vertex(x0):
             raise HomotopyError("no vertex %r" % (x0,))
         self.base_point = x0
-        self.coset_fallback = coset_fallback
-        self.default_cap = cap or (2 * longest_path_length(self.quiver) + 4)
-        self.max_states = max_states
+        self.default_cap = 2 * longest_path_length(self.quiver) + 4
 
         self.tree = SpanningTree(self.quiver, x0)
         self.generating_pairs = self._generating_pairs()
         self.presentation, self._lattice = self._presentation()
         self._generator_index = {g: i for i, g in
                                  enumerate(self.presentation.generators)}
-        self._rules = None
         self._decisions = {}
-        self._coset_table = None
-        self._coset_tried = False
         self._path_classes = self._congruence_closure()
         self.fingerprint = self._fingerprint()
 
@@ -409,21 +404,27 @@ class HomotopyRelation:
         return self._lattice.image(self.loop_exponents(u, v))
 
     def decide(self, u: Walk, v: Walk, cap=None, want_chain=True) -> Decision:
-        """Tri-state decision for parallel walks u, v."""
+        """Tri-state decision for parallel walks u, v (see ``_decide``)."""
         if (u.source, u.target) != (v.source, v.target):
             raise HomotopyError("walks are not parallel: %s -> %s vs %s -> %s"
                                 % (u.source, u.target, v.source, v.target))
         cap = cap or self.default_cap
-        memo_key = (u, v, cap)
-        hit = self._decisions.get(memo_key)
-        if hit is not None and (hit.status != HOMOTOPIC or not want_chain
-                                or hit.chain is None or hit.chain or u == v):
-            return hit
-        decision = self._decide(u, v, cap, want_chain)
-        self._decisions[memo_key] = decision
+        key = (u, v, cap, want_chain)
+        decision = self._decisions.get(key)
+        if decision is None:
+            decision = self._decisions[key] = self._decide(u, v, cap, want_chain)
         return decision
 
     def _decide(self, u, v, cap, want_chain):
+        """The certifiers, each tried only when those before it gave no
+        verdict: 1. free; 2. abelianization; 3. coset action, when no
+        chain is wanted; 4. search (``_bfs``); 5. coset action; 6. Unknown.
+
+        The coset action decides both ways once pi1 is enumerated within
+        its cap, but its Homotopic answer has no chain, so the search
+        comes first when a chain is wanted.  The table is enumerated
+        once, so step 5 after step 3 would repeat it and is skipped.
+        """
         u_red = u.reduced()
         v_red = v.reduced()
         glue_u = _reduction_steps(u) if want_chain else ()
@@ -449,25 +450,21 @@ class HomotopyRelation:
             }
             return Decision(NOT_HOMOTOPIC, (), cert)
 
-        if not want_chain and self.coset_fallback:
-            verdict = self._coset_verdict(u_red, v_red)
-            if verdict is not None:
-                return verdict
-
-        found = self._bfs(u_red, v_red, cap, want_chain)
-        if found is not None:
-            chain = (glue_u + found + _invert_steps(v, glue_v)) if want_chain else ()
-            return Decision(HOMOTOPIC, tuple(chain))
-
-        if self.coset_fallback:
-            verdict = self._coset_verdict(u_red, v_red)
-            if verdict is not None:
-                return verdict
+        if want_chain:
+            found = self._bfs(u_red, v_red, cap, True)
+            if found is not None:
+                chain = glue_u + found + _invert_steps(v, glue_v)
+                return Decision(HOMOTOPIC, chain)
+        verdict = self._coset_verdict(u_red, v_red)
+        if verdict is not None:
+            return verdict
+        if not want_chain and self._bfs(u_red, v_red, cap, False) is not None:
+            return Decision(HOMOTOPIC, ())
         return Decision(UNKNOWN)
 
     def _coset_verdict(self, u_red, v_red):
         """Full decision through the regular coset action, if it completed."""
-        table = self._cosets()
+        table = self._cosets
         if table is None:
             return None
         word = _free_reduce_word(
@@ -484,16 +481,16 @@ class HomotopyRelation:
         index = self._generator_index
         return tuple((index[g] + 1) * e for g, e in word)
 
+    @cached_property
     def _cosets(self):
-        if not self._coset_tried:
-            self._coset_tried = True
-            relators = [self._signed_word(r) for r in self.presentation.relators]
-            table = coset.enumerate_cosets(
-                len(self.presentation.generators), relators)
-            if table is not None and not table.verify(relators):
-                raise HomotopyError("coset table failed its consistency check")
-            self._coset_table = table
-        return self._coset_table
+        """The completed coset table of pi1, or None at the coset cap;
+        enumerated on first use."""
+        relators = [self._signed_word(r) for r in self.presentation.relators]
+        table = coset.enumerate_cosets(len(self.presentation.generators),
+                                       relators)
+        if table is not None and not table.verify(relators):
+            raise HomotopyError("coset table failed its consistency check")
+        return table
 
     def _bfs(self, start: Walk, goal: Walk, cap, want_chain):
         """Breadth-first search over reduced walks of length at most cap.
@@ -504,14 +501,15 @@ class HomotopyRelation:
         (Lyndon and Schupp 1977, ch. IV), so these moves reach every
         homotopic walk and the search is complete up to the caps.
         Returns the elementary expansion of the found move sequence, or
-        None.
+        None once more than ``DEFAULT_MAX_STATES`` walks are seen or none
+        is left.
         """
         if len(start.letters) > cap or len(goal.letters) > cap:
             cap = max(cap, len(start.letters), len(goal.letters))
         seen = {start: None}
         queue = deque([start])
         while queue:
-            if len(seen) > self.max_states:
+            if len(seen) > DEFAULT_MAX_STATES:
                 return None
             w = queue.popleft()
             for nxt, move in self._rewrites(w, cap):
@@ -535,6 +533,7 @@ class HomotopyRelation:
                 queue.append(nxt)
         return None
 
+    @cached_property
     def _insertion_rules(self):
         """The moves of the search, built on first use: one
         ``(anchor vertex, loop, move)`` per pattern p -> q and cut
@@ -551,30 +550,28 @@ class HomotopyRelation:
         the same walks as its first copy.  As p != q, every loop is a
         nontrivial reduced word, so no insertion gives back the walk.
         """
-        if self._rules is None:
-            quiver = self.quiver
-            rules = []
-            seen = set()
-            for psrc, pdst in self._replacement_patterns():
-                anchor = _pattern_source(quiver, psrc)
-                for cut in range(len(psrc) + 1):
-                    if cut:
-                        name, d = psrc[cut - 1]
-                        a = quiver.arrow(name)
-                        anchor = a.target if d == FORWARD else a.source
-                    y, x = psrc[:cut], psrc[cut:]
-                    loop = _free_reduce_word(
-                        _invert_word(y) + pdst + _invert_word(x))
-                    if (anchor, loop) not in seen:
-                        seen.add((anchor, loop))
-                        rules.append((anchor, loop, (y, (), x, pdst)))
-            self._rules = tuple(rules)
-        return self._rules
+        quiver = self.quiver
+        rules = []
+        seen = set()
+        for psrc, pdst in self._replacement_patterns():
+            anchor = _pattern_source(quiver, psrc)
+            for cut in range(len(psrc) + 1):
+                if cut:
+                    name, d = psrc[cut - 1]
+                    a = quiver.arrow(name)
+                    anchor = a.target if d == FORWARD else a.source
+                y, x = psrc[:cut], psrc[cut:]
+                loop = _free_reduce_word(
+                    _invert_word(y) + pdst + _invert_word(x))
+                if (anchor, loop) not in seen:
+                    seen.add((anchor, loop))
+                    rules.append((anchor, loop, (y, x, pdst)))
+        return tuple(rules)
 
     def _rewrites(self, w: Walk, cap):
         """The distinct walks, other than w and at most cap long, that one
         rule of ``_insertion_rules`` makes from w, each with its move
-        ``(position, y, (), x, q)`` for ``_expand_rewrite``."""
+        ``(position, y, x, q)`` for ``_expand_rewrite``."""
         quiver = self.quiver
         letters = w.letters
         visits = {w.source: [0]}
@@ -583,7 +580,7 @@ class HomotopyRelation:
             visits.setdefault(a.target if d == FORWARD else a.source,
                               []).append(i)
         produced = set()
-        for anchor, loop, move in self._insertion_rules():
+        for anchor, loop, move in self._insertion_rules:
             for i in visits.get(anchor, ()):
                 # walk and loop are reduced: cancel only at the two joins
                 new = _join(_join(letters[:i], loop), letters[i:])
@@ -652,12 +649,12 @@ def _pattern_source(quiver, letters):
     return a.source if d == FORWARD else a.target
 
 
-def _expand_rewrite(before: Walk, i, y, s, x, pdst):
+def _expand_rewrite(before: Walk, i, y, x, pdst):
     """Elementary moves realizing one rewriting step.
 
-    Around the occurrence of s at position i, cancelling pairs build up
-    y^-1*y in front and x*x^-1 behind, so that the full pattern y+s+x
-    appears and can be replaced by pdst; free reduction finishes.
+    At position i, cancelling pairs build up y^-1*y in front and x*x^-1
+    behind, so that the full pattern y+x appears and can be replaced by
+    pdst; free reduction finishes.
     """
     steps = []
     cur = before
@@ -670,7 +667,7 @@ def _expand_rewrite(before: Walk, i, y, s, x, pdst):
         cur = Walk(cur.source, cur.target,
                    cur.letters[:pos] + pair + cur.letters[pos:])
         steps.append(MoveStep("insert", pos, pair, cur))
-    base = i + 2 * k + len(s)
+    base = i + 2 * k
     for j in range(1, l + 1):
         lj = x[j - 1]
         pair = (lj, (lj[0], -lj[1]))
@@ -678,7 +675,7 @@ def _expand_rewrite(before: Walk, i, y, s, x, pdst):
         cur = Walk(cur.source, cur.target,
                    cur.letters[:pos] + pair + cur.letters[pos:])
         steps.append(MoveStep("insert", pos, pair, cur))
-    psrc = y + s + x
+    psrc = y + x
     pos = i + k
     if cur.letters[pos:pos + len(psrc)] != psrc:
         raise HomotopyError("rewrite expansion lost the pattern occurrence")
@@ -689,10 +686,9 @@ def _expand_rewrite(before: Walk, i, y, s, x, pdst):
     return steps
 
 
-def homotopy_relation(ideal: Ideal, x0=None, coset_fallback=False,
-                      cap=None) -> HomotopyRelation:
+def homotopy_relation(ideal: Ideal, x0=None) -> HomotopyRelation:
     """Build the homotopy relation of (Q, I) based at x0."""
-    return HomotopyRelation(ideal, x0, coset_fallback=coset_fallback, cap=cap)
+    return HomotopyRelation(ideal, x0)
 
 
 EQUAL = "equal"

@@ -11,6 +11,7 @@ set for the homotopy machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .disjoint_sets import DisjointSets
 from .errors import IdealError
@@ -204,6 +205,7 @@ class Ideal:
         self._radical = None
         self._snapshot = None
         self._hash = None
+        self._minimal = None
 
     @property
     def radical_length(self) -> int:
@@ -228,10 +230,10 @@ class Ideal:
         return keys
 
     def minimal_relations(self):
-        out = []
-        for x, y in self.hom_pairs():
-            out.extend(self.groebner_basis(x, y))
-        return tuple(out)
+        if self._minimal is None:  # the basis never changes once built
+            self._minimal = tuple(r for x, y in self.hom_pairs()
+                                  for r in self.groebner_basis(x, y))
+        return self._minimal
 
     def contains(self, r: Relation) -> bool:
         if r.is_zero:
@@ -289,9 +291,9 @@ class Ideal:
 
     def _basis_snapshot(self):
         if self._snapshot is None:
-            self._snapshot = tuple(
-                sorted((k, self._spaces[k].basis_relations())
-                       for k, s in self._spaces.items() if s.dim > 0))
+            self._snapshot = tuple(sorted(
+                (k, tuple(rs)) for k, rs in groupby(
+                    self.minimal_relations(), lambda r: (r.source, r.target))))
         return self._snapshot
 
     def describe(self) -> str:

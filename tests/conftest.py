@@ -55,6 +55,26 @@ def make_random_bound_quiver(rng, char=0, max_vertices=6):
                     gens.append(make_relation(quiver, fld, x, y, terms))
     return close_ideal(quiver, fld, gens)
 
+
+def i0_chain(units):
+    """``units`` copies of twobypass/I0 glued end to end over Q: vertex 5
+    of one unit is vertex 1 of the next."""
+    lines = ["quiver chain {",
+             "  vertices: %s;" % " ".join(str(v) for v in range(1, 4 * units + 2))]
+    rels = []
+    for k in range(units):
+        v = {i: str(4 * k + i) for i in range(1, 6)}
+        for name, src, tgt in (("a", 1, 3), ("b", 1, 2), ("c", 2, 3),
+                               ("d", 3, 5), ("e", 3, 4), ("f", 4, 5)):
+            lines.append("  arrow %s%d: %s -> %s;" % (name, k, v[src], v[tgt]))
+        rels += ["d{0}*a{0} + f{0}*e{0}*c{0}*b{0}".format(k),
+                 "f{0}*e{0}*a{0} + d{0}*c{0}*b{0}".format(k)]
+    lines.append("}")
+    lines.append("ideal I over chain(0) { %s }"
+                 % " ".join("rel %s;" % r for r in rels))
+    return parse_source("\n".join(lines)).ideal("I")
+
+
 FOUR_VERTEX = """
 quiver exple1 {
   vertices: 1 2 3 4;

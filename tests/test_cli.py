@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bqkit.cli import compute_example_report, cover_to_text, main
 from bqkit.cover import universal_cover
 from bqkit.dsl import parse_source
@@ -115,6 +117,25 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lift", "--radius", "6"],
+    ["lift", "--transvection", "a:c*b:-1", "--dilatation", "a=2"],
+    ["lift", "--transvection", "a:c*b", "--radius", "6"],
+    ["smash", "--group", "Zx", "--degrees", "a=1"],
+    ["smash", "--group", "Z2", "--degrees", "a"],
+])
+def test_malformed_arguments_are_input_errors(capsys, argv):
+    """Malformed input exits 3 with a message, not 1 (refuted) through a
+    traceback."""
+    try:
+        code = main(argv[:1] + [f"{EXAMPLES}/exple1.bq", "--ideal", "I"]
+                    + argv[1:])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code == 3
+    assert "error" in capsys.readouterr().err
+
+
 def test_cover_export_round_trip(ideal_I0, tmp_path):
     cov = universal_cover(ideal_I0, radius=8)
     text = cover_to_text(cov)
@@ -136,6 +157,10 @@ def test_groebner_and_base_flag(capsys):
     assert code == 0
     assert "hom(1, 5):" in out
     assert "f*e*a + d*c*b" in out
+    code, out, _ = run(capsys, "groebner", f"{EXAMPLES}/exple1.bq",
+                       "--ideal", "J", "--json")
+    assert code == 0
+    assert json.loads(out) == {"1->4": ["d*c*b - d*a"]}
     code, out, _ = run(capsys, "pi1", f"{EXAMPLES}/exple1.bq", "--ideal", "I",
                        "--base", "3", "--json")
     assert code == 0

@@ -53,7 +53,7 @@ def test_universal_cover_free_group_makes_no_decisions(monkeypatch):
     ws = parse_source(TWO_BYPASS + "ideal F over twobypass(0) "
                                    "{ rel d*a; rel f*e*c*b; }")
     ideal = ws.ideal("F")
-    h = homotopy_relation(ideal, coset_fallback=True)
+    h = homotopy_relation(ideal)
     assert not h.presentation.relators
 
     def no_decisions(*args, **kwargs):

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from conftest import i0_chain
 
+from bqkit import homotopy
 from bqkit.dsl import parse_path, parse_quiver, parse_walk
 from bqkit.errors import HomotopyError
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
@@ -232,3 +234,41 @@ def test_chain_needing_context_insertion(h_J, exple1):
     back = h_J.decide(v, u)
     assert back.status == HOMOTOPIC
     replay(back.chain, v, u)
+
+
+def test_coset_action_decides_when_the_search_cannot(monkeypatch, ideal_J,
+                                                     exple1):
+    """With no search states allowed, a default relation still proves
+    a ~ c*b under J from the completed coset action of its trivial pi1,
+    with or without a chain wanted; on two glued I0 units, whose pi1
+    Z2 * Z2 is infinite, the coset enumeration hits its cap and the pair
+    stays Unknown."""
+    monkeypatch.setattr(homotopy, "DEFAULT_MAX_STATES", 0)
+    h = homotopy_relation(ideal_J)
+    a = parse_walk(exple1, "a")
+    cb = parse_walk(exple1, "c*b")
+    for want_chain in (False, True):
+        d = h.decide(a, cb, want_chain=want_chain)
+        assert d.is_homotopic and d.chain is None
+        assert d.certificate["kind"] == "coset-trivial"
+
+    chain2 = i0_chain(2)
+    h2 = homotopy_relation(chain2)
+    u = parse_walk(chain2.quiver, "d0^-1*b1^-1*c1^-1*a1*f0*e0*a0")
+    v = parse_walk(chain2.quiver, "e0^-1*f0^-1*b1^-1*c1^-1*a1*d0*a0")
+    assert not any(h2.abelian_image(u, v))
+    for want_chain in (False, True):
+        assert h2.decide(u, v, want_chain=want_chain).is_unknown
+
+
+def test_chain_wanted_after_a_chainless_decision(ideal_J, exple1):
+    """A chainless Homotopic answer (here from the coset action) is not
+    handed to a later query that wants the chain."""
+    h = homotopy_relation(ideal_J)
+    a = parse_walk(exple1, "a")
+    cb = parse_walk(exple1, "c*b")
+    first = h.decide(a, cb, want_chain=False)
+    assert first.is_homotopic and first.chain is None
+    d = h.decide(a, cb, want_chain=True)
+    assert d.is_homotopic and d.chain
+    replay(d.chain, a, cb)

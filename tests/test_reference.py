@@ -23,7 +23,7 @@ import random
 from importlib import resources
 
 import pytest
-from conftest import make_random_bound_quiver
+from conftest import i0_chain, make_random_bound_quiver
 
 from bqkit.disjoint_sets import DisjointSets
 from bqkit.dsl import parse_source
@@ -240,7 +240,9 @@ def test_worklist_closure_matches_pairwise_closure():
 def split_rewrites(h, w, cap):
     """The search's moves by enumerating every split p = y * s * x of every
     pattern p -> q and substituting y^-1 * q * x^-1 for each occurrence
-    of s in w (at each visit of the vertex before x when s is empty)."""
+    of s in w (at each visit of the vertex before x when s is empty).
+    A nonempty s only gives walks that an empty split gave before it, so
+    every move yielded is ``(i, y, x, q)``, the move of ``_rewrites``."""
     def invert(letters):
         return tuple((name, -d) for name, d in reversed(letters))
 
@@ -277,26 +279,8 @@ def split_rewrites(h, w, cap):
                     if nxt in produced:
                         continue
                     produced.add(nxt)
-                    yield nxt, (i, y, s, x, pdst)
-
-
-def i0_chain(units):
-    """``units`` copies of twobypass/I0 glued end to end over Q: vertex 5
-    of one unit is vertex 1 of the next."""
-    lines = ["quiver chain {",
-             "  vertices: %s;" % " ".join(str(v) for v in range(1, 4 * units + 2))]
-    rels = []
-    for k in range(units):
-        v = {i: str(4 * k + i) for i in range(1, 6)}
-        for name, src, tgt in (("a", 1, 3), ("b", 1, 2), ("c", 2, 3),
-                               ("d", 3, 5), ("e", 3, 4), ("f", 4, 5)):
-            lines.append("  arrow %s%d: %s -> %s;" % (name, k, v[src], v[tgt]))
-        rels += ["d{0}*a{0} + f{0}*e{0}*c{0}*b{0}".format(k),
-                 "f{0}*e{0}*a{0} + d{0}*c{0}*b{0}".format(k)]
-    lines.append("}")
-    lines.append("ideal I over chain(0) { %s }"
-                 % " ".join("rel %s;" % r for r in rels))
-    return parse_source("\n".join(lines)).ideal("I")
+                    assert not s
+                    yield nxt, (i, y, x, pdst)
 
 
 def random_reduced_walk(quiver, rng, length, start=None):
@@ -415,10 +399,9 @@ def pairwise_fingerprint(h):
 def test_class_fingerprint_matches_pairwise_fingerprint():
     ideals = list(all_ideals()) + [i0_chain(units) for units in (1, 2, 3)]
     for ideal in ideals:
-        for coset_fallback in (False, True):
-            h = HomotopyRelation(ideal, coset_fallback=coset_fallback)
-            expected = list(pairwise_fingerprint(h).items())
-            assert list(h.fingerprint.items()) == expected
+        h = HomotopyRelation(ideal)
+        expected = list(pairwise_fingerprint(h).items())
+        assert list(h.fingerprint.items()) == expected
 
 
 SQUARE = """
