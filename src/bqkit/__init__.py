@@ -20,8 +20,7 @@ from .transform import (Derivation, Dilatation, PathAutomorphism, Transvection,
                         apply_automorphism, compose, decompose_DT,
                         exp_derivation, log_unipotent)
 from .gamma import (GammaQuiver, check_lemma_3_3_chain, check_surjection,
-                    direct_predecessors, direct_successors, explore_gamma,
-                    find_sources)
+                    explore_gamma, find_sources)
 from .cover import (CoverQuiver, FiniteGroup, Grading, check_covering,
                     is_galois, lift_dilatation, lift_transvection,
                     smash_product, theorem_b_pipeline, universal_cover)

@@ -164,17 +164,10 @@ def _gamma_dot(gamma):
     return "\n".join(lines)
 
 
-def _schedule(args, ideal):
-    if not getattr(args, "tau_schedule", None):
-        return None
-    return tuple(ideal.field.parse(tok)
-                 for tok in args.tau_schedule.split(",") if tok.strip())
-
-
 def cmd_gamma(args):
     ws = _load(args.file)
     ideal = ws.ideal(args.ideal, args.char)
-    gamma = explore_gamma(ideal, _schedule(args, ideal))
+    gamma = explore_gamma(ideal)
     payload = _gamma_payload(gamma)
     human = "%d vertices, %d edges, %d source(s)" % (
         len(gamma.vertices), len(gamma.edges), len(gamma.sources()))
@@ -188,7 +181,7 @@ def cmd_gamma(args):
 def cmd_source(args):
     ws = _load(args.file)
     ideal = ws.ideal(args.ideal, args.char)
-    gamma = explore_gamma(ideal, _schedule(args, ideal))
+    gamma = explore_gamma(ideal)
     sources = find_sources(gamma)
     for v in sources:
         rank, torsion = v.abelian_invariants
@@ -263,6 +256,7 @@ def _cover_exit_and_report(args, cov):
     payload = cov.to_dict()
     payload["covering_ok"] = report.ok
     payload["violations"] = report.violations
+    payload["rim_lifts"] = report.rim_lifts
     payload["galois"] = galois.status
     payload["group_order"] = galois.group_order
     human = "%s cover: %d vertices, %s, covering %s, %s" % (
@@ -524,13 +518,8 @@ def build_parser():
 
     p = on_ideal("gamma", cmd_gamma, "explore the homotopy-relation quiver")
     p.add_argument("--dot", default=None)
-    p.add_argument("--tau-schedule", default=None, dest="tau_schedule",
-                   help="comma-separated probe coefficients")
 
-    p = on_ideal("source", cmd_source, "find the privileged sources",
-                 json=False)
-    p.add_argument("--tau-schedule", default=None, dest="tau_schedule",
-                   help="comma-separated probe coefficients")
+    on_ideal("source", cmd_source, "find the privileged sources", json=False)
 
     p = sub.add_parser("surjection", help="check pi1(source) ->> pi1(target)")
     p.add_argument("file")

@@ -6,6 +6,10 @@ A universal cover is grown as a ball of certified homotopy classes of
 walks from the base point; the ball is "complete" only when one more
 step adds no class and every arrow closes up, and all global claims
 (Galois, group order) are withheld otherwise.
+
+Relations move along a cover in two ways only: lifted from one end by
+``CoverQuiver.lift_relation``, or renamed along a quiver map (the
+projection, a deck map) by ``_map_relation``.
 """
 
 from __future__ import annotations
@@ -144,7 +148,12 @@ class DeckMap:
 # -- the cover container ------------------------------------------------------
 
 class CoverQuiver:
-    """A bound quiver over (Q, I) with projection and optional group action."""
+    """A bound quiver over (Q, I) with projection and optional group action.
+
+    ``relations`` generate the ideal of the total quiver; None lifts every
+    minimal relation of the base ideal from each vertex over its source,
+    keeping the lifts that stay inside the cover.
+    """
 
     def __init__(self, total, base_ideal, vertex_map, arrow_map, relations,
                  complete, radius, interior, action, kind, meta=None):
@@ -154,6 +163,11 @@ class CoverQuiver:
         self.field = base_ideal.field
         self.vertex_map = vertex_map
         self.arrow_map = arrow_map
+        if relations is None:
+            lifts = (self.lift_relation(rel, v)
+                     for rel in base_ideal.minimal_relations()
+                     for v in self.fiber(rel.source))
+            relations = [lift for lift in lifts if lift is not None]
         self.relations = tuple(relations)
         self.total_ideal = close_ideal(total, base_ideal.field, list(relations))
         self.complete = complete
@@ -179,19 +193,23 @@ class CoverQuiver:
                              % (total_vertex, base_arrow_name))
         return hits[0] if hits else None
 
-    def lift_path(self, base_path: Path, start_vertex):
-        """Unique forward lift of a base path; None if it leaves the ball."""
-        arrows = []
-        cur = start_vertex
-        for name in base_path.arrows:
-            e = self.arrow_over(cur, name, FORWARD)
+    def lift_path(self, base_path: Path, vertex, at_target=False):
+        """The unique lift of a base path starting at ``vertex`` (with
+        ``at_target``, ending there); None if it leaves the cover."""
+        direction = INVERSE if at_target else FORWARD
+        names = []
+        cur = vertex
+        for name in (reversed(base_path.arrows) if at_target
+                     else base_path.arrows):
+            e = self.arrow_over(cur, name, direction)
             if e is None:
                 return None
-            arrows.append(e.name)
-            cur = e.target
-        if arrows:
-            return make_path(self.total, arrows)
-        return trivial_path(self.total, cur)
+            names.append(e.name)
+            cur = e.source if at_target else e.target
+        if at_target:
+            names.reverse()
+            return Path(cur, vertex, tuple(names))
+        return Path(vertex, cur, tuple(names))
 
     def lift_walk(self, walk: Walk, start_vertex):
         """Endpoint of the unique lift of a base walk; None outside the ball."""
@@ -203,19 +221,33 @@ class CoverQuiver:
             cur = e.target if d == FORWARD else e.source
         return cur
 
-    def project_relation(self, rel: Relation) -> Relation:
-        fld = self.field
+    def lift_relation(self, rel: Relation, vertex, at_target=False):
+        """The lift of a base relation whose paths start at ``vertex``
+        (with ``at_target``, end there).
+
+        None when a path leaves the cover, which on a truncated ball means
+        the lift runs off its rim.  Raises CoverError when the lifted paths
+        do not share their other endpoint, so the cover does not respect
+        the relation.
+        """
         terms = []
         for p, c in rel.terms:
-            base_arrows = tuple(self.arrow_map[name] for name in p.arrows)
-            if base_arrows:
-                terms.append((make_path(self.base_quiver, base_arrows), c))
-            else:
-                terms.append((trivial_path(self.base_quiver,
-                                           self.vertex_map[p.source]), c))
-        src = self.vertex_map[rel.source]
-        tgt = self.vertex_map[rel.target]
-        return make_relation(self.base_quiver, fld, src, tgt, terms)
+            lifted = self.lift_path(p, vertex, at_target)
+            if lifted is None:
+                return None
+            terms.append((lifted, c))
+        ends = {p.source if at_target else p.target for p, _ in terms}
+        if len(ends) != 1:
+            raise CoverError(
+                "the paths of %s lift to different vertices (%s) from %s"
+                % (rel.to_text(self.field), ", ".join(sorted(ends)), vertex))
+        end = ends.pop()
+        source, target = (end, vertex) if at_target else (vertex, end)
+        return make_relation(self.total, self.field, source, target, terms)
+
+    def project_relation(self, rel: Relation) -> Relation:
+        return _map_relation(rel, self.base_quiver, self.field,
+                             self.vertex_map, self.arrow_map)
 
     def to_dict(self):
         return {
@@ -362,39 +394,11 @@ def universal_cover(ideal: Ideal, x0=None, radius=None,
                for n, d in incident):
             interior.add(names[cls.index])
 
-    cover = CoverQuiver(total, ideal, vertex_map, arrow_map, [],
+    cover = CoverQuiver(total, ideal, vertex_map, arrow_map, None,
                         complete, radius, interior, [], "universal",
                         {"reps": meta_reps, "base_point": h.base_point})
     cover._ball = ball
     cover._h = h
-
-    # lift the minimal relations whose support stays inside the ball
-    relations = []
-    fld = ideal.field
-    for rel in ideal.minimal_relations():
-        for cls in ball.classes:
-            if cls.rep.target != rel.source:
-                continue
-            lifted_terms = []
-            ok = True
-            for p, c in rel.terms:
-                lifted = cover.lift_path(p, names[cls.index])
-                if lifted is None:
-                    ok = False
-                    break
-                lifted_terms.append((lifted, c))
-            if not ok:
-                continue
-            targets = {p.target for p, _ in lifted_terms}
-            if len(targets) != 1:
-                raise CoverError(
-                    "paths of a minimal relation lift to different vertices; "
-                    "the homotopy classes are inconsistent")
-            relations.append(make_relation(total, fld, names[cls.index],
-                                           targets.pop(), lifted_terms))
-    cover.relations = tuple(relations)
-    cover.total_ideal = close_ideal(total, fld, list(relations))
-
     cover.action = _universal_deck_generators(cover)
     return cover
 
@@ -436,7 +440,6 @@ def smash_product(ideal: Ideal, grading: Grading) -> CoverQuiver:
     by degree, with the group acting by left translation."""
     check_homogeneous(ideal, grading)
     quiver = ideal.quiver
-    fld = ideal.field
     G = grading.group
 
     def vname(x, g):
@@ -454,28 +457,9 @@ def smash_product(ideal: Ideal, grading: Grading) -> CoverQuiver:
             arrow_map[name] = a.name
     total = Quiver(quiver.name + "_smash", vertices, tuple(arrows))
 
-    cover = CoverQuiver(total, ideal, vertex_map, arrow_map, [],
+    cover = CoverQuiver(total, ideal, vertex_map, arrow_map, None,
                         True, None, set(vertices), [], "smash",
                         {"group": G.name, "labels": {v: v for v in vertices}})
-
-    relations = []
-    for rel in ideal.minimal_relations():
-        for s in G.elements:
-            start = vname(rel.source, s)
-            lifted_terms = []
-            for p, c in rel.terms:
-                lifted = cover.lift_path(p, start)
-                if lifted is None:
-                    raise CoverError("smash lift unexpectedly failed")
-                lifted_terms.append((lifted, c))
-            targets = {p.target for p, _ in lifted_terms}
-            if len(targets) != 1:
-                raise CoverError("inhomogeneous lift in smash product")
-            relations.append(make_relation(total, fld, start, targets.pop(),
-                                           lifted_terms))
-    cover.relations = tuple(relations)
-    cover.total_ideal = close_ideal(total, fld, list(relations))
-
     for g in G.elements:
         if g == G.identity:
             continue
@@ -495,10 +479,18 @@ class CoverReport:
     violations: list
     checked_vertices: int
     skipped_vertices: int
+    rim_lifts: int  # relation lifts that left a truncated ball
 
 
 def check_covering(cover: CoverQuiver) -> CoverReport:
-    """Verify the covering axioms on the interior of the cover."""
+    """Verify the covering axioms on the interior of the cover.
+
+    Each minimal relation must lift into the total ideal from every
+    interior vertex over its source and over its target, with the lifted
+    paths ending together.  On a truncated cover a lift that leaves the
+    ball runs off its rim and proves nothing: it is counted in
+    ``rim_lifts``.  On a complete cover a missing lift is a violation.
+    """
     violations = []
     base = cover.base_quiver
     ideal = cover.base_ideal
@@ -530,66 +522,32 @@ def check_covering(cover: CoverQuiver) -> CoverReport:
             violations.append("incoming arrows at %s do not match %s" % (v, x))
 
     # minimal-relation lifting at sources and targets (interior only)
+    rim_lifts = 0
     for rel in ideal.minimal_relations():
         for v in cover.total.vertices:
             if v not in cover.interior:
                 continue
-            if cover.vertex_map[v] == rel.source:
-                lift = _lift_relation_forward(cover, rel, v)
-                if lift is None:
+            for end, at_target, x in (("source", False, rel.source),
+                                      ("target", True, rel.target)):
+                if cover.vertex_map[v] != x:
+                    continue
+                try:
+                    lift = cover.lift_relation(rel, v, at_target)
+                except CoverError as exc:
+                    violations.append(str(exc))
+                    continue
+                if lift is None and not cover.complete:
+                    rim_lifts += 1
+                elif lift is None:
                     violations.append(
-                        "no source lift of %s at %s" % (rel.to_text(fld), v))
+                        "no %s lift of %s at %s" % (end, rel.to_text(fld), v))
                 elif not cover.total_ideal.contains(lift):
                     violations.append(
-                        "source lift of %s at %s is not in the lifted ideal"
-                        % (rel.to_text(fld), v))
-            if cover.vertex_map[v] == rel.target:
-                lift = _lift_relation_backward(cover, rel, v)
-                if lift is None:
-                    violations.append(
-                        "no target lift of %s at %s" % (rel.to_text(fld), v))
-                elif not cover.total_ideal.contains(lift):
-                    violations.append(
-                        "target lift of %s at %s is not in the lifted ideal"
-                        % (rel.to_text(fld), v))
+                        "%s lift of %s at %s is not in the lifted ideal"
+                        % (end, rel.to_text(fld), v))
 
     return CoverReport(not violations, violations, checked,
-                       len(cover.total.vertices) - checked)
-
-
-def _lift_relation_forward(cover, rel, start):
-    terms = []
-    for p, c in rel.terms:
-        lifted = cover.lift_path(p, start)
-        if lifted is None:
-            return None
-        terms.append((lifted, c))
-    targets = {p.target for p, _ in terms}
-    if len(targets) != 1:
-        return None
-    return make_relation(cover.total, cover.field, start, targets.pop(), terms)
-
-
-def _lift_relation_backward(cover, rel, end):
-    terms = []
-    for p, c in rel.terms:
-        arrows = []
-        cur = end
-        for name in reversed(p.arrows):
-            e = cover.arrow_over(cur, name, INVERSE)
-            if e is None:
-                return None
-            arrows.append(e.name)
-            cur = e.source
-        arrows.reverse()
-        if arrows:
-            terms.append((make_path(cover.total, arrows), c))
-        else:
-            terms.append((trivial_path(cover.total, cur), c))
-    sources = {p.source for p, _ in terms}
-    if len(sources) != 1:
-        return None
-    return make_relation(cover.total, cover.field, sources.pop(), end, terms)
+                       len(cover.total.vertices) - checked, rim_lifts)
 
 
 # -- Galois test ---------------------------------------------------------------
@@ -659,18 +617,22 @@ def _extend_deck_map(cover: CoverQuiver, anchor, image):
         return None
     # the map must send the lifted ideal into itself
     for rel in cover.relations:
-        moved_terms = []
-        for p, c in rel.terms:
-            if p.arrows:
-                moved_terms.append((make_path(cover.total,
-                                              tuple(amap[n] for n in p.arrows)), c))
-            else:
-                moved_terms.append((trivial_path(cover.total, vmap[p.source]), c))
-        moved = make_relation(cover.total, cover.field, vmap[rel.source],
-                              vmap[rel.target], moved_terms)
+        moved = _map_relation(rel, cover.total, cover.field, vmap, amap)
         if not cover.total_ideal.contains(moved):
             return None
     return DeckMap("deck_%s" % image, vmap, amap, True)
+
+
+def _map_relation(rel: Relation, quiver: Quiver, fld, vmap, amap) -> Relation:
+    """``rel`` renamed into ``quiver`` along a quiver map: vertices through
+    ``vmap`` and arrows through ``amap``."""
+    terms = []
+    for p, c in rel.terms:
+        if p.arrows:
+            terms.append((make_path(quiver, [amap[n] for n in p.arrows]), c))
+        else:
+            terms.append((trivial_path(quiver, vmap[p.source]), c))
+    return make_relation(quiver, fld, vmap[rel.source], vmap[rel.target], terms)
 
 
 # -- cover morphisms ------------------------------------------------------------
@@ -809,9 +771,9 @@ def _lift_automorphism(cov0: CoverQuiver, phi, h1: HomotopyRelation):
     """The morphism from cov0 to the universal cover of phi(I) = h1.ideal
     over the automorphism phi.
 
-    An arrow e over a is sent to the lift of each term of phi(a) from the
-    image of e's source; an arrow with a term that leaves the ball is
-    skipped and listed under "skipped_arrows".
+    An arrow e over a is sent to the lift of phi(a) from the image of e's
+    source; an arrow whose lift leaves the ball is skipped and listed
+    under "skipped_arrows".
     """
     fld = cov0.field
     base_images = as_path_automorphism(phi, cov0.base_quiver, fld).images
@@ -827,20 +789,17 @@ def _lift_automorphism(cov0: CoverQuiver, phi, h1: HomotopyRelation):
         over = cov1.arrow_over(start, base_name, FORWARD)
         if over is None or over.target != end:
             raise CoverError("lift of %s misses arrow %s" % (label, e.name))
-        terms = []
-        for p, c in base_images[base_name].terms:
-            lifted = cov1.lift_path(p, start)
-            if lifted is None:
-                skipped.append(e.name)
-                break
-            if lifted.target != end:
-                raise CoverError(
-                    "the lift of %s from %s ends at %s instead of %s although "
-                    "the pair is homotopic" % (p.to_text(), start,
-                                               lifted.target, end))
-            terms.append((lifted, c))
+        phi_a = base_images[base_name]
+        image = cov1.lift_relation(phi_a, start)
+        if image is None:
+            skipped.append(e.name)
+        elif image.target != end:
+            raise CoverError(
+                "the lift of %s from %s ends at %s instead of %s although "
+                "the pair is homotopic"
+                % (phi_a.to_text(fld), start, image.target, end))
         else:
-            images[e.name] = make_relation(cov1.total, fld, start, end, terms)
+            images[e.name] = image
 
     morphism = CoverMorphism(cov0, cov1, vmap, images, label)
     morphism.checks["squares"] = _verify_squares(morphism, base_images)

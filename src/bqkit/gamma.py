@@ -98,11 +98,11 @@ class ProbeResult:
     notes: list = dataclass_field(default_factory=list)     # schedule-exhausted logs
 
 
-def successor_probe(ideal: Ideal, h: HomotopyRelation, schedule=None,
+def successor_probe(ideal: Ideal, h: HomotopyRelation,
                     cache: _HomotopyCache = None) -> ProbeResult:
     """Try every bypass with alpha not~ u; one successor per bypass."""
     fld = ideal.field
-    schedule = schedule or tau_schedule(fld)
+    schedule = tau_schedule(fld)
     cache = cache or _HomotopyCache(h.base_point)
     res = ProbeResult()
     seen_keys = []
@@ -148,7 +148,7 @@ def successor_probe(ideal: Ideal, h: HomotopyRelation, schedule=None,
     return res
 
 
-def predecessor_probe(ideal: Ideal, h: HomotopyRelation, schedule=None,
+def predecessor_probe(ideal: Ideal, h: HomotopyRelation,
                       cache: _HomotopyCache = None) -> ProbeResult:
     """Try every bypass with alpha ~ u; candidates from coefficient ratios.
 
@@ -157,7 +157,7 @@ def predecessor_probe(ideal: Ideal, h: HomotopyRelation, schedule=None,
     re-probes from them.
     """
     fld = ideal.field
-    schedule = schedule or tau_schedule(fld)
+    schedule = tau_schedule(fld)
     cache = cache or _HomotopyCache(h.base_point)
     res = ProbeResult()
     seen_keys = []
@@ -192,18 +192,6 @@ def predecessor_probe(ideal: Ideal, h: HomotopyRelation, schedule=None,
                     "bypass (%s, %s): sigma=%s left the pair unresolved"
                     % (bypass.arrow, bypass.path.to_text(), fld.format(sigma)))
     return res
-
-
-def direct_successors(ideal: Ideal, schedule=None):
-    """(Transvection, image ideal, its homotopy relation) per direct successor."""
-    h = homotopy_relation(ideal)
-    return successor_probe(ideal, h, schedule).hits
-
-
-def direct_predecessors(ideal: Ideal, schedule=None):
-    """(Transvection, preimage ideal, its homotopy relation) per predecessor."""
-    h = homotopy_relation(ideal)
-    return predecessor_probe(ideal, h, schedule).hits
 
 
 @dataclass
@@ -309,11 +297,10 @@ class GammaQuiver:
         return violations
 
 
-def explore_gamma(ideal: Ideal, schedule=None) -> GammaQuiver:
+def explore_gamma(ideal: Ideal) -> GammaQuiver:
     """Closure of the input's homotopy relation under successors and
     predecessors, with fingerprint dedup; raises on Unknown contamination."""
     fld = ideal.field
-    schedule = schedule or tau_schedule(fld)
     cache = _HomotopyCache()
     h0 = cache.get(ideal)
     try:
@@ -343,7 +330,7 @@ def explore_gamma(ideal: Ideal, schedule=None) -> GammaQuiver:
 
     while queue:
         key, rep, h_rep = queue.popleft()
-        succ = successor_probe(rep, h_rep, schedule, cache)
+        succ = successor_probe(rep, h_rep, cache)
         diagnostics.extend(succ.inconclusive)
         for t, image, h_image in succ.hits:
             try:
@@ -355,7 +342,7 @@ def explore_gamma(ideal: Ideal, schedule=None) -> GammaQuiver:
             w = vertex_for(k_image, image, h_image)
             edges.setdefault((key, w.key),
                              GammaEdge(vertices[key].index, w.index, t, rep, image))
-        pred = predecessor_probe(rep, h_rep, schedule, cache)
+        pred = predecessor_probe(rep, h_rep, cache)
         diagnostics.extend(pred.inconclusive)
         for t, image, h_image in pred.hits:
             try:
@@ -411,8 +398,8 @@ class SurjectionResult:
     target_invariants: tuple
 
 
-def check_surjection(source_ideal: Ideal, target_ideal: Ideal,
-                     h_source=None, h_target=None) -> SurjectionResult:
+def check_surjection(source_ideal: Ideal,
+                     target_ideal: Ideal) -> SurjectionResult:
     """Does the identity on walks induce pi1(source) ->> pi1(target)?
 
     Confirmed when every generating pair of the source relation is
@@ -424,8 +411,8 @@ def check_surjection(source_ideal: Ideal, target_ideal: Ideal,
         raise GammaError("ideals live on different quivers")
     if source_ideal.field != target_ideal.field:
         raise GammaError("ideals live over different fields")
-    h_source = h_source or homotopy_relation(source_ideal)
-    h_target = h_target or homotopy_relation(target_ideal)
+    h_source = homotopy_relation(source_ideal)
+    h_target = homotopy_relation(target_ideal)
     src_inv = h_source.presentation.abelian_invariants
     tgt_inv = h_target.presentation.abelian_invariants
 
@@ -449,14 +436,14 @@ def check_surjection(source_ideal: Ideal, target_ideal: Ideal,
 
 
 def check_lemma_3_3_chain(source_ideal: Ideal, target_ideal: Ideal,
-                          gamma: GammaQuiver = None, schedule=None):
+                          gamma: GammaQuiver = None):
     """A chain of transvections (and possibly a final dilatation) carrying
     the source ideal to the target one along edges of the graph, with the
     successor condition certified at every step."""
     fld = source_ideal.field
-    schedule = schedule or tau_schedule(fld)
+    schedule = tau_schedule(fld)
     if gamma is None:
-        gamma = explore_gamma(source_ideal, schedule)
+        gamma = explore_gamma(source_ideal)
     cache = _HomotopyCache()
     h_target = cache.get(target_ideal)
     key_target = fingerprint_key(h_target)

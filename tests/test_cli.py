@@ -99,6 +99,22 @@ def test_cover_smash_lift_pipeline(capsys, tmp_path):
     assert payload["surjective"] is True
 
 
+def test_truncated_free_cover_exits_unknown(capsys, tmp_path):
+    # a tree cut off at the radius has relation lifts running off its rim:
+    # no violation, so the verdict is "truncated", not "refuted"
+    with open(f"{EXAMPLES}/twobypass.bq", encoding="utf-8") as fh:
+        text = fh.read()
+    src = tmp_path / "free.bq"
+    src.write_text(text + "ideal F over twobypass(0) { rel d*a; rel f*e*c*b; }\n")
+    code, out, _ = run(capsys, "cover", str(src), "--ideal", "F",
+                       "--radius", "4", "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["covering_ok"] is True
+    assert payload["violations"] == []
+    assert payload["rim_lifts"] > 0
+
+
 def test_examples_golden(capsys):
     code, out, _ = run(capsys, "examples")
     assert code == 0

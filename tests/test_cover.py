@@ -127,6 +127,45 @@ def test_check_covering_detects_mutation(ideal_I0):
     assert any("arrows at" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("radius", [2, 4, 6])
+def test_check_covering_counts_rim_lifts_on_free_cover(radius):
+    """On a truncated tree, relation lifts that run off the rim of the
+    ball are counted, not reported as violations."""
+    free = parse_source(TWO_BYPASS + "ideal F over twobypass(0) "
+                                     "{ rel d*a; rel f*e*c*b; }").ideal("F")
+    cov = universal_cover(free, radius=radius)
+    assert not cov.complete
+    report = check_covering(cov)
+    assert report.ok, report.violations
+    assert report.rim_lifts > 0
+
+
+def test_check_covering_reports_mismatched_lift_endpoints(exple1, ideal_J):
+    """The double cover of exple1 graded by deg(c) = 1 does not respect
+    J = <d*a - d*c*b>: from 1_0, d*a lifts to 4_0 but d*c*b to 4_1."""
+    arrows = []
+    for s, t in (("0", "1"), ("1", "0")):
+        arrows += [Arrow("a_" + s, "1_" + s, "3_" + s),
+                   Arrow("b_" + s, "1_" + s, "2_" + s),
+                   Arrow("c_" + s, "2_" + s, "3_" + t),
+                   Arrow("d_" + s, "3_" + s, "4_" + s)]
+    vertices = tuple("%s_%s" % (x, s) for x in exple1.vertices for s in "01")
+    total = Quiver("double", vertices, tuple(arrows))
+    from bqkit.cover import CoverQuiver
+    cov = CoverQuiver(total, ideal_J, {v: v[0] for v in vertices},
+                      {a.name: a.name[0] for a in arrows}, [], True, None,
+                      set(vertices), [], "custom")
+    with pytest.raises(CoverError, match="different vertices"):
+        cov.lift_relation(ideal_J.minimal_relations()[0], "1_0")
+    report = check_covering(cov)
+    assert not report.ok
+    assert any("different vertices" in v and v.endswith("from 1_0")
+               for v in report.violations)
+    assert any("different vertices" in v and v.endswith("from 4_0")
+               for v in report.violations)
+    assert not any(v.startswith("no ") for v in report.violations)
+
+
 def test_smash_product_z2(exple1, ideal_I):
     group = FiniteGroup.cyclic(2)
     grading = make_grading(exple1, group, {"a": "1"})

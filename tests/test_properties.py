@@ -113,7 +113,7 @@ def test_supports_collapse_when_bypass_becomes_homotopic():
 
 
 def test_successor_fingerprints_strictly_coarsen():
-    from bqkit.gamma import direct_successors
+    from bqkit.gamma import successor_probe
 
     rng = random.Random(41)
     seen = 0
@@ -122,7 +122,7 @@ def test_successor_fingerprints_strictly_coarsen():
         if not find_bypasses(ideal.quiver):
             continue
         h = homotopy_relation(ideal)
-        for t, image, h_image in direct_successors(ideal):
+        for t, image, h_image in successor_probe(ideal, h).hits:
             homotopic_before = {pair for pair, tag in h.fingerprint.items()
                                 if tag == HOMOTOPIC}
             homotopic_after = {pair for pair, tag in h_image.fingerprint.items()
