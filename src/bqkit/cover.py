@@ -352,16 +352,15 @@ class _Ball:
         return closed
 
 
-def universal_cover(ideal: Ideal, x0=None, radius=None,
-                    h: HomotopyRelation = None) -> CoverQuiver:
-    """The cover of certified walk classes out of the base point."""
+def universal_cover(ideal: Ideal, x0=None, radius=None) -> CoverQuiver:
+    """The cover of certified walk classes out of the base point, read
+    from the homotopy relation kept on the ideal (``homotopy_relation``)."""
     quiver = ideal.quiver
     if not quiver.is_connected():
         raise CoverError("universal cover needs a connected quiver")
     if radius is None:
         radius = default_radius(quiver)
-    if h is None:
-        h = homotopy_relation(ideal, x0)
+    h = homotopy_relation(ideal, x0)
     ball = _Ball(h, radius)
     complete = ball.grow()
 
@@ -769,7 +768,8 @@ def _image_relation(cov0: CoverQuiver, phi) -> HomotopyRelation:
 
 def _lift_automorphism(cov0: CoverQuiver, phi, h1: HomotopyRelation):
     """The morphism from cov0 to the universal cover of phi(I) = h1.ideal
-    over the automorphism phi.
+    over the automorphism phi.  That cover reads h1 back from the ideal
+    through ``homotopy_relation``.
 
     An arrow e over a is sent to the lift of phi(a) from the image of e's
     source; an arrow whose lift leaves the ball is skipped and listed
@@ -777,7 +777,7 @@ def _lift_automorphism(cov0: CoverQuiver, phi, h1: HomotopyRelation):
     """
     fld = cov0.field
     base_images = as_path_automorphism(phi, cov0.base_quiver, fld).images
-    cov1 = universal_cover(h1.ideal, h1.base_point, cov0.radius, h1)
+    cov1 = universal_cover(h1.ideal, h1.base_point, cov0.radius)
     label = phi.to_text(fld)
 
     vmap = _match_vertices_by_reps(cov0, cov1)

@@ -34,26 +34,29 @@ def tau_schedule(fld: Field):
 
 
 class _HomotopyCache:
-    """Per-exploration memo: one homotopy relation per distinct ideal,
-    and transvection images keyed by value (mirror probes recompute the
-    same ideals over and over)."""
+    """Per-exploration memo of transvection images keyed by value (mirror
+    probes recompute the same ideals over and over), with an intern table
+    that makes equal ideals one ``Ideal`` object.  ``homotopy_relation``
+    keeps a relation on the ideal object, so each distinct ideal of an
+    exploration builds one relation, and later readers of the interned
+    representatives (``check_surjection``, covers) build none."""
 
     def __init__(self, x0=None):
         self.x0 = x0
-        self._store = {}
+        self._ideals = {}
         self._images = {}
 
+    def intern(self, ideal: Ideal) -> Ideal:
+        return self._ideals.setdefault(ideal, ideal)
+
     def get(self, ideal: Ideal) -> HomotopyRelation:
-        h = self._store.get(ideal)
-        if h is None:
-            h = self._store[ideal] = homotopy_relation(ideal, self.x0)
-        return h
+        return homotopy_relation(self.intern(ideal), self.x0)
 
     def image(self, ideal: Ideal, t: Transvection) -> Ideal:
         key = (ideal, t.arrow, t.path, t.tau)
         image = self._images.get(key)
         if image is None:
-            image = self._images[key] = apply_automorphism(t, ideal)
+            image = self._images[key] = self.intern(apply_automorphism(t, ideal))
         return image
 
 
@@ -405,7 +408,9 @@ def check_surjection(source_ideal: Ideal,
     Confirmed when every generating pair of the source relation is
     certified homotopic under the target relation (well-definedness; the
     induced morphism is then onto because both groups are generated by
-    the same chord loops), plus the abelianized cokernel check.
+    the same chord loops), plus the abelianized cokernel check.  Both
+    relations come from ``homotopy_relation``, so on the representatives
+    of an explored graph none is built.
     """
     if source_ideal.quiver != target_ideal.quiver:
         raise GammaError("ideals live on different quivers")
@@ -511,7 +516,7 @@ def check_lemma_3_3_chain(source_ideal: Ideal, target_ideal: Ideal,
                     candidates.append(tau)
             for tau in candidates:
                 t = Transvection(bypass, tau)
-                image = apply_automorphism(t, current)
+                image = cache.image(current, t)
                 h_image = cache.get(image)
                 if _bypass_status(h_image, bypass) != HOMOTOPIC:
                     continue

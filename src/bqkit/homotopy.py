@@ -194,7 +194,16 @@ class SpanningTree:
 
 
 class HomotopyRelation:
-    """The homotopy relation of a bound quiver presentation."""
+    """The homotopy relation of a bound quiver presentation.
+
+    Constructing one always builds a fresh relation; ``homotopy_relation``
+    hands out the one kept on the ideal.  ``fingerprint`` maps every
+    pair (u, v) of parallel paths, u before v in the canonical order, to
+    its status (see ``_fingerprint``).  A relation from
+    ``homotopy_relation`` is shared by every caller that asks for the
+    same ideal and base point, so its ``fingerprint`` and its decision
+    memo are read-only.
+    """
 
     def __init__(self, ideal: Ideal, x0=None):
         self.ideal = ideal
@@ -214,6 +223,7 @@ class HomotopyRelation:
         self._decisions = {}
         self._path_classes = self._congruence_closure()
         self.fingerprint = self._fingerprint()
+        self._key = None  # see fingerprint_key
 
     # -- construction ------------------------------------------------------
 
@@ -687,8 +697,20 @@ def _expand_rewrite(before: Walk, i, y, x, pdst):
 
 
 def homotopy_relation(ideal: Ideal, x0=None) -> HomotopyRelation:
-    """Build the homotopy relation of (Q, I) based at x0."""
-    return HomotopyRelation(ideal, x0)
+    """The homotopy relation of (Q, I) based at x0 (by default the first
+    vertex), built once per (ideal, base point) and kept on the ideal.
+
+    Every caller gets the same object, so its ``fingerprint`` and its
+    decision memo must be treated as read-only; ``HomotopyRelation(ideal,
+    x0)`` builds a fresh one.  The ideal holds the relation by object,
+    not by value: an equal ideal built elsewhere builds its own.
+    """
+    if x0 is None:
+        x0 = ideal.quiver.vertices[0]
+    h = ideal._homotopy.get(x0)
+    if h is None:
+        h = ideal._homotopy[x0] = HomotopyRelation(ideal, x0)
+    return h
 
 
 EQUAL = "equal"
@@ -714,13 +736,17 @@ def relations_equal(h1: HomotopyRelation, h2: HomotopyRelation):
 
 
 def fingerprint_key(h: HomotopyRelation):
-    """Canonical hashable form of a fully certified fingerprint."""
-    quiver = h.quiver
-    items = []
-    for (u, v), tag in h.fingerprint.items():
-        if tag == UNKNOWN:
-            raise UnresolvedError(
-                "fingerprint contains an Unknown pair (%s, %s)" % (u, v))
-        items.append(((path_key(quiver, u), path_key(quiver, v)), tag))
-    items.sort()
-    return tuple(items)
+    """Canonical hashable form of a fully certified fingerprint, computed
+    once and kept on h.  A fingerprint with an Unknown pair raises
+    ``UnresolvedError`` on every call."""
+    if h._key is None:
+        quiver = h.quiver
+        items = []
+        for (u, v), tag in h.fingerprint.items():
+            if tag == UNKNOWN:
+                raise UnresolvedError(
+                    "fingerprint contains an Unknown pair (%s, %s)" % (u, v))
+            items.append(((path_key(quiver, u), path_key(quiver, v)), tag))
+        items.sort()
+        h._key = tuple(items)
+    return h._key

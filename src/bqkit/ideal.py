@@ -206,6 +206,7 @@ class Ideal:
         self._snapshot = None
         self._hash = None
         self._minimal = None
+        self._homotopy = {}  # base point -> relation, see homotopy_relation
 
     @property
     def radical_length(self) -> int:

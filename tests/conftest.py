@@ -56,9 +56,16 @@ def make_random_bound_quiver(rng, char=0, max_vertices=6):
     return close_ideal(quiver, fld, gens)
 
 
-def i0_chain(units):
-    """``units`` copies of twobypass/I0 glued end to end over Q: vertex 5
-    of one unit is vertex 1 of the next."""
+UNIT_RELATIONS = {
+    "I0": ("d{0}*a{0} + f{0}*e{0}*c{0}*b{0}", "f{0}*e{0}*a{0} + d{0}*c{0}*b{0}"),
+    "I2": ("d{0}*a{0}", "f{0}*e{0}*a{0} + d{0}*c{0}*b{0} - 2*f{0}*e{0}*c{0}*b{0}"),
+}
+
+
+def twobypass_chain(units, unit="I0", char=0):
+    """``units`` copies of twobypass with the ideal ``unit`` glued end to
+    end over the field of characteristic ``char``: vertex 5 of one unit
+    is vertex 1 of the next."""
     lines = ["quiver chain {",
              "  vertices: %s;" % " ".join(str(v) for v in range(1, 4 * units + 2))]
     rels = []
@@ -67,11 +74,10 @@ def i0_chain(units):
         for name, src, tgt in (("a", 1, 3), ("b", 1, 2), ("c", 2, 3),
                                ("d", 3, 5), ("e", 3, 4), ("f", 4, 5)):
             lines.append("  arrow %s%d: %s -> %s;" % (name, k, v[src], v[tgt]))
-        rels += ["d{0}*a{0} + f{0}*e{0}*c{0}*b{0}".format(k),
-                 "f{0}*e{0}*a{0} + d{0}*c{0}*b{0}".format(k)]
+        rels += [r.format(k) for r in UNIT_RELATIONS[unit]]
     lines.append("}")
-    lines.append("ideal I over chain(0) { %s }"
-                 % " ".join("rel %s;" % r for r in rels))
+    lines.append("ideal I over chain(%d) { %s }"
+                 % (char, " ".join("rel %s;" % r for r in rels)))
     return parse_source("\n".join(lines)).ideal("I")
 
 

@@ -60,7 +60,8 @@ def test_universal_cover_free_group_makes_no_decisions(monkeypatch):
         raise AssertionError("universal_cover asked for a homotopy decision")
 
     monkeypatch.setattr(HomotopyRelation, "decide", no_decisions)
-    cov = universal_cover(ideal, radius=6, h=h)
+    cov = universal_cover(ideal, radius=6)
+    assert cov._h is h
     expected = reduced_walk_count(ideal.quiver, ideal.quiver.vertices[0], 6)
     assert len(cov.total.vertices) == expected
     assert len(cov.total.arrows) == expected - 1

@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import FOUR_VERTEX, twobypass_chain
 
-from bqkit.dsl import parse_path
+from bqkit.dsl import parse_path, parse_source
 from bqkit.errors import GammaError
 from bqkit.gamma import (CONFIRMED, REFUTED, check_lemma_3_3_chain,
                          check_surjection, explore_gamma, find_sources,
                          predecessor_probe, successor_probe, tau_schedule)
-from bqkit.homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, homotopy_relation,
-                            fingerprint_key, relations_equal, EQUAL)
+from bqkit.homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, HomotopyRelation,
+                            homotopy_relation, fingerprint_key,
+                            relations_equal, EQUAL)
 from bqkit.ideal import close_ideal, ideals_equal, relation_of_path
 from bqkit.quiver import Bypass, find_bypasses
 from bqkit.transform import Dilatation, Transvection, apply_automorphism
@@ -226,9 +228,12 @@ def test_trichotomy_seeded_sample():
         checked += 1
 
 
-def test_unknown_contaminated_fingerprint_fails_loudly(ideal_I, monkeypatch):
+def test_unknown_contaminated_fingerprint_fails_loudly(monkeypatch):
     from bqkit.errors import GammaError
     from bqkit import homotopy as homotopy_mod
+
+    # a private copy: the poison writes into the relation kept on the ideal
+    ideal_I = parse_source(FOUR_VERTEX).ideal("I")
 
     real = homotopy_mod.fingerprint_key
 
@@ -273,3 +278,17 @@ def test_chain_over_char2(ws5):
     for step in chain:
         current = apply_automorphism(step, current)
     assert ideals_equal(current, i1)
+
+
+def test_surjection_checks_after_exploration_build_no_relation(monkeypatch):
+    """Exploration keeps one relation on each representative ideal, so
+    the surjection check along every edge reads those and builds none."""
+    gamma = explore_gamma(twobypass_chain(2, "I2", char=2))
+    assert (len(gamma.vertices), len(gamma.edges)) == (9, 12)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("check_surjection built a homotopy relation")
+
+    monkeypatch.setattr(HomotopyRelation, "__init__", no_build)
+    for e in gamma.edges:
+        assert check_surjection(e.source_rep, e.target_rep).status == CONFIRMED

@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from conftest import i0_chain
+from conftest import twobypass_chain
 
 from bqkit import homotopy
 from bqkit.dsl import parse_path, parse_quiver, parse_walk
-from bqkit.errors import HomotopyError
+from bqkit.errors import HomotopyError, UnresolvedError
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             GroupPresentation, abelianization,
                             fingerprint_key, homotopy_relation,
@@ -163,7 +163,7 @@ def test_abelian_invariants_independent_of_base_point(ideal_I0):
 
 def test_relations_equal(h_I, h_J, ideal_I, exple1):
     assert relations_equal(h_I, h_I) == (EQUAL, None)
-    again = homotopy_relation(ideal_I)
+    again = homotopy.HomotopyRelation(ideal_I)
     assert relations_equal(h_I, again) == (EQUAL, None)
     status, witness = relations_equal(h_I, h_J)
     assert status == DIFFERENT
@@ -179,9 +179,28 @@ def test_relations_equal_quiver_mismatch(h_I, ideal_I0):
 
 def test_fingerprint_key_is_canonical(ideal_I, ideal_J):
     k1 = fingerprint_key(homotopy_relation(ideal_I))
-    k2 = fingerprint_key(homotopy_relation(ideal_I))
+    k2 = fingerprint_key(homotopy.HomotopyRelation(ideal_I))
     assert k1 == k2
+    assert fingerprint_key(homotopy_relation(ideal_I)) is k1
     assert k1 != fingerprint_key(homotopy_relation(ideal_J))
+
+
+def test_homotopy_relation_is_kept_per_base_point(ideal_I0):
+    x0, x1 = ideal_I0.quiver.vertices[:2]
+    h = homotopy_relation(ideal_I0)
+    assert homotopy_relation(ideal_I0, x0) is h
+    assert homotopy_relation(ideal_I0, x1) is not h
+    assert homotopy_relation(ideal_I0, x1).base_point == x1
+    assert homotopy.HomotopyRelation(ideal_I0) is not h
+
+
+def test_unknown_fingerprint_raises_on_every_call(ideal_J):
+    """The failure is not kept: a second call raises as the first did."""
+    h = homotopy.HomotopyRelation(ideal_J)
+    h.fingerprint[next(iter(h.fingerprint))] = homotopy.UNKNOWN
+    for _ in range(2):
+        with pytest.raises(UnresolvedError, match="Unknown pair"):
+            fingerprint_key(h)
 
 
 def test_disconnected_quiver_rejected(rationals):
@@ -207,7 +226,7 @@ def test_congruence_property_seeded(ideal_J, exple1):
 
 def test_spanning_tree_deterministic(ideal_I0):
     h1 = homotopy_relation(ideal_I0)
-    h2 = homotopy_relation(ideal_I0)
+    h2 = homotopy.HomotopyRelation(ideal_I0)
     assert h1.tree.chords == h2.tree.chords
     assert h1.tree.chords == ("c", "f")
 
@@ -244,7 +263,8 @@ def test_coset_action_decides_when_the_search_cannot(monkeypatch, ideal_J,
     Z2 * Z2 is infinite, the coset enumeration hits its cap and the pair
     stays Unknown."""
     monkeypatch.setattr(homotopy, "DEFAULT_MAX_STATES", 0)
-    h = homotopy_relation(ideal_J)
+    # a fresh relation, with no decision memoized under the default cap
+    h = homotopy.HomotopyRelation(ideal_J)
     a = parse_walk(exple1, "a")
     cb = parse_walk(exple1, "c*b")
     for want_chain in (False, True):
@@ -252,7 +272,7 @@ def test_coset_action_decides_when_the_search_cannot(monkeypatch, ideal_J,
         assert d.is_homotopic and d.chain is None
         assert d.certificate["kind"] == "coset-trivial"
 
-    chain2 = i0_chain(2)
+    chain2 = twobypass_chain(2)
     h2 = homotopy_relation(chain2)
     u = parse_walk(chain2.quiver, "d0^-1*b1^-1*c1^-1*a1*f0*e0*a0")
     v = parse_walk(chain2.quiver, "e0^-1*f0^-1*b1^-1*c1^-1*a1*d0*a0")

@@ -23,7 +23,7 @@ import random
 from importlib import resources
 
 import pytest
-from conftest import i0_chain, make_random_bound_quiver
+from conftest import make_random_bound_quiver, twobypass_chain
 
 from bqkit.disjoint_sets import DisjointSets
 from bqkit.dsl import parse_source
@@ -320,7 +320,7 @@ def test_loop_insertion_matches_split_rewrites_on_random_quivers():
 def test_loop_insertion_matches_split_rewrites_on_i0_chains():
     rng = random.Random(4)
     for units in (1, 2):
-        h = homotopy_relation(i0_chain(units))
+        h = homotopy_relation(twobypass_chain(units))
         assert h._replacement_patterns()
         walks = [random_reduced_walk(h.quiver, rng, length)
                  for length in range(0, 11) for _ in range(2)]
@@ -334,7 +334,7 @@ def test_loop_insertion_search_matches_split_search():
     """Same decisions, chains included, on two-unit I0 walk pairs: u, and
     u with two loops p * q^-1 (p != q, from one minimal relation each)
     inserted."""
-    ideal = i0_chain(2)
+    ideal = twobypass_chain(2)
     loops = {}
     for rel in ideal.minimal_relations():
         loops.setdefault(rel.source, []).append(rel.support())
@@ -397,7 +397,7 @@ def pairwise_fingerprint(h):
 
 
 def test_class_fingerprint_matches_pairwise_fingerprint():
-    ideals = list(all_ideals()) + [i0_chain(units) for units in (1, 2, 3)]
+    ideals = list(all_ideals()) + [twobypass_chain(units) for units in (1, 2, 3)]
     for ideal in ideals:
         h = HomotopyRelation(ideal)
         expected = list(pairwise_fingerprint(h).items())
