@@ -127,7 +127,7 @@ def cmd_homotopic(args):
     if d.status == NOT_HOMOTOPIC:
         print("NotHomotopic (certificate: %s)" % d.certificate["kind"])
         return EXIT_REFUTED
-    print("Unknown (caps exhausted)")
+    print("Unknown (the %s cap ended the search)" % d.cap)
     return EXIT_UNKNOWN
 
 

@@ -72,12 +72,14 @@ class Decision:
     For a homotopic pair, ``chain`` replays elementary moves from u to v;
     it is None when the positive answer was certified through a completed
     coset action instead (finite fundamental group), in which case the
-    certificate describes the table.
+    certificate describes the table.  For an Unknown pair, ``cap`` names
+    the cap that ended the search: "max_states" or "walk_length".
     """
 
     status: str
     chain: tuple | None = ()
     certificate: dict | None = None
+    cap: str | None = None
 
     @property
     def is_homotopic(self):
@@ -428,12 +430,14 @@ class HomotopyRelation:
     def _decide(self, u, v, cap, want_chain):
         """The certifiers, each tried only when those before it gave no
         verdict: 1. free; 2. abelianization; 3. coset action, when no
-        chain is wanted; 4. search (``_bfs``); 5. coset action; 6. Unknown.
+        chain is wanted; 4. search (``_bfs``); 5. coset action; 6. Unknown,
+        with the cap that ended the search.
 
         The coset action decides both ways once pi1 is enumerated within
         its cap, but its Homotopic answer has no chain, so the search
         comes first when a chain is wanted.  The table is enumerated
-        once, so step 5 after step 3 would repeat it and is skipped.
+        once, so step 5 after step 3 would repeat it and is skipped; it
+        is not enumerated at all when pi1 has free rank > 0.
         """
         u_red = u.reduced()
         v_red = v.reduced()
@@ -461,16 +465,18 @@ class HomotopyRelation:
             return Decision(NOT_HOMOTOPIC, (), cert)
 
         if want_chain:
-            found = self._bfs(u_red, v_red, cap, True)
+            found, stop = self._bfs(u_red, v_red, cap, True)
             if found is not None:
                 chain = glue_u + found + _invert_steps(v, glue_v)
                 return Decision(HOMOTOPIC, chain)
         verdict = self._coset_verdict(u_red, v_red)
         if verdict is not None:
             return verdict
-        if not want_chain and self._bfs(u_red, v_red, cap, False) is not None:
-            return Decision(HOMOTOPIC, ())
-        return Decision(UNKNOWN)
+        if not want_chain:
+            found, stop = self._bfs(u_red, v_red, cap, False)
+            if found is not None:
+                return Decision(HOMOTOPIC, ())
+        return Decision(UNKNOWN, cap=stop)
 
     def _coset_verdict(self, u_red, v_red):
         """Full decision through the regular coset action, if it completed."""
@@ -494,7 +500,11 @@ class HomotopyRelation:
     @cached_property
     def _cosets(self):
         """The completed coset table of pi1, or None at the coset cap;
-        enumerated on first use."""
+        enumerated on first use.  A completed table means pi1 is finite,
+        so when the abelianization has free rank > 0 the enumeration is
+        skipped and the answer is None."""
+        if self.presentation.abelian_invariants[0]:
+            return None
         relators = [self._signed_word(r) for r in self.presentation.relators]
         table = coset.enumerate_cosets(len(self.presentation.generators),
                                        relators)
@@ -510,25 +520,39 @@ class HomotopyRelation:
         exactly when it is a product of conjugates of relators
         (Lyndon and Schupp 1977, ch. IV), so these moves reach every
         homotopic walk and the search is complete up to the caps.
-        Returns the elementary expansion of the found move sequence, or
-        None once more than ``DEFAULT_MAX_STATES`` walks are seen or none
-        is left.
+
+        The search runs on coded letters (see ``_alphabet``): a walk is
+        the tuple of its letter codes, arrow k (1-based, in declaration
+        order) being k forward and -k inverse, and only the walks on the
+        found path are decoded.  The moves, their order (rules in order,
+        then visits in order) and the per-walk dedup are those of the
+        loop-insertion search on ``Walk`` letters, so coding the letters
+        changes neither the walks visited nor the chains returned.
+
+        Returns ``(chain, None)``, with the elementary expansion of the
+        found move sequence (``()`` when no chain is wanted), or
+        ``(None, cap)`` naming the cap that ended the search:
+        "max_states" once more than ``DEFAULT_MAX_STATES`` walks are
+        seen, "walk_length" when no walk within the length cap is left.
         """
         if len(start.letters) > cap or len(goal.letters) > cap:
             cap = max(cap, len(start.letters), len(goal.letters))
-        seen = {start: None}
-        queue = deque([start])
+        source = start.source
+        first = self._encode(start.letters)
+        last = self._encode(goal.letters)
+        seen = {first: None}
+        queue = deque([first])
         while queue:
             if len(seen) > DEFAULT_MAX_STATES:
-                return None
+                return None, "max_states"
             w = queue.popleft()
-            for nxt, move in self._rewrites(w, cap):
+            for nxt, move in self._rewrites(source, w, cap):
                 if nxt in seen:
                     continue
                 seen[nxt] = (w, move)
-                if nxt == goal:
+                if nxt == last:
                     if not want_chain:
-                        return ()
+                        return (), None
                     moves = []
                     cur = nxt
                     while seen[cur] is not None:
@@ -538,18 +562,43 @@ class HomotopyRelation:
                     moves.reverse()
                     chain = []
                     for prev, mv in moves:
-                        chain.extend(_expand_rewrite(prev, *mv))
-                    return tuple(chain)
+                        chain.extend(_expand_rewrite(
+                            self._decode(source, prev), *mv))
+                    return tuple(chain), None
                 queue.append(nxt)
-        return None
+        return None, "walk_length"
+
+    @cached_property
+    def _alphabet(self):
+        """The letter codes of the search: arrow k (1-based, in
+        declaration order) forward is k and inverse is -k.  Returns the
+        maps code -> letter, letter -> code and code -> the vertex the
+        letter ends at."""
+        letters = {}
+        ends = {}
+        for k, a in enumerate(self.quiver.arrows, 1):
+            letters[k], ends[k] = (a.name, FORWARD), a.target
+            letters[-k], ends[-k] = (a.name, INVERSE), a.source
+        codes = {letter: c for c, letter in letters.items()}
+        return letters, codes, ends
+
+    def _encode(self, letters):
+        codes = self._alphabet[1]
+        return tuple(codes[letter] for letter in letters)
+
+    def _decode(self, source, word) -> Walk:
+        letters, _, ends = self._alphabet
+        return Walk(source, ends[word[-1]] if word else source,
+                    tuple(letters[c] for c in word))
 
     @cached_property
     def _insertion_rules(self):
         """The moves of the search, built on first use: one
         ``(anchor vertex, loop, move)`` per pattern p -> q and cut
-        p = y * x, where the loop is the reduced y^-1 * q * x^-1 at the
-        vertex between y and x, in pattern order then cut order, keeping
-        the first of any repeated (vertex, loop).
+        p = y * x, where the loop is the coded reduced y^-1 * q * x^-1
+        at the vertex between y and x, in pattern order then cut order,
+        keeping the first of any repeated (vertex, loop).  The move
+        ``(y, x, q)`` is kept in ``Walk`` letters for ``_expand_rewrite``.
 
         Inserting the loop at a visit of its anchor and reducing is the
         move "insert a cyclic relator loop at a vertex, then reduce".
@@ -571,33 +620,55 @@ class HomotopyRelation:
                     a = quiver.arrow(name)
                     anchor = a.target if d == FORWARD else a.source
                 y, x = psrc[:cut], psrc[cut:]
-                loop = _free_reduce_word(
-                    _invert_word(y) + pdst + _invert_word(x))
+                loop = self._encode(_free_reduce_word(
+                    _invert_word(y) + pdst + _invert_word(x)))
                 if (anchor, loop) not in seen:
                     seen.add((anchor, loop))
                     rules.append((anchor, loop, (y, x, pdst)))
         return tuple(rules)
 
-    def _rewrites(self, w: Walk, cap):
-        """The distinct walks, other than w and at most cap long, that one
-        rule of ``_insertion_rules`` makes from w, each with its move
-        ``(position, y, x, q)`` for ``_expand_rewrite``."""
-        quiver = self.quiver
-        letters = w.letters
-        visits = {w.source: [0]}
-        for i, (name, d) in enumerate(letters, 1):
-            a = quiver.arrow(name)
-            visits.setdefault(a.target if d == FORWARD else a.source,
-                              []).append(i)
+    def _rewrites(self, source, w, cap):
+        """The distinct coded walks, other than the coded walk w from
+        source and at most cap long, that one rule of
+        ``_insertion_rules`` makes from w, each with its move
+        ``(position, y, x, q)`` for ``_expand_rewrite``.
+
+        w and the loop are reduced, so letters cancel only at the two
+        joins, and once the loop is used up, across it between the
+        letters of w on either side.  The cancellations are counted by
+        index first, and only a result within the cap is built.
+        """
+        ends = self._alphabet[2]
+        visits = {source: [0]}
+        for i, c in enumerate(w, 1):
+            visits.setdefault(ends[c], []).append(i)
+        n = len(w)
         produced = set()
         for anchor, loop, move in self._insertion_rules:
-            for i in visits.get(anchor, ()):
-                # walk and loop are reduced: cancel only at the two joins
-                new = _join(_join(letters[:i], loop), letters[i:])
-                if len(new) > cap or new in produced:
+            at = visits.get(anchor)
+            if at is None:
+                continue
+            m = len(loop)
+            for i in at:
+                # the result is w[:a] + loop[s:e] + w[b:]
+                s = 0
+                while s < m and s < i and w[i - 1 - s] == -loop[s]:
+                    s += 1
+                a, e, b = i - s, m, i
+                while e > s and b < n and loop[e - 1] == -w[b]:
+                    e -= 1
+                    b += 1
+                if e == s:
+                    while a and b < n and w[a - 1] == -w[b]:
+                        a -= 1
+                        b += 1
+                if a + e - s + n - b > cap:
+                    continue
+                new = w[:a] + loop[s:e] + w[b:]
+                if new in produced:
                     continue
                 produced.add(new)
-                yield Walk(w.source, w.target, new), (i,) + move
+                yield new, (i,) + move
 
 
 def _member_pairs(first, second):
@@ -608,16 +679,6 @@ def _member_pairs(first, second):
         for j in first if i in in_second else second:
             if j > i:
                 yield i, j
-
-
-def _join(left, right):
-    """Reduced form of left + right for reduced letter tuples."""
-    k = 0
-    n = min(len(left), len(right))
-    while (k < n and left[-1 - k][0] == right[k][0]
-           and left[-1 - k][1] == -right[k][1]):
-        k += 1
-    return left[:len(left) - k] + right[k:]
 
 
 def _reduction_steps(walk: Walk):

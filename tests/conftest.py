@@ -62,10 +62,11 @@ UNIT_RELATIONS = {
 }
 
 
-def twobypass_chain(units, unit="I0", char=0):
-    """``units`` copies of twobypass with the ideal ``unit`` glued end to
-    end over the field of characteristic ``char``: vertex 5 of one unit
-    is vertex 1 of the next."""
+def twobypass_chain_text(units, unit="I0", char=0):
+    """Source text of ``units`` copies of twobypass with the ideal
+    ``unit`` glued end to end over the field of characteristic ``char``,
+    as quiver ``chain`` and ideal ``I``: vertex 5 of one unit is vertex 1
+    of the next."""
     lines = ["quiver chain {",
              "  vertices: %s;" % " ".join(str(v) for v in range(1, 4 * units + 2))]
     rels = []
@@ -78,7 +79,12 @@ def twobypass_chain(units, unit="I0", char=0):
     lines.append("}")
     lines.append("ideal I over chain(%d) { %s }"
                  % (char, " ".join("rel %s;" % r for r in rels)))
-    return parse_source("\n".join(lines)).ideal("I")
+    return "\n".join(lines)
+
+
+def twobypass_chain(units, unit="I0", char=0):
+    """The ideal of ``twobypass_chain_text``."""
+    return parse_source(twobypass_chain_text(units, unit, char)).ideal("I")
 
 
 FOUR_VERTEX = """

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import twobypass_chain_text
 
 from bqkit.cli import compute_example_report, cover_to_text, main
 from bqkit.cover import universal_cover
@@ -46,6 +47,18 @@ def test_homotopic_exit_codes(capsys):
                        "--ideal", "I", "a", "c*b")
     assert code == 1
     assert "NotHomotopic" in out
+
+
+def test_homotopic_unknown_names_the_cap(capsys, tmp_path):
+    # pi1 of two glued I0 units is Z2 * Z2: no certifier decides this
+    # pair, and the search runs out of walks within the length cap
+    src = tmp_path / "chain.bq"
+    src.write_text(twobypass_chain_text(2))
+    code, out, _ = run(capsys, "homotopic", str(src), "--ideal", "I",
+                       "--cap", "1", "d0^-1*b1^-1*c1^-1*a1*f0*e0*a0",
+                       "e0^-1*f0^-1*b1^-1*c1^-1*a1*d0*a0")
+    assert code == 2
+    assert out == "Unknown (the walk_length cap ended the search)\n"
 
 
 def test_gamma_and_source(capsys, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from conftest import twobypass_chain
 
 from bqkit import homotopy
-from bqkit.dsl import parse_path, parse_quiver, parse_walk
+from bqkit.dsl import parse_path, parse_quiver, parse_source, parse_walk
 from bqkit.errors import HomotopyError, UnresolvedError
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             GroupPresentation, abelianization,
@@ -292,3 +292,95 @@ def test_chain_wanted_after_a_chainless_decision(ideal_J, exple1):
     d = h.decide(a, cb, want_chain=True)
     assert d.is_homotopic and d.chain
     replay(d.chain, a, cb)
+
+
+DIHEDRAL_PAIR = ("d0^-1*b1^-1*c1^-1*a1*f0*e0*a0",
+                 "e0^-1*f0^-1*b1^-1*c1^-1*a1*d0*a0")
+
+
+def test_unknown_names_the_cap_that_ended_the_search(monkeypatch):
+    """On two glued I0 units no certifier decides the pair of ROADMAP
+    item 4, and the Unknown answer says which cap ended the search."""
+    chain2 = twobypass_chain(2)
+    u, v = (parse_walk(chain2.quiver, text) for text in DIHEDRAL_PAIR)
+    for want_chain in (False, True):
+        d = homotopy.HomotopyRelation(chain2).decide(
+            u, v, cap=1, want_chain=want_chain)
+        assert d.is_unknown and d.cap == "walk_length"
+    monkeypatch.setattr(homotopy, "DEFAULT_MAX_STATES", 0)
+    for want_chain in (False, True):
+        d = homotopy.HomotopyRelation(chain2).decide(
+            u, v, want_chain=want_chain)
+        assert d.is_unknown and d.cap == "max_states"
+    # a decided pair names no cap
+    h = homotopy.HomotopyRelation(chain2)
+    assert h.decide(u, u).cap is None
+
+
+FREE_RANK_ONE = """
+quiver ext {
+  vertices: 1 2 3 4 5;
+  arrow a: 1 -> 3;
+  arrow b: 1 -> 2;
+  arrow c: 2 -> 3;
+  arrow d: 3 -> 4;
+  arrow g: 1 -> 5;
+  arrow h: 5 -> 4;
+}
+ideal J over ext(0) { rel d*a - d*c*b; }
+"""
+
+
+def test_coset_enumeration_skipped_on_an_infinite_group(monkeypatch):
+    """exple1's J with a free cycle g, h added: pi1 = <c, h | c> has
+    relators and free rank 1, so it is infinite and a chainless decision
+    that the abelianization leaves open goes from step 3 to the search
+    without enumerating cosets."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset enumeration on an infinite group")
+
+    monkeypatch.setattr(homotopy.coset, "enumerate_cosets", refuse)
+    ideal = parse_source(FREE_RANK_ONE).ideal("J")
+    h = homotopy.HomotopyRelation(ideal)
+    assert h.presentation.relators
+    assert h.presentation.abelian_invariants[0] == 1
+    a = parse_walk(ideal.quiver, "a")
+    cb = parse_walk(ideal.quiver, "c*b")
+    assert not any(h.abelian_image(a, cb))
+    d = h.decide(a, cb, want_chain=False)
+    assert d.is_homotopic and d.certificate is None
+    assert h._cosets is None
+
+
+def test_insertion_cancels_across_a_used_up_loop():
+    """Walks x * L1^-1 * L2^-1 * x^-1, where L = L1 * L2 is the loop of
+    an insertion rule and x a letter, so that inserting L between L1^-1
+    and L2^-1 cancels the loop completely, L1 against the letters before
+    it and L2 against those after it (L1 or L2 may be empty), and then
+    x against x^-1 across it.  Every result of the rule equals the free
+    reduction of the raw concatenation."""
+    h = homotopy.HomotopyRelation(twobypass_chain(2))
+    letters, _, ends = h._alphabet
+    cases = set()
+    for anchor, loop, move in h._insertion_rules:
+        h.__dict__["_insertion_rules"] = ((anchor, loop, move),)
+        m = len(loop)
+        inverse = [-c for c in reversed(loop)]
+        for k in range(m + 1):
+            middle = tuple(inverse[m - k:] + inverse[:m - k])
+            for x in letters:
+                w = (x,) + middle + (-x,)
+                source = ends[-x]
+                walk = h._decode(source, w)
+                starts = [ends[-c] for c in w]
+                if (starts[1:] != [ends[c] for c in w[:-1]]
+                        or not walk.is_reduced()):
+                    continue
+                results = list(h._rewrites(source, w, 4 * m))
+                # inserted at 1 + k, or at an earlier visit of the anchor
+                assert () in [new for new, _ in results]
+                for new, (i, *_) in results:
+                    raw = h._decode(source, w[:i] + loop + w[i:])
+                    assert h._decode(source, new) == raw.reduced()
+                cases.add("all" if k in (0, m) else "split")
+    assert cases == {"all", "split"}

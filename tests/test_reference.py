@@ -300,12 +300,18 @@ def random_reduced_walk(quiver, rng, length, start=None):
     return Walk(source, at, tuple(letters))
 
 
+def coded_rewrites(h, w, cap):
+    """``h._rewrites`` on the coded walk w, its results decoded."""
+    for nxt, move in h._rewrites(w.source, h._encode(w.letters), cap):
+        yield h._decode(w.source, nxt), move
+
+
 def assert_same_rewrites(h, walks):
     for w in walks:
         assert w.is_reduced()
         for cap in sorted({len(w), len(w) + 1, len(w) + 4, h.default_cap}):
             expected = list(split_rewrites(h, w, cap))
-            assert list(h._rewrites(w, cap)) == expected, (w, cap)
+            assert list(coded_rewrites(h, w, cap)) == expected, (w, cap)
 
 
 def test_loop_insertion_matches_split_rewrites_on_random_quivers():
@@ -357,11 +363,22 @@ def test_loop_insertion_search_matches_split_search():
         pairs.append((u, Walk(u.source, u.target, letters)))
     new = HomotopyRelation(ideal)
     ref = HomotopyRelation(ideal)
-    ref._rewrites = lambda w, cap: split_rewrites(ref, w, cap)
+    expanded = []
+
+    def reference_rewrites(source, w, cap):
+        # the search runs on coded walks: decode each one for the split
+        # enumeration and encode what it yields
+        expanded.append(w)
+        for nxt, move in split_rewrites(ref, ref._decode(source, w), cap):
+            yield ref._encode(nxt.letters), move
+
+    ref._rewrites = reference_rewrites
     for u, v in pairs:
         d = new.decide(u, v, want_chain=True)
         assert d.is_homotopic and d.chain
+        expanded.clear()
         assert d == ref.decide(u, v, want_chain=True)
+        assert expanded  # the reference search ran
 
 
 def pairwise_fingerprint(h):
