@@ -14,8 +14,8 @@ from .dsl import parse_quiver, parse_path, parse_source, parse_walk
 from .ideal import (Ideal, Relation, close_ideal, decompose_minimal,
                     ideals_equal, is_constricted, make_relation,
                     support_equivalence)
-from .homotopy import (GroupPresentation, HomotopyRelation, abelianization,
-                       homotopy_relation, relations_equal)
+from .homotopy import (GroupPresentation, HomotopyRelation, homotopy_relation,
+                       relations_equal)
 from .transform import (Derivation, Dilatation, PathAutomorphism, Transvection,
                         apply_automorphism, compose, decompose_DT,
                         exp_derivation, log_unipotent)

@@ -27,7 +27,8 @@ from .ideal import (Ideal, Relation, add_relations, close_ideal, ideals_equal,
 from .quiver import (FORWARD, INVERSE, Arrow, Path, Quiver, Walk, make_path,
                      trivial_path, trivial_walk, walk_of_path)
 from .transform import (Dilatation, Transvection, apply_automorphism,
-                        as_path_automorphism, compose, identity_automorphism)
+                        as_path_automorphism, identity_automorphism,
+                        recompose_DT)
 
 
 def default_radius(quiver: Quiver) -> int:
@@ -102,13 +103,6 @@ class Grading:
         g = self.group.identity
         for name in path.arrows:
             g = self.group.mul(self.degree(name), g)
-        return g
-
-    def walk_degree(self, walk: Walk):
-        g = self.group.identity
-        for name, d in walk.letters:
-            step = self.degree(name) if d == FORWARD else self.group.inv(self.degree(name))
-            g = self.group.mul(step, g)
         return g
 
 
@@ -754,7 +748,10 @@ def lift_transvection(cov0: CoverQuiver, t: Transvection) -> CoverMorphism:
         raise CoverError("the construction needs the arrow homotopic to its "
                          "bypass path in the image")
     morphism = _lift_automorphism(cov0, t, h1)
-    morphism.checks["kernel_abelianized"] = _kernel_report(cov0._h, h1)
+    morphism.checks["kernel_abelianized"] = {
+        "source_invariants": cov0._h.presentation.abelian_invariants,
+        "target_invariants": h1.presentation.abelian_invariants,
+    }
     return morphism
 
 
@@ -766,61 +763,64 @@ def _image_relation(cov0: CoverQuiver, phi) -> HomotopyRelation:
     return homotopy_relation(image_ideal, cov0._h.base_point)
 
 
-def _lift_automorphism(cov0: CoverQuiver, phi, h1: HomotopyRelation):
-    """The morphism from cov0 to the universal cover of phi(I) = h1.ideal
-    over the automorphism phi.  That cover reads h1 back from the ideal
-    through ``homotopy_relation``.
+def _cover_morphism(source: CoverQuiver, target: CoverQuiver, vmap,
+                    base_images, label) -> CoverMorphism:
+    """The morphism from ``source`` to ``target`` that is ``vmap`` on the
+    vertices and lies over the base map with arrow images ``base_images``.
 
-    An arrow e over a is sent to the lift of phi(a) from the image of e's
-    source; an arrow whose lift leaves the ball is skipped and listed
-    under "skipped_arrows".
+    An arrow e over a is sent to the lift of base_images[a] from the image
+    of e's source; an arrow whose lift leaves the ball is skipped and
+    listed under "skipped_arrows".
     """
-    fld = cov0.field
-    base_images = as_path_automorphism(phi, cov0.base_quiver, fld).images
-    cov1 = universal_cover(h1.ideal, h1.base_point, cov0.radius)
-    label = phi.to_text(fld)
-
-    vmap = _match_vertices_by_reps(cov0, cov1)
     images = {}
     skipped = []
-    for e in cov0.total.arrows:
+    for e in source.total.arrows:
         start, end = vmap[e.source], vmap[e.target]
-        base_name = cov0.arrow_map[e.name]
-        over = cov1.arrow_over(start, base_name, FORWARD)
+        base_name = source.arrow_map[e.name]
+        over = target.arrow_over(start, base_name, FORWARD)
         if over is None or over.target != end:
-            raise CoverError("lift of %s misses arrow %s" % (label, e.name))
-        phi_a = base_images[base_name]
-        image = cov1.lift_relation(phi_a, start)
+            raise CoverError("the morphism over %s misses arrow %s"
+                             % (label, e.name))
+        base_image = base_images[base_name]
+        image = target.lift_relation(base_image, start)
         if image is None:
             skipped.append(e.name)
         elif image.target != end:
             raise CoverError(
                 "the lift of %s from %s ends at %s instead of %s although "
                 "the pair is homotopic"
-                % (phi_a.to_text(fld), start, image.target, end))
+                % (base_image.to_text(source.field), start, image.target, end))
         else:
             images[e.name] = image
 
-    morphism = CoverMorphism(cov0, cov1, vmap, images, label)
+    morphism = CoverMorphism(source, target, vmap, images, label)
     morphism.checks["squares"] = _verify_squares(morphism, base_images)
     morphism.checks["relations"] = _verify_ideal_mapped(morphism)
-    pairs = list(zip(cov0.action, cov1.action))
-    morphism.checks["equivariance"] = _verify_equivariance(morphism, pairs)
     morphism.checks["skipped_arrows"] = skipped
     morphism.checks["fiber_sizes"] = morphism.fiber_sizes()
     return morphism
 
 
-def _kernel_report(h0: HomotopyRelation, h1: HomotopyRelation):
-    return {
-        "source_invariants": h0.presentation.abelian_invariants,
-        "target_invariants": h1.presentation.abelian_invariants,
-    }
+def _lift_automorphism(cov0: CoverQuiver, phi, h1: HomotopyRelation):
+    """The morphism from cov0 to the universal cover of phi(I) = h1.ideal
+    over the automorphism phi (see ``_cover_morphism``), matching walk
+    classes by their representatives.  That cover reads h1 back from the
+    ideal through ``homotopy_relation``."""
+    fld = cov0.field
+    cov1 = universal_cover(h1.ideal, h1.base_point, cov0.radius)
+    morphism = _cover_morphism(
+        cov0, cov1, _match_vertices_by_reps(cov0, cov1),
+        as_path_automorphism(phi, cov0.base_quiver, fld).images,
+        phi.to_text(fld))
+    pairs = list(zip(cov0.action, cov1.action))
+    morphism.checks["equivariance"] = _verify_equivariance(morphism, pairs)
+    return morphism
 
 
 def factor_through_cover(univ: CoverQuiver, target: CoverQuiver) -> CoverMorphism:
     """The projection of the universal cover onto any complete cover of the
-    same bound quiver, by walk lifting from a fixed fiber point."""
+    same bound quiver, by walk lifting from a fixed fiber point: the
+    morphism over the identity (see ``_cover_morphism``)."""
     if univ.kind != "universal":
         raise CoverError("factorization starts from a universal cover")
     if not target.complete:
@@ -849,25 +849,8 @@ def factor_through_cover(univ: CoverQuiver, target: CoverQuiver) -> CoverMorphis
         if end is None:
             raise CoverError("walk %s does not lift in the target" % rep.to_text())
         vmap[v] = end
-    images = {}
-    fld = univ.field
-    for e in univ.total.arrows:
-        over = target.arrow_over(vmap[e.source], univ.arrow_map[e.name], FORWARD)
-        if over is None or over.target != vmap[e.target]:
-            raise CoverError("factorization misses arrow %s" % e.name)
-        images[e.name] = relation_of_path(
-            target.total, fld, Path(over.source, over.target, (over.name,)))
-
-    base_images = {}
-    for a in univ.base_quiver.arrows:
-        base_images[a.name] = relation_of_path(
-            univ.base_quiver, fld, Path(a.source, a.target, (a.name,)))
-
-    morphism = CoverMorphism(univ, target, vmap, images, "factor")
-    morphism.checks["squares"] = _verify_squares(morphism, base_images)
-    morphism.checks["relations"] = _verify_ideal_mapped(morphism)
-    morphism.checks["fiber_sizes"] = morphism.fiber_sizes()
-    return morphism
+    identity = identity_automorphism(univ.base_quiver, univ.field)
+    return _cover_morphism(univ, target, vmap, identity.images, "factor")
 
 
 def compose_morphisms(second: CoverMorphism, first: CoverMorphism) -> CoverMorphism:
@@ -908,6 +891,7 @@ def theorem_b_pipeline(privileged: Ideal, target_cover: CoverQuiver,
     if radius is None:
         radius = default_radius(privileged.quiver)
     cov = universal_cover(privileged, None, radius)
+    h0 = cov._h
     morphisms = []
     for step in chain:
         if isinstance(step, Transvection):
@@ -926,8 +910,6 @@ def theorem_b_pipeline(privileged: Ideal, target_cover: CoverQuiver,
 
     # lambda on the chords of the privileged presentation: where the chord
     # loop ends in the target fiber determines a deck transformation
-    h0 = morphisms[0].source._h if morphisms else None
-    h0 = h0 or cov._h
     anchor = target_cover.fiber(h0.base_point)[0]
     autos = galois.automorphisms
     chord_images = {}
@@ -943,20 +925,23 @@ def theorem_b_pipeline(privileged: Ideal, target_cover: CoverQuiver,
         chord_images[chord] = hit.name
         image_autos.append(hit)
 
-    image_size = _generated_order(autos, image_autos, target_cover)
+    image_size = _generated_order(image_autos, target_cover)
     surjective = image_size == len(autos)
 
-    src_inv = h0.presentation.abelian_invariants
     kernel_report = {
-        "source_invariants": src_inv,
+        "source_invariants": h0.presentation.abelian_invariants,
         "group_order": len(autos),
         "image_order": image_size,
         "abelianized_index": image_size,
     }
 
-    # composite square: projecting the composite equals the composed base map
+    # composite square: projecting the composite equals the composed base
+    # map; the chain is t_1, ..., t_n and at most one final dilatation
+    transvections = [s for s in chain if isinstance(s, Transvection)]
+    dil = next((s for s in chain if isinstance(s, Dilatation)), Dilatation(()))
+    base_map = recompose_DT(privileged.quiver, privileged.field, dil,
+                            transvections).images
     commutes = True
-    base_map = _compose_base_chain(privileged, chain)
     for e_name, image in composite.arrow_images.items():
         projected = target_cover.project_relation(image)
         expected = base_map[composite.source.arrow_map[e_name]]
@@ -968,34 +953,18 @@ def theorem_b_pipeline(privileged: Ideal, target_cover: CoverQuiver,
                           chord_images, surjective, kernel_report, commutes)
 
 
-def _compose_base_chain(ideal: Ideal, chain):
-    quiver, fld = ideal.quiver, ideal.field
-    acc = identity_automorphism(quiver, fld)
-    for step in chain:
-        acc = compose(as_path_automorphism(step, quiver, fld), acc)
-    return {a.name: acc.images[a.name] for a in quiver.arrows}
-
-
-def _generated_order(autos, generators, cover: CoverQuiver):
-    """Order of the subgroup of deck maps generated by the given ones."""
-    if not autos:
-        return 0
+def _generated_order(generators, cover: CoverQuiver):
+    """Order of the subgroup generated by the given deck maps of a Galois
+    cover: the size of the orbit of one vertex under them, as a deck map
+    is fixed by the image of one vertex."""
     anchor = cover.total.vertices[0]
-    ident = next(g for g in autos if g.vertex_map[anchor] == anchor)
-    by_anchor = {g.vertex_map[anchor]: g for g in autos}
-    seen = {ident.vertex_map[anchor]}
-    frontier = [ident]
+    seen = {anchor}
+    frontier = [anchor]
     while frontier:
-        g = frontier.pop()
-        for h in generators:
-            # compose h after g by chasing the anchor image
-            moved = h.vertex_map[g.vertex_map[anchor]]
+        v = frontier.pop()
+        for g in generators:
+            moved = g.vertex_map[v]
             if moved not in seen:
                 seen.add(moved)
-                frontier.append(by_anchor[moved])
-        for h in generators:
-            moved = g.vertex_map[h.vertex_map[anchor]]
-            if moved not in seen:
-                seen.add(moved)
-                frontier.append(by_anchor[moved])
+                frontier.append(moved)
     return len(seen)

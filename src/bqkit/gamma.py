@@ -20,7 +20,8 @@ from .fields import Field
 from .homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, UNKNOWN, HomotopyRelation,
                        fingerprint_key, homotopy_relation)
 from .ideal import Ideal, ideals_equal
-from .quiver import Bypass, Path, find_bypasses, find_double_bypasses
+from .quiver import (Bypass, Path, find_bypasses, find_double_bypasses,
+                     make_path)
 from .transform import Transvection, apply_automorphism, match_by_dilatation
 
 DEFAULT_MAX_REPRESENTATIVES = 16
@@ -60,13 +61,8 @@ class _HomotopyCache:
         return image
 
 
-def _arrow_path(quiver, name) -> Path:
-    a = quiver.arrow(name)
-    return Path(a.source, a.target, (name,))
-
-
 def _bypass_status(h: HomotopyRelation, bypass: Bypass) -> str:
-    return h.pair_status(_arrow_path(h.quiver, bypass.arrow), bypass.path)
+    return h.pair_status(make_path(h.quiver, (bypass.arrow,)), bypass.path)
 
 
 def ratio_candidates(ideal: Ideal, bypass: Bypass):
@@ -357,7 +353,11 @@ def explore_gamma(ideal: Ideal) -> GammaQuiver:
                              GammaEdge(w.index, vertices[key].index,
                                        t.inverse(fld), image, rep))
         for t, image, h_image in pred.misses:
-            k_image = fingerprint_key(h_image)
+            try:
+                k_image = fingerprint_key(h_image)
+            except UnresolvedError as exc:
+                raise GammaError("cannot dedup an alternate representative: "
+                                 "%s" % exc) from exc
             if k_image != key:
                 raise GammaError("a homotopy-preserving transvection changed "
                                  "the fingerprint")
@@ -434,21 +434,20 @@ def check_surjection(source_ideal: Ideal,
     # abelianized cokernel: every source relator must die in the target
     rows = h_source.presentation.exponent_rows()
     for row in rows:
-        if not h_target._lattice.contains(row):
+        if not h_target.presentation.lattice.contains(row):
             raise GammaError("abelianized well-definedness check failed even "
                              "though all generating pairs are homotopic")
     return SurjectionResult(CONFIRMED, None, src_inv, tgt_inv)
 
 
-def check_lemma_3_3_chain(source_ideal: Ideal, target_ideal: Ideal,
-                          gamma: GammaQuiver = None):
+def check_lemma_3_3_chain(source_ideal: Ideal, target_ideal: Ideal):
     """A chain of transvections (and possibly a final dilatation) carrying
-    the source ideal to the target one along edges of the graph, with the
-    successor condition certified at every step."""
+    the source ideal to the target one along edges of the graph explored
+    from the source, with the successor condition certified at every
+    step."""
     fld = source_ideal.field
     schedule = tau_schedule(fld)
-    if gamma is None:
-        gamma = explore_gamma(source_ideal)
+    gamma = explore_gamma(source_ideal)
     cache = _HomotopyCache()
     h_target = cache.get(target_ideal)
     key_target = fingerprint_key(h_target)

@@ -96,11 +96,11 @@ class Decision:
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Chord generators, relator words, and abelian invariants."""
+    """Chord generators and relator words; the abelianization is read from
+    the lattice of the relators' exponent rows."""
 
     generators: tuple
     relators: tuple  # each relator: ((generator, +-1), ...), reduced
-    abelian_invariants: tuple  # (free rank, (d1, d2, ...))
 
     def exponent_rows(self):
         index = {g: i for i, g in enumerate(self.generators)}
@@ -112,11 +112,15 @@ class GroupPresentation:
             rows.append(row)
         return rows
 
+    @cached_property
+    def lattice(self) -> RowLattice:
+        """The lattice spanned by the exponent rows, built on first use."""
+        return RowLattice(self.exponent_rows(), len(self.generators))
 
-def abelianization(gp: GroupPresentation):
-    """(free rank, invariant torsion factors) of the presented group."""
-    lattice = RowLattice(gp.exponent_rows(), len(gp.generators))
-    return lattice.invariants()
+    @cached_property
+    def abelian_invariants(self):
+        """(free rank, (d1, d2, ...)) of the abelianized group."""
+        return self.lattice.invariants()
 
 
 def _free_reduce_word(word):
@@ -219,7 +223,7 @@ class HomotopyRelation:
 
         self.tree = SpanningTree(self.quiver, x0)
         self.generating_pairs = self._generating_pairs()
-        self.presentation, self._lattice = self._presentation()
+        self.presentation = self._presentation()
         self._generator_index = {g: i for i, g in
                                  enumerate(self.presentation.generators)}
         self._decisions = {}
@@ -239,8 +243,8 @@ class HomotopyRelation:
         return tuple(pairs)
 
     def _presentation(self):
-        """The chord presentation of pi1 and the lattice of its exponent
-        rows, from which the abelian invariants are read."""
+        """The chord presentation of pi1: one relator per generating pair
+        whose chord words differ."""
         relators = []
         for u, v in self.generating_pairs:
             word = _free_reduce_word(
@@ -248,10 +252,7 @@ class HomotopyRelation:
                 + _invert_word(self.tree.chord_word(walk_of_path(v))))
             if word:
                 relators.append(word)
-        gens = self.tree.chords
-        gp = GroupPresentation(gens, tuple(relators), (0, ()))
-        lattice = RowLattice(gp.exponent_rows(), len(gens))
-        return GroupPresentation(gens, gp.relators, lattice.invariants()), lattice
+        return GroupPresentation(self.tree.chords, tuple(relators))
 
     def _replacement_patterns(self):
         patterns = []
@@ -413,14 +414,19 @@ class HomotopyRelation:
         return vec
 
     def abelian_image(self, u: Walk, v: Walk):
-        return self._lattice.image(self.loop_exponents(u, v))
+        return self.presentation.lattice.image(self.loop_exponents(u, v))
 
     def decide(self, u: Walk, v: Walk, cap=None, want_chain=True) -> Decision:
-        """Tri-state decision for parallel walks u, v (see ``_decide``)."""
+        """Tri-state decision for parallel walks u, v (see ``_decide``).
+
+        ``cap`` bounds the length of the walks the search visits; only
+        None stands for ``default_cap``, and the search lifts a cap below
+        the lengths of u and v to those lengths."""
         if (u.source, u.target) != (v.source, v.target):
             raise HomotopyError("walks are not parallel: %s -> %s vs %s -> %s"
                                 % (u.source, u.target, v.source, v.target))
-        cap = cap or self.default_cap
+        if cap is None:
+            cap = self.default_cap
         key = (u, v, cap, want_chain)
         decision = self._decisions.get(key)
         if decision is None:
@@ -459,7 +465,7 @@ class HomotopyRelation:
                 "kind": "abelianization",
                 "loop_exponents": tuple(self.loop_exponents(u_red, v_red)),
                 "image": tuple(image),
-                "moduli": tuple(self._lattice.diag),
+                "moduli": tuple(self.presentation.lattice.diag),
                 "generators": self.presentation.generators,
             }
             return Decision(NOT_HOMOTOPIC, (), cert)

@@ -290,21 +290,6 @@ def walk_of_path(path: Path) -> Walk:
                 tuple((a, FORWARD) for a in path.arrows))
 
 
-def compose_walks(quiver: Quiver, later: Walk, earlier: Walk) -> Walk:
-    if earlier.target != later.source:
-        raise QuiverError("walks do not compose: %s then %s" % (earlier, later))
-    return Walk(earlier.source, later.target, earlier.letters + later.letters)
-
-
-def path_of_walk(quiver: Quiver, walk: Walk):
-    """The path with the same letters if the walk is all-forward, else None."""
-    if any(d != FORWARD for _, d in walk.letters):
-        return None
-    if not walk.letters:
-        return trivial_path(quiver, walk.source)
-    return make_path(quiver, [a for a, _ in walk.letters])
-
-
 @dataclass(frozen=True)
 class Bypass:
     """An arrow together with a distinct parallel path."""

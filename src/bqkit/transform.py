@@ -355,14 +355,14 @@ def decompose_DT(phi: PathAutomorphism):
                 _row_op(fld, mat, col, src, fld.one)
                 t = _arrow_transvection(quiver, names[src], names[col], fld.one)
                 applied.append(t)
-                current = compose(as_path_automorphism(t, quiver, fld), current)
+                current = compose(t, current)
             for r in range(n):
                 if r != col and not fld.is_zero(mat[r][col]):
                     c = fld.neg(fld.div(mat[r][col], mat[col][col]))
                     _row_op(fld, mat, r, col, c)
                     t = _arrow_transvection(quiver, names[col], names[r], c)
                     applied.append(t)
-                    current = compose(as_path_automorphism(t, quiver, fld), current)
+                    current = compose(t, current)
         # 2) strip tails of length >= 2
         for name in names:
             img = current.images[name]
@@ -371,7 +371,7 @@ def decompose_DT(phi: PathAutomorphism):
                 if len(p) >= 2:
                     t = Transvection(Bypass(name, p), fld.neg(fld.div(c, lam)))
                     applied.append(t)
-                    current = compose(as_path_automorphism(t, quiver, fld), current)
+                    current = compose(t, current)
         for name in names:
             if not is_scalar(name):
                 raise TransformError("tail stripping failed on arrow %r" % name)
@@ -406,8 +406,8 @@ def recompose_DT(quiver: Quiver, fld: Field, dil: Dilatation,
     """D o t_n o ... o t_1 as a PathAutomorphism (t_1 applied first)."""
     acc = identity_automorphism(quiver, fld)
     for t in transvections:
-        acc = compose(as_path_automorphism(t, quiver, fld), acc)
-    return compose(as_path_automorphism(dil, quiver, fld), acc)
+        acc = compose(t, acc)
+    return compose(dil, acc)
 
 
 def _row_op(fld, mat, dst, src, c):

@@ -3,16 +3,17 @@ from fractions import Fraction
 import pytest
 from conftest import TWO_BYPASS
 
-from bqkit.cover import (GALOIS, NOT_GALOIS, TRUNCATED, FiniteGroup,
-                         check_covering, factor_through_cover, is_galois,
-                         lift_dilatation, lift_transvection, make_grading,
-                         smash_product, theorem_b_pipeline, universal_cover)
+from bqkit.cover import (GALOIS, NOT_GALOIS, TRUNCATED, CoverQuiver,
+                         FiniteGroup, _generated_order, check_covering,
+                         factor_through_cover, is_galois, lift_dilatation,
+                         lift_transvection, make_grading, smash_product,
+                         theorem_b_pipeline, universal_cover)
 from bqkit.dsl import parse_path, parse_quiver, parse_source
 from bqkit.errors import CoverError
 from bqkit.homotopy import HomotopyRelation, homotopy_relation
 from bqkit.ideal import close_ideal
 from bqkit.quiver import FORWARD, INVERSE, Arrow, Bypass, Quiver, Walk
-from bqkit.transform import Dilatation, Transvection
+from bqkit.transform import Dilatation, Transvection, apply_automorphism
 
 
 def test_universal_cover_two_bypass_complete(ideal_I0):
@@ -141,9 +142,10 @@ def test_check_covering_counts_rim_lifts_on_free_cover(radius):
     assert report.rim_lifts > 0
 
 
-def test_check_covering_reports_mismatched_lift_endpoints(exple1, ideal_J):
-    """The double cover of exple1 graded by deg(c) = 1 does not respect
-    J = <d*a - d*c*b>: from 1_0, d*a lifts to 4_0 but d*c*b to 4_1."""
+def double_cover_of_J(exple1, ideal_J):
+    """The complete double cover of exple1 graded by deg(c) = 1, over
+    J = <d*a - d*c*b>, which it does not respect: from 1_0, d*a lifts to
+    4_0 but d*c*b to 4_1."""
     arrows = []
     for s, t in (("0", "1"), ("1", "0")):
         arrows += [Arrow("a_" + s, "1_" + s, "3_" + s),
@@ -152,10 +154,13 @@ def test_check_covering_reports_mismatched_lift_endpoints(exple1, ideal_J):
                    Arrow("d_" + s, "3_" + s, "4_" + s)]
     vertices = tuple("%s_%s" % (x, s) for x in exple1.vertices for s in "01")
     total = Quiver("double", vertices, tuple(arrows))
-    from bqkit.cover import CoverQuiver
-    cov = CoverQuiver(total, ideal_J, {v: v[0] for v in vertices},
-                      {a.name: a.name[0] for a in arrows}, [], True, None,
-                      set(vertices), [], "custom")
+    return CoverQuiver(total, ideal_J, {v: v[0] for v in vertices},
+                       {a.name: a.name[0] for a in arrows}, [], True, None,
+                       set(vertices), [], "custom")
+
+
+def test_check_covering_reports_mismatched_lift_endpoints(exple1, ideal_J):
+    cov = double_cover_of_J(exple1, ideal_J)
     with pytest.raises(CoverError, match="different vertices"):
         cov.lift_relation(ideal_J.minimal_relations()[0], "1_0")
     report = check_covering(cov)
@@ -219,7 +224,6 @@ def test_hand_built_non_galois_double_cover(rationals):
     total = Quiver("tot", ("u1", "u2", "v1", "v2"),
                    (Arrow("p_u", "u1", "u2"), Arrow("q_u", "u1", "v2"),
                     Arrow("p_v", "v1", "v2"), Arrow("q_v", "v1", "u2")))
-    from bqkit.cover import CoverQuiver
     cov = CoverQuiver(total, zero,
                       {"u1": "1", "v1": "1", "u2": "2", "v2": "2"},
                       {"p_u": "p", "q_u": "q", "p_v": "p", "q_v": "q"},
@@ -327,6 +331,26 @@ def test_factor_through_smash(exple1, ideal_I):
     assert sum(m.fiber_sizes().values()) == len(cov.total.vertices)
 
 
+def test_factor_refuses_a_cover_that_splits_a_generating_pair(exple1,
+                                                              ideal_J):
+    cov = universal_cover(ideal_J, radius=6)
+    with pytest.raises(CoverError, match="walk lifting is not constant"):
+        factor_through_cover(cov, double_cover_of_J(exple1, ideal_J))
+
+
+def test_generated_order_of_a_proper_subgroup(exple1, ideal_I):
+    """In the Z/4 smash of I with deg(a) = 1, the deck map 1_0 -> 1_2
+    generates the subgroup of order 2, and 1_0 -> 1_1 all of Z/4."""
+    target = smash_product(ideal_I, make_grading(exple1, FiniteGroup.cyclic(4),
+                                                 {"a": "1"}))
+    galois = is_galois(target)
+    assert galois.status == GALOIS and galois.group_order == 4
+    decks = {g.name: g for g in galois.automorphisms}
+    assert _generated_order([decks["deck_1_2"]], target) == 2
+    assert _generated_order([decks["deck_1_1"]], target) == 4
+    assert _generated_order([], target) == 1
+
+
 def test_pipeline_identity(ideal_I0):
     target = universal_cover(ideal_I0, radius=8)
     res = theorem_b_pipeline(ideal_I0, target, radius=8)
@@ -404,6 +428,21 @@ def test_pipeline_with_chain_to_trivial_smash_of_I1(twobypass, ideal_I0, ideal_I
     assert res.kernel_report["abelianized_index"] == 1
     # N = pi1(I0) = Z/2: the composite collapses both classes over a vertex
     assert set(res.composite.fiber_sizes().values()) == {2}
+
+
+def test_pipeline_with_a_final_dilatation(twobypass, ideal_I0, ideal_I1):
+    """The chain to d -> 2d of I1 is one transvection and a dilatation; the
+    composite square holds over the whole chain."""
+    scale_d = Dilatation((("d", Fraction(2)),))
+    target_ideal = apply_automorphism(scale_d, ideal_I1)
+    target = smash_product(target_ideal,
+                           make_grading(twobypass, FiniteGroup.trivial(), {}))
+    res = theorem_b_pipeline(ideal_I0, target, radius=8)
+    assert [type(step) for step in res.chain] == [Transvection, Dilatation]
+    assert res.chain[-1] == scale_d
+    assert res.morphisms[1].checks["bijective"]
+    assert res.surjective
+    assert res.commutes
 
 
 def test_explore_deterministic_shape(ideal_I2):

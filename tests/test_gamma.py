@@ -6,7 +6,9 @@ from conftest import FOUR_VERTEX, twobypass_chain
 
 from bqkit.dsl import parse_path, parse_source
 from bqkit.errors import GammaError
-from bqkit.gamma import (CONFIRMED, REFUTED, check_lemma_3_3_chain,
+from bqkit import gamma as gamma_mod
+from bqkit.gamma import (CONFIRMED, REFUTED, GammaEdge, GammaQuiver,
+                         GammaVertex, check_lemma_3_3_chain,
                          check_surjection, explore_gamma, find_sources,
                          predecessor_probe, successor_probe, tau_schedule)
 from bqkit.homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, HomotopyRelation,
@@ -246,6 +248,51 @@ def test_unknown_contaminated_fingerprint_fails_loudly(monkeypatch):
     monkeypatch.setattr("bqkit.gamma.fingerprint_key", poisoned)
     with pytest.raises(GammaError, match="cannot explore"):
         explore_gamma(ideal_I)
+
+
+def test_unresolved_alternate_representative_fails_loudly(monkeypatch):
+    """An alternate representative whose fingerprint has an Unknown pair
+    stops the exploration with a GammaError, as a successor or a
+    predecessor does."""
+    from bqkit.errors import UnresolvedError
+
+    ideal_J = parse_source(FOUR_VERTEX).ideal("J")
+    misses = []
+
+    def probe(ideal, h, cache=None):
+        res = predecessor_probe(ideal, h, cache)
+        misses.extend(h_image for _, _, h_image in res.misses)
+        return res
+
+    def key(h):
+        if any(h is m for m in misses):
+            raise UnresolvedError("fingerprint contains an Unknown pair")
+        return fingerprint_key(h)
+
+    monkeypatch.setattr(gamma_mod, "predecessor_probe", probe)
+    monkeypatch.setattr(gamma_mod, "fingerprint_key", key)
+    with pytest.raises(GammaError, match="alternate representative"):
+        explore_gamma(ideal_J)
+    assert misses
+
+
+@pytest.mark.parametrize("edges, vertex_count, bypass_count, violations", [
+    ([(0, 1), (1, 2)], 3, 2, []),
+    ([(0, 0)], 1, 1, ["self-edge at vertex 0", "oriented cycle"]),
+    ([(0, 1), (1, 0)], 2, 2, ["oriented cycle"]),
+    ([(0, 1), (0, 2)], 3, 1, ["vertex 0 has out-degree above 1"]),
+    ([(0, 1), (1, 2)], 3, 1,
+     ["oriented path of length 2 exceeds the bypass count 1"]),
+    ([(0, 1)], 3, 1, ["underlying graph is disconnected"]),
+])
+def test_validate_reports_each_violation(edges, vertex_count, bypass_count,
+                                         violations):
+    vertices = [GammaVertex(i, (i,), None, None, [])
+                for i in range(vertex_count)]
+    gamma = GammaQuiver(vertices,
+                        [GammaEdge(s, t, None, None, None) for s, t in edges],
+                        0, bypass_count, [])
+    assert gamma.validate() == violations
 
 
 def test_schedule_exhausted_is_logged(exple1, rationals):

@@ -7,9 +7,8 @@ from bqkit import homotopy
 from bqkit.dsl import parse_path, parse_quiver, parse_source, parse_walk
 from bqkit.errors import HomotopyError, UnresolvedError
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
-                            GroupPresentation, abelianization,
-                            fingerprint_key, homotopy_relation,
-                            relations_equal)
+                            GroupPresentation, fingerprint_key,
+                            homotopy_relation, relations_equal)
 from bqkit.ideal import close_ideal
 from bqkit.quiver import FORWARD, make_walk, walk_of_path
 from bqkit.snf import RowLattice
@@ -145,12 +144,13 @@ def test_pi1_two_bypass_char2(ws5):
 
 
 def test_abelianization_cases():
-    gp = GroupPresentation(("g",), ((("g", 1), ("g", 1)),), (0, ()))
-    assert abelianization(gp) == (0, (2,))
-    gp = GroupPresentation(("g",), (), (0, ()))
-    assert abelianization(gp) == (1, ())
-    gp = GroupPresentation(("g1", "g2"), ((("g1", 1), ("g2", -1)),), (0, ()))
-    assert abelianization(gp) == (1, ())
+    """A presentation built by hand reads its own abelian invariants."""
+    gp = GroupPresentation(("g",), ((("g", 1), ("g", 1)),))
+    assert gp.abelian_invariants == (0, (2,))
+    assert gp.lattice.contains([2]) and not gp.lattice.contains([1])
+    assert GroupPresentation(("g",), ()).abelian_invariants == (1, ())
+    gp = GroupPresentation(("g1", "g2"), ((("g1", 1), ("g2", -1)),))
+    assert gp.abelian_invariants == (1, ())
 
 
 def test_abelian_invariants_independent_of_base_point(ideal_I0):
@@ -315,6 +315,26 @@ def test_unknown_names_the_cap_that_ended_the_search(monkeypatch):
     # a decided pair names no cap
     h = homotopy.HomotopyRelation(chain2)
     assert h.decide(u, u).cap is None
+
+
+def test_cap_zero_is_a_cap(monkeypatch):
+    """Only None stands for the default cap: cap=0 reaches the search,
+    which lifts it to the lengths of the two walks."""
+    chain2 = twobypass_chain(2)
+    u, v = (parse_walk(chain2.quiver, text) for text in DIHEDRAL_PAIR)
+    caps = []
+    search = homotopy.HomotopyRelation._bfs
+
+    def spy(self, start, goal, cap, want_chain):
+        caps.append(cap)
+        return search(self, start, goal, cap, want_chain)
+
+    monkeypatch.setattr(homotopy.HomotopyRelation, "_bfs", spy)
+    for want_chain in (False, True):
+        d = homotopy.HomotopyRelation(chain2).decide(
+            u, v, cap=0, want_chain=want_chain)
+        assert d.is_unknown and d.cap == "walk_length"
+    assert caps == [0, 0]
 
 
 FREE_RANK_ONE = """
