@@ -11,17 +11,18 @@ homotopy relation fixed) and probes from those too.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .errors import GammaError, UnresolvedError
+from .disjoint_sets import DisjointSets
+from .errors import GammaError, QuiverError, UnresolvedError
 from .fields import Field
 from .homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, UNKNOWN, HomotopyRelation,
                        fingerprint_key, homotopy_relation)
 from .ideal import Ideal, ideals_equal
-from .quiver import (Bypass, Path, find_bypasses, find_double_bypasses,
-                     make_path)
+from .quiver import (Arrow, Bypass, Path, Quiver, find_bypasses,
+                     find_double_bypasses, longest_path_length, make_path)
 from .transform import Transvection, apply_automorphism, match_by_dilatation
 
 DEFAULT_MAX_REPRESENTATIVES = 16
@@ -65,6 +66,29 @@ def _bypass_status(h: HomotopyRelation, bypass: Bypass) -> str:
     return h.pair_status(make_path(h.quiver, (bypass.arrow,)), bypass.path)
 
 
+def _candidates(*groups):
+    """The values of the groups in order, each once."""
+    return tuple(dict.fromkeys(x for group in groups for x in group))
+
+
+def _images(ideal: Ideal, bypass: Bypass, taus, cache: _HomotopyCache):
+    """(t, t(ideal), its relation, the bypass status there) for each tau
+    in order, t the transvection along the bypass."""
+    for tau in taus:
+        t = Transvection(bypass, tau)
+        image = cache.image(ideal, t)
+        h_image = cache.get(image)
+        yield t, image, h_image, _bypass_status(h_image, bypass)
+
+
+def _key(h: HomotopyRelation, what: str):
+    """``fingerprint_key`` of h; an Unknown pair is a ``GammaError``."""
+    try:
+        return fingerprint_key(h)
+    except UnresolvedError as exc:
+        raise GammaError("cannot %s: %s" % (what, exc)) from exc
+
+
 def ratio_candidates(ideal: Ideal, bypass: Bypass):
     """Coefficients -mu/lambda cancelling the u-terms of basis elements.
 
@@ -81,12 +105,8 @@ def ratio_candidates(ideal: Ideal, bypass: Bypass):
             i = p.arrows.index(bypass.arrow)
             partner = Path(p.source, p.target,
                            p.arrows[:i] + bypass.path.arrows + p.arrows[i + 1:])
-            mu = rel.coefficient(partner, fld)
-            if not fld.is_zero(mu):
-                cand = fld.neg(fld.div(mu, lam))
-                if not fld.is_zero(cand) and cand not in out:
-                    out.append(cand)
-    return tuple(out)
+            out.append(fld.neg(fld.div(rel.coefficient(partner, fld), lam)))
+    return _candidates(c for c in out if not fld.is_zero(c))
 
 
 @dataclass
@@ -97,6 +117,19 @@ class ProbeResult:
     notes: list = dataclass_field(default_factory=list)     # schedule-exhausted logs
 
 
+def _probed(ideal: Ideal, h: HomotopyRelation, skip: str, res: ProbeResult):
+    """The bypasses whose status under h is neither ``skip`` nor Unknown;
+    the Unknown ones are logged as inconclusive."""
+    for bypass in find_bypasses(ideal.quiver):
+        status = _bypass_status(h, bypass)
+        if status == UNKNOWN:
+            res.inconclusive.append(
+                "bypass (%s, %s): classification unknown under the input relation"
+                % (bypass.arrow, bypass.path.to_text()))
+        elif status != skip:
+            yield bypass
+
+
 def successor_probe(ideal: Ideal, h: HomotopyRelation,
                     cache: _HomotopyCache = None) -> ProbeResult:
     """Try every bypass with alpha not~ u; one successor per bypass."""
@@ -104,29 +137,13 @@ def successor_probe(ideal: Ideal, h: HomotopyRelation,
     schedule = tau_schedule(fld)
     cache = cache or _HomotopyCache(h.base_point)
     res = ProbeResult()
-    seen_keys = []
-    for bypass in find_bypasses(ideal.quiver):
-        status = _bypass_status(h, bypass)
-        if status == HOMOTOPIC:
-            continue
-        if status == UNKNOWN:
-            res.inconclusive.append(
-                "bypass (%s, %s): classification unknown under the input relation"
-                % (bypass.arrow, bypass.path.to_text()))
-            continue
-        hit = False
+    hits = {}  # the first hit of each homotopy relation
+    for bypass in _probed(ideal, h, HOMOTOPIC, res):
         unresolved = False
-        for tau in schedule:
-            t = Transvection(bypass, tau)
-            image = cache.image(ideal, t)
-            h_image = cache.get(image)
-            st = _bypass_status(h_image, bypass)
+        for t, image, h_image, st in _images(ideal, bypass, schedule, cache):
             if st == HOMOTOPIC:
-                key = fingerprint_key(h_image)
-                if key not in seen_keys:
-                    seen_keys.append(key)
-                    res.hits.append((t, image, h_image))
-                hit = True
+                hits.setdefault(_key(h_image, "dedup a successor"),
+                                (t, image, h_image))
                 break
             if st == NOT_HOMOTOPIC:
                 # trichotomy case c: the transvection must fix the ideal
@@ -134,16 +151,18 @@ def successor_probe(ideal: Ideal, h: HomotopyRelation,
                     raise GammaError(
                         "trichotomy violated: alpha not~ u on both sides of "
                         "phi(%s, %s, %s) yet the ideals differ"
-                        % (bypass.arrow, bypass.path.to_text(), fld.format(tau)))
+                        % (bypass.arrow, bypass.path.to_text(), fld.format(t.tau)))
                 continue
             unresolved = True
             res.inconclusive.append(
                 "bypass (%s, %s): tau=%s left the pair unresolved"
-                % (bypass.arrow, bypass.path.to_text(), fld.format(tau)))
-        if not hit and not unresolved:
-            res.notes.append(
-                "bypass (%s, %s): no successor found (schedule exhausted)"
-                % (bypass.arrow, bypass.path.to_text()))
+                % (bypass.arrow, bypass.path.to_text(), fld.format(t.tau)))
+        else:
+            if not unresolved:
+                res.notes.append(
+                    "bypass (%s, %s): no successor found (schedule exhausted)"
+                    % (bypass.arrow, bypass.path.to_text()))
+    res.hits = list(hits.values())
     return res
 
 
@@ -159,37 +178,21 @@ def predecessor_probe(ideal: Ideal, h: HomotopyRelation,
     schedule = tau_schedule(fld)
     cache = cache or _HomotopyCache(h.base_point)
     res = ProbeResult()
-    seen_keys = []
-    for bypass in find_bypasses(ideal.quiver):
-        status = _bypass_status(h, bypass)
-        if status == NOT_HOMOTOPIC:
-            continue
-        if status == UNKNOWN:
-            res.inconclusive.append(
-                "bypass (%s, %s): classification unknown under the input relation"
-                % (bypass.arrow, bypass.path.to_text()))
-            continue
-        candidates = list(ratio_candidates(ideal, bypass))
-        for tau in schedule:
-            if tau not in candidates:
-                candidates.append(tau)
-        for sigma in candidates:
-            t = Transvection(bypass, sigma)
-            image = cache.image(ideal, t)
-            h_image = cache.get(image)
-            st = _bypass_status(h_image, bypass)
+    hits = {}  # the first hit of each homotopy relation
+    for bypass in _probed(ideal, h, NOT_HOMOTOPIC, res):
+        taus = _candidates(ratio_candidates(ideal, bypass), schedule)
+        for t, image, h_image, st in _images(ideal, bypass, taus, cache):
             if st == NOT_HOMOTOPIC:
-                key = fingerprint_key(h_image)
-                if key not in seen_keys:
-                    seen_keys.append(key)
-                    res.hits.append((t, image, h_image))
+                hits.setdefault(_key(h_image, "dedup a predecessor"),
+                                (t, image, h_image))
             elif st == HOMOTOPIC:
                 if not ideals_equal(ideal, image):
                     res.misses.append((t, image, h_image))
             else:
                 res.inconclusive.append(
                     "bypass (%s, %s): sigma=%s left the pair unresolved"
-                    % (bypass.arrow, bypass.path.to_text(), fld.format(sigma)))
+                    % (bypass.arrow, bypass.path.to_text(), fld.format(t.tau)))
+    res.hits = list(hits.values())
     return res
 
 
@@ -233,83 +236,49 @@ class GammaQuiver:
         targets = {e.target for e in self.edges}
         return [v for v in self.vertices if v.index not in targets]
 
-    def out_degree(self, index):
-        return sum(1 for e in self.edges if e.source == index)
-
-    def longest_path_length(self):
-        adj = {}
-        for e in self.edges:
-            adj.setdefault(e.source, []).append(e.target)
-        best = {}
-
-        def depth(i, seen):
-            if i in best:
-                return best[i]
-            if i in seen:
-                raise GammaError("oriented cycle while measuring path length")
-            seen.add(i)
-            d = 0
-            for j in adj.get(i, ()):
-                d = max(d, 1 + depth(j, seen))
-            seen.discard(i)
-            best[i] = d
-            return d
-
-        return max((depth(v.index, set()) for v in self.vertices), default=0)
-
     def validate(self):
         """Structural invariants; returns the list of violations."""
-        violations = []
-        # no self-edges, no oriented cycle
-        for e in self.edges:
-            if e.source == e.target:
-                violations.append("self-edge at vertex %d" % e.source)
-        try:
-            longest = self.longest_path_length()
-        except GammaError:
-            violations.append("oriented cycle")
-            longest = None
         m = self.bypass_count
-        if longest is not None and longest > m:
-            violations.append("oriented path of length %d exceeds the bypass "
-                              "count %d" % (longest, m))
-        for v in self.vertices:
-            if self.out_degree(v.index) > m:
-                violations.append("vertex %d has out-degree above %d"
-                                  % (v.index, m))
-        # connected as an undirected graph
-        if self.vertices:
-            adj = {v.index: set() for v in self.vertices}
-            for e in self.edges:
-                adj[e.source].add(e.target)
-                adj[e.target].add(e.source)
-            seen = {self.vertices[0].index}
-            todo = [self.vertices[0].index]
-            while todo:
-                i = todo.pop()
-                for j in adj[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        todo.append(j)
-            if len(seen) != len(self.vertices):
-                violations.append("underlying graph is disconnected")
+        violations = ["self-edge at vertex %d" % e.source
+                      for e in self.edges if e.source == e.target]
+        try:
+            # arrows "e<i>" never clash with the vertices "<index>"
+            graph = Quiver("gamma", [str(v.index) for v in self.vertices],
+                           [Arrow("e%d" % i, str(e.source), str(e.target))
+                            for i, e in enumerate(self.edges)])
+        except QuiverError:
+            violations.append("oriented cycle")
+        else:
+            longest = longest_path_length(graph)
+            if longest > m:
+                violations.append("oriented path of length %d exceeds the "
+                                  "bypass count %d" % (longest, m))
+        out_degree = Counter(e.source for e in self.edges)
+        violations += ["vertex %d has out-degree above %d" % (v.index, m)
+                       for v in self.vertices if out_degree[v.index] > m]
+        parts = DisjointSets(v.index for v in self.vertices)
+        for e in self.edges:
+            parts.union(e.source, e.target)
+        if len(parts.classes()) > 1:
+            violations.append("underlying graph is disconnected")
         return violations
 
 
 def explore_gamma(ideal: Ideal) -> GammaQuiver:
     """Closure of the input's homotopy relation under successors and
-    predecessors, with fingerprint dedup; raises on Unknown contamination."""
+    predecessors, with fingerprint dedup; raises on Unknown contamination.
+
+    A vertex keeps at most ``DEFAULT_MAX_REPRESENTATIVES`` representatives;
+    a vertex that drops a new one past the cap gets one diagnostic."""
     fld = ideal.field
     cache = _HomotopyCache()
     h0 = cache.get(ideal)
-    try:
-        key0 = fingerprint_key(h0)
-    except UnresolvedError as exc:
-        raise GammaError("cannot explore: %s" % exc) from exc
+    key0 = _key(h0, "explore")
 
     vertices = {key0: GammaVertex(0, key0, ideal, h0, [ideal])}
     edges = {}
     diagnostics = []
+    capped = set()
     queue = deque([(key0, ideal, h0)])
 
     def vertex_for(key, rep, h_rep):
@@ -320,22 +289,23 @@ def explore_gamma(ideal: Ideal) -> GammaQuiver:
 
     def add_representative(key, rep, h_rep):
         vertex = vertices[key]
-        if len(vertex.representatives) >= DEFAULT_MAX_REPRESENTATIVES:
-            return
         if any(ideals_equal(rep, known) for known in vertex.representatives):
             return
-        vertex.representatives.append(rep)
-        queue.append((key, rep, h_rep))
+        if len(vertex.representatives) < DEFAULT_MAX_REPRESENTATIVES:
+            vertex.representatives.append(rep)
+            queue.append((key, rep, h_rep))
+        elif vertex.index not in capped:
+            capped.add(vertex.index)
+            diagnostics.append(
+                "vertex %d: representatives past the cap of %d were not "
+                "probed" % (vertex.index, DEFAULT_MAX_REPRESENTATIVES))
 
     while queue:
         key, rep, h_rep = queue.popleft()
         succ = successor_probe(rep, h_rep, cache)
         diagnostics.extend(succ.inconclusive)
         for t, image, h_image in succ.hits:
-            try:
-                k_image = fingerprint_key(h_image)
-            except UnresolvedError as exc:
-                raise GammaError("cannot dedup a successor: %s" % exc) from exc
+            k_image = fingerprint_key(h_image)
             if k_image == key:
                 raise GammaError("successor did not change the homotopy relation")
             w = vertex_for(k_image, image, h_image)
@@ -344,21 +314,12 @@ def explore_gamma(ideal: Ideal) -> GammaQuiver:
         pred = predecessor_probe(rep, h_rep, cache)
         diagnostics.extend(pred.inconclusive)
         for t, image, h_image in pred.hits:
-            try:
-                k_image = fingerprint_key(h_image)
-            except UnresolvedError as exc:
-                raise GammaError("cannot dedup a predecessor: %s" % exc) from exc
-            w = vertex_for(k_image, image, h_image)
+            w = vertex_for(fingerprint_key(h_image), image, h_image)
             edges.setdefault((w.key, key),
                              GammaEdge(w.index, vertices[key].index,
                                        t.inverse(fld), image, rep))
         for t, image, h_image in pred.misses:
-            try:
-                k_image = fingerprint_key(h_image)
-            except UnresolvedError as exc:
-                raise GammaError("cannot dedup an alternate representative: "
-                                 "%s" % exc) from exc
-            if k_image != key:
+            if _key(h_image, "dedup an alternate representative") != key:
                 raise GammaError("a homotopy-preserving transvection changed "
                                  "the fingerprint")
             add_representative(key, image, h_image)
@@ -444,7 +405,8 @@ def check_lemma_3_3_chain(source_ideal: Ideal, target_ideal: Ideal):
     """A chain of transvections (and possibly a final dilatation) carrying
     the source ideal to the target one along edges of the graph explored
     from the source, with the successor condition certified at every
-    step."""
+    step.  The last edge ends at the target itself when it can, else at
+    the first image that a dilatation carries onto the target."""
     fld = source_ideal.field
     schedule = tau_schedule(fld)
     gamma = explore_gamma(source_ideal)
@@ -459,17 +421,12 @@ def check_lemma_3_3_chain(source_ideal: Ideal, target_ideal: Ideal):
         raise GammaError("target homotopy relation is not a vertex of the graph")
 
     # shortest edge path between the two fingerprints
-    adj = {}
-    for e in gamma.edges:
-        adj.setdefault(e.source, []).append(e)
     prev = {start.index: None}
     bfs = deque([start.index])
-    while bfs:
+    while bfs and goal.index not in prev:
         i = bfs.popleft()
-        if i == goal.index:
-            break
-        for e in adj.get(i, ()):
-            if e.target not in prev:
+        for e in gamma.edges:
+            if e.source == i and e.target not in prev:
                 prev[e.target] = e
                 bfs.append(e.target)
     if goal.index not in prev:
@@ -481,60 +438,51 @@ def check_lemma_3_3_chain(source_ideal: Ideal, target_ideal: Ideal):
         cur = prev[cur].source
     path.reverse()
 
-    chain = []
-    current = source_ideal
-    for step_idx, edge in enumerate(path):
-        final = step_idx == len(path) - 1
-        target_key = gamma.vertices[edge.target].key
+    def arrivals(current, edge, final):
+        """(t, t(current)) for the transvections t that carry ``current``
+        into the vertex of the edge's target, in search order."""
         h_current = cache.get(current)
-
-        # candidate transvections: the stored witness's bypass first, then
-        # any other bypass that is non-homotopic at the current vertex (the
-        # same arrow of the graph may be realized by several of them, and
-        # hitting the target ideal exactly can require a different one)
-        bypasses = [edge.transvection.bypass]
-        for b in find_bypasses(current.quiver):
-            if b not in bypasses and \
-                    _bypass_status(h_current, b) == NOT_HOMOTOPIC:
-                bypasses.append(b)
-
-        chosen = None
-        for bypass in bypasses:
+        witness = edge.transvection
+        target_key = gamma.vertices[edge.target].key
+        # the stored witness's bypass first, then any other bypass that is
+        # non-homotopic at the current vertex (the same arrow of the graph
+        # may be realized by several of them, and hitting the target ideal
+        # exactly can require a different one)
+        for bypass in _candidates([witness.bypass], find_bypasses(current.quiver)):
             if _bypass_status(h_current, bypass) != NOT_HOMOTOPIC:
                 continue
-            candidates = []
-            if final:
-                # the image ideal's own ratios, with the opposite sign
-                candidates.extend(fld.neg(c) for c in
-                                  ratio_candidates(target_ideal, bypass))
-            if bypass == edge.transvection.bypass \
-                    and edge.transvection.tau not in candidates:
-                candidates.append(edge.transvection.tau)
-            for tau in schedule:
-                if tau not in candidates:
-                    candidates.append(tau)
-            for tau in candidates:
-                t = Transvection(bypass, tau)
-                image = cache.image(current, t)
-                h_image = cache.get(image)
-                if _bypass_status(h_image, bypass) != HOMOTOPIC:
-                    continue
-                if fingerprint_key(h_image) != target_key:
-                    continue
-                if final and ideals_equal(image, target_ideal):
-                    chosen = (t, image)
+            taus = _candidates(
+                # the target ideal's own ratios, with the opposite sign
+                [fld.neg(c) for c in ratio_candidates(target_ideal, bypass)]
+                if final else (),
+                [witness.tau] if bypass == witness.bypass else (),
+                schedule)
+            for t, image, h_image, st in _images(current, bypass, taus, cache):
+                if st == HOMOTOPIC and fingerprint_key(h_image) == target_key:
+                    yield t, image
+
+    chain = []
+    current = source_ideal
+    for n, edge in enumerate(path, 1):
+        if n < len(path):
+            step = next(arrivals(current, edge, False), None)
+        else:
+            # the target itself, else the first arrival that a dilatation
+            # carries onto it, else the first arrival
+            passed = []
+            for step in arrivals(current, edge, True):
+                if ideals_equal(step[1], target_ideal):
                     break
-                if chosen is None:
-                    chosen = (t, image)
-            if chosen is not None and (not final
-                                       or ideals_equal(chosen[1], target_ideal)):
-                break
-        if chosen is None:
+                passed.append(step)
+            else:
+                step = next((s for s in passed if match_by_dilatation(
+                    s[1], target_ideal) is not None), passed[0] if passed else None)
+        if step is None:
             raise GammaError(
                 "could not replay the edge into the vertex of %s"
                 % gamma.vertices[edge.target].ideal.describe())
-        chain.append(chosen[0])
-        current = chosen[1]
+        chain.append(step[0])
+        current = step[1]
 
     if not ideals_equal(current, target_ideal):
         dil = match_by_dilatation(current, target_ideal)

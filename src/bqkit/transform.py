@@ -283,14 +283,14 @@ def as_path_automorphism(phi, quiver: Quiver, fld: Field) -> PathAutomorphism:
     raise TransformError("not an automorphism: %r" % (phi,))
 
 
-def compose(f, g, quiver: Quiver = None, fld: Field = None) -> PathAutomorphism:
-    """The automorphism f o g (g applied first)."""
-    if quiver is None:
-        probe = f if isinstance(f, PathAutomorphism) else g
-        if not isinstance(probe, PathAutomorphism):
-            raise TransformError("compose needs quiver and field for plain "
-                                 "transvections/dilatations")
-        quiver, fld = probe.quiver, probe.field
+def compose(f, g) -> PathAutomorphism:
+    """The automorphism f o g (g applied first); one of the two must be a
+    ``PathAutomorphism``, whose quiver and field the other is read on."""
+    probe = f if isinstance(f, PathAutomorphism) else g
+    if not isinstance(probe, PathAutomorphism):
+        raise TransformError("compose needs a PathAutomorphism to read plain "
+                             "transvections/dilatations on")
+    quiver, fld = probe.quiver, probe.field
     fa = as_path_automorphism(f, quiver, fld)
     ga = as_path_automorphism(g, quiver, fld)
     images = {name: fa.apply_to_relation(img) for name, img in ga.images.items()}

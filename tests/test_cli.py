@@ -75,6 +75,18 @@ def test_gamma_and_source(capsys, tmp_path):
     assert "warning" in out
 
 
+def test_representative_cap_reaches_gamma_and_source(capsys):
+    line = "vertex 0: representatives past the cap of 16 were not probed"
+    code, out, _ = run(capsys, "gamma", f"{EXAMPLES}/twobypass.bq",
+                       "--ideal", "I2", "--json")
+    assert code == 0
+    assert line in json.loads(out)["diagnostics"]
+    code, out, _ = run(capsys, "source", f"{EXAMPLES}/twobypass.bq",
+                       "--ideal", "I2")
+    assert code == 0
+    assert "warning: %s" % line in out.splitlines()
+
+
 def test_surjection(capsys):
     code, out, _ = run(capsys, "surjection", f"{EXAMPLES}/exple1.bq", "I", "J")
     assert code == 0

@@ -164,14 +164,15 @@ def test_chain_certifies_condition_b(ideal_I0, ideal_I1):
     assert ideals_equal(current, ideal_I1)
 
 
-def test_chain_needs_dilatation(exple1, ideal_I, rationals):
-    # target = phi_{a,cb,1} then rescale: reachable only with a dilatation tail
-    t = Transvection(Bypass("a", parse_path(exple1, "c*b")), Fraction(1))
-    moved = apply_automorphism(t, ideal_I)
-    d = Dilatation((("d", Fraction(3)),))
-    target = apply_automorphism(d, moved)
-    chain = check_lemma_3_3_chain(ideal_I, target)
-    current = ideal_I
+@pytest.mark.parametrize("arrow", "abcdef")
+def test_chain_needs_dilatation(arrow, ideal_I0, ideal_I1, rationals):
+    # D(I1) with D scaling one arrow by 2 lies in the vertex of I1, one
+    # transvection away from I0, and only a final dilatation reaches it
+    d = Dilatation(((arrow, Fraction(2)),))
+    target = apply_automorphism(d, ideal_I1)
+    chain = check_lemma_3_3_chain(ideal_I0, target)
+    assert isinstance(chain[-1], Dilatation)
+    current = ideal_I0
     for step in chain:
         current = apply_automorphism(step, current)
     assert ideals_equal(current, target)
@@ -274,6 +275,36 @@ def test_unresolved_alternate_representative_fails_loudly(monkeypatch):
     with pytest.raises(GammaError, match="alternate representative"):
         explore_gamma(ideal_J)
     assert misses
+
+
+def test_unknown_successor_is_a_gamma_error(monkeypatch, ideal_I):
+    """An Unknown pair in a successor's relation stops the exploration
+    with a GammaError that names the successor."""
+    from bqkit.errors import UnresolvedError
+
+    h_input = homotopy_relation(ideal_I)
+
+    def key(h):
+        if h is not h_input:
+            raise UnresolvedError("fingerprint contains an Unknown pair")
+        return fingerprint_key(h)
+
+    monkeypatch.setattr(gamma_mod, "fingerprint_key", key)
+    with pytest.raises(GammaError, match="successor"):
+        explore_gamma(ideal_I)
+
+
+def test_representative_cap_is_reported(ws5):
+    # vertex 0 of I2 over Q has more alternate representatives than the
+    # cap keeps; over F_2 every vertex keeps all of its own
+    gamma = explore_gamma(ws5.ideal("I2"))
+    assert len(gamma.vertices[0].representatives) == \
+        gamma_mod.DEFAULT_MAX_REPRESENTATIVES
+    capped = [d for d in gamma.diagnostics if "cap" in d]
+    assert capped == ["vertex 0: representatives past the cap of %d were "
+                      "not probed" % gamma_mod.DEFAULT_MAX_REPRESENTATIVES]
+    gamma = explore_gamma(twobypass_chain(2, "I2", char=2))
+    assert not [d for d in gamma.diagnostics if "cap" in d]
 
 
 @pytest.mark.parametrize("edges, vertex_count, bypass_count, violations", [
