@@ -334,7 +334,8 @@ def explore_gamma(ideal: Ideal) -> GammaQuiver:
 
 
 def find_sources(gamma: GammaQuiver):
-    """All in-degree-0 vertices; warnings when uniqueness hypotheses fail."""
+    """All in-degree-0 vertices; a warning, added to the diagnostics once,
+    when uniqueness hypotheses fail."""
     sources = gamma.sources()
     if len(sources) != 1:
         quiver = gamma.vertices[0].ideal.quiver
@@ -344,9 +345,10 @@ def find_sources(gamma: GammaQuiver):
             reasons.append("characteristic %d" % fld.char)
         if find_double_bypasses(quiver):
             reasons.append("double bypass present")
-        gamma.diagnostics.append(
-            "%d sources found (uniqueness hypotheses: %s)"
-            % (len(sources), ", ".join(reasons) or "satisfied"))
+        warning = ("%d sources found (uniqueness hypotheses: %s)"
+                   % (len(sources), ", ".join(reasons) or "satisfied"))
+        if warning not in gamma.diagnostics:
+            gamma.diagnostics.append(warning)
     return sources
 
 

@@ -11,6 +11,7 @@ cannot be certified either way within the caps is reported Unknown.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -203,12 +204,14 @@ class HomotopyRelation:
     """The homotopy relation of a bound quiver presentation.
 
     Constructing one always builds a fresh relation; ``homotopy_relation``
-    hands out the one kept on the ideal.  ``fingerprint`` maps every
-    pair (u, v) of parallel paths, u before v in the canonical order, to
-    its status (see ``_fingerprint``).  A relation from
-    ``homotopy_relation`` is shared by every caller that asks for the
-    same ideal and base point, so its ``fingerprint`` and its decision
-    memo are read-only.
+    hands out the one kept on the ideal.  The relation is kept as a
+    partition of each hom-set into classes with a table of statuses
+    between classes (see ``_fingerprint``).  ``fingerprint`` is a
+    read-only mapping view over it, from every pair (u, v) of parallel
+    paths, u before v in the canonical order, to its status.  A relation
+    from ``homotopy_relation`` is shared by every caller that asks for
+    the same ideal and base point, so its decision memo is read-only
+    too.
     """
 
     def __init__(self, ideal: Ideal, x0=None):
@@ -228,8 +231,12 @@ class HomotopyRelation:
                                  enumerate(self.presentation.generators)}
         self._decisions = {}
         self._path_classes = self._congruence_closure()
-        self.fingerprint = self._fingerprint()
+        self._homs, self._where = self._fingerprint()
         self._key = None  # see fingerprint_key
+
+    @property
+    def fingerprint(self):
+        return _FingerprintView(self)
 
     # -- construction ------------------------------------------------------
 
@@ -324,9 +331,8 @@ class HomotopyRelation:
         return {p: paths[sets.find(i)] for i, p in enumerate(paths)}
 
     def _fingerprint(self):
-        """The status of every pair (u, v) of parallel paths, u before v
-        in the canonical order, decided once per pair of congruence
-        classes of a hom-set.
+        """The status of every pair of parallel paths, decided once per
+        pair of congruence classes of a hom-set and kept as a partition.
 
         Paths of one class are Homotopic.  The abelian image of u * v^-1
         is linear and vanishes on pairs inside a class, so it is the
@@ -339,19 +345,29 @@ class HomotopyRelation:
         Then the Homotopic pairs of classes are closed transitively: a
         pair inside a Homotopic root becomes Homotopic, or raises if it
         was certified Not-homotopic.
+
+        Returns ``(homs, where)``.  ``homs`` has one entry per (x, y) in
+        vertex order: the paths of the hom-set in canonical order, the
+        class number of each path (classes numbered by first member, a
+        restricted-growth string; Knuth, TAOCP 4A, 7.2.1.5) and the
+        symmetric table of statuses between classes.  ``where`` maps
+        each path to (hom index, position).
         """
         classes = self._path_classes
         homs = []  # (paths, class number of each path, class roots)
+        where = {}
         verdicts = {}  # (root, root) of two classes of a hom-set -> status
         for x in self.quiver.vertices:
             for y in self.quiver.vertices:
                 paths = paths_between(self.quiver, x, y)
                 members = {}  # class root -> path indices, by first member
                 for i, p in enumerate(paths):
+                    where[p] = (len(homs), i)
                     members.setdefault(classes[p], []).append(i)
                 roots = list(members)
                 number = {r: k for k, r in enumerate(roots)}
-                homs.append((paths, [number[classes[p]] for p in paths], roots))
+                homs.append((paths, tuple(number[classes[p]] for p in paths),
+                             roots))
                 if len(roots) < 2:
                     continue
                 walks = [walk_of_path(p) for p in paths]
@@ -378,27 +394,27 @@ class HomotopyRelation:
                         "inconsistent homotopy certificates for the classes "
                         "of %s and %s" % (ra, rb))
                 verdicts[(ra, rb)] = HOMOTOPIC
-        tags = {}
-        for paths, of, roots in homs:
-            table = [[HOMOTOPIC if a == b else
-                      verdicts[(ra, rb) if a < b else (rb, ra)]
-                      for b, rb in enumerate(roots)]
-                     for a, ra in enumerate(roots)]
-            tags.update(zip(combinations(paths, 2),
-                            (table[a][b] for a, b in combinations(of, 2))))
-        return tags
+        return [(paths, labels,
+                 tuple(tuple(HOMOTOPIC if a == b else
+                             verdicts[(ra, rb) if a < b else (rb, ra)]
+                             for b, rb in enumerate(roots))
+                       for a, ra in enumerate(roots)))
+                for paths, labels, roots in homs], where
 
     # -- queries -----------------------------------------------------------
 
     def pair_status(self, u, v) -> str:
-        """Fingerprint classification of a parallel path pair."""
+        """Fingerprint classification of a parallel path pair, in either
+        order: the table entry of the classes of u and v."""
         if u == v:
             return HOMOTOPIC
-        if (u, v) in self.fingerprint:
-            return self.fingerprint[(u, v)]
-        if (v, u) in self.fingerprint:
-            return self.fingerprint[(v, u)]
-        raise HomotopyError("pair (%s, %s) is not a parallel path pair" % (u, v))
+        at_u = self._where.get(u)
+        at_v = self._where.get(v)
+        if at_u is None or at_v is None or at_u[0] != at_v[0]:
+            raise HomotopyError("pair (%s, %s) is not a parallel path pair"
+                                % (u, v))
+        _, labels, table = self._homs[at_u[0]]
+        return table[labels[at_u[1]]][labels[at_v[1]]]
 
     def loop_exponents(self, u: Walk, v: Walk):
         """Net chord exponents of the loop u * v^-1 (order irrelevant
@@ -677,6 +693,45 @@ class HomotopyRelation:
                 yield new, (i,) + move
 
 
+class _FingerprintView(Mapping):
+    """The fingerprint of a relation as a read-only mapping: every pair
+    (u, v) of parallel paths, u before v in the canonical order, to its
+    status, in hom-set order.  It reads the partition and keeps no pairs
+    of its own."""
+
+    def __init__(self, h: HomotopyRelation):
+        self._h = h
+
+    def __len__(self):
+        return sum(len(paths) * (len(paths) - 1) // 2
+                   for paths, _, _ in self._h._homs)
+
+    def __iter__(self):
+        for paths, _, _ in self._h._homs:
+            yield from combinations(paths, 2)
+
+    def __getitem__(self, pair):
+        where = self._h._where
+        try:
+            u, v = pair
+            if where[u] < where[v]:
+                return self._h.pair_status(u, v)
+        except (KeyError, TypeError, ValueError, HomotopyError):
+            pass
+        raise KeyError(pair)
+
+
+def _hom_pairs(paths, labels, table):
+    """The pairs (u, v) of one hom-set, u before v, in lexicographic
+    order, each with its status."""
+    for pair, (a, b) in zip(combinations(paths, 2), combinations(labels, 2)):
+        yield pair, table[a][b]
+
+
+def _has_unknown(table):
+    return any(UNKNOWN in row for row in table)
+
+
 def _member_pairs(first, second):
     """The pairs (i, j), i < j, with one index in each of two disjoint
     ascending index lists, in lexicographic order."""
@@ -767,9 +822,9 @@ def homotopy_relation(ideal: Ideal, x0=None) -> HomotopyRelation:
     """The homotopy relation of (Q, I) based at x0 (by default the first
     vertex), built once per (ideal, base point) and kept on the ideal.
 
-    Every caller gets the same object, so its ``fingerprint`` and its
-    decision memo must be treated as read-only; ``HomotopyRelation(ideal,
-    x0)`` builds a fresh one.  The ideal holds the relation by object,
+    Every caller gets the same object, so its decision memo must be
+    treated as read-only; ``HomotopyRelation(ideal, x0)`` builds a fresh
+    one.  The ideal holds the relation by object,
     not by value: an equal ideal built elsewhere builds its own.
     """
     if x0 is None:
@@ -785,35 +840,61 @@ DIFFERENT = "different"
 
 
 def relations_equal(h1: HomotopyRelation, h2: HomotopyRelation):
-    """Compare fingerprints: (EQUAL, None) | (DIFFERENT, pair) | (UNKNOWN, pair)."""
+    """Compare fingerprints: (EQUAL, None) | (DIFFERENT, pair) | (UNKNOWN, pair).
+
+    The pairs are walked in fingerprint order.  The witness of DIFFERENT
+    is the first pair with two certified, different statuses; failing
+    that, the witness of UNKNOWN is the first pair with an Unknown
+    status on either side.  A hom-set with the same labels and table in
+    both relations and no Unknown holds neither, so it is skipped."""
     if h1.quiver != h2.quiver:
         raise HomotopyError("homotopy relations live on different quivers")
     unknown_pair = None
-    for pair, tag1 in h1.fingerprint.items():
-        tag2 = h2.fingerprint[pair]
-        if UNKNOWN in (tag1, tag2):
-            if unknown_pair is None:
-                unknown_pair = pair
+    for hom1, hom2 in zip(h1._homs, h2._homs):
+        if hom1[1:] == hom2[1:] and not _has_unknown(hom1[2]):
             continue
-        if tag1 != tag2:
-            return (DIFFERENT, pair)
+        for (pair, tag1), (_, tag2) in zip(_hom_pairs(*hom1), _hom_pairs(*hom2)):
+            if UNKNOWN in (tag1, tag2):
+                if unknown_pair is None:
+                    unknown_pair = pair
+                continue
+            if tag1 != tag2:
+                return (DIFFERENT, pair)
     if unknown_pair is not None:
         return (UNKNOWN, unknown_pair)
     return (EQUAL, None)
 
 
 def fingerprint_key(h: HomotopyRelation):
-    """Canonical hashable form of a fully certified fingerprint, computed
+    """Canonical hashable form of a fully certified fingerprint: the
+    pairs ((path_key(u), path_key(v)), status) in sorted order, computed
     once and kept on h.  A fingerprint with an Unknown pair raises
-    ``UnresolvedError`` on every call."""
+    ``UnresolvedError``, naming its first Unknown pair in hom-set order,
+    on every call.
+
+    The pairs are emitted in sorted order without a sort: for each u of
+    ``enumerate_paths``, the later paths v of its hom-set.  Every u of a
+    pair is nontrivial, since an acyclic quiver has only e_x from x to
+    x, and nontrivial paths have distinct keys, so the pairs sort by u
+    first and then by v within u's hom-set, which is canonical.
+    """
     if h._key is None:
+        for hom in h._homs:
+            if _has_unknown(hom[2]):
+                for (u, v), tag in _hom_pairs(*hom):
+                    if tag == UNKNOWN:
+                        raise UnresolvedError(
+                            "fingerprint contains an Unknown pair (%s, %s)"
+                            % (u, v))
         quiver = h.quiver
+        keys = [[path_key(quiver, p) for p in paths] for paths, _, _ in h._homs]
         items = []
-        for (u, v), tag in h.fingerprint.items():
-            if tag == UNKNOWN:
-                raise UnresolvedError(
-                    "fingerprint contains an Unknown pair (%s, %s)" % (u, v))
-            items.append(((path_key(quiver, u), path_key(quiver, v)), tag))
-        items.sort()
+        for u in enumerate_paths(quiver):
+            k, i = h._where[u]
+            _, labels, table = h._homs[k]
+            row = table[labels[i]]
+            ku = keys[k][i]
+            items.extend(((ku, kv), row[b])
+                         for kv, b in zip(keys[k][i + 1:], labels[i + 1:]))
         h._key = tuple(items)
     return h._key

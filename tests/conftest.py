@@ -2,6 +2,7 @@ import pytest
 
 from bqkit.dsl import parse_source
 from bqkit.fields import Field
+from bqkit.homotopy import UNKNOWN, Decision, HomotopyRelation
 from bqkit.ideal import close_ideal, make_relation
 from bqkit.quiver import Arrow, Quiver, paths_between
 
@@ -54,6 +55,16 @@ def make_random_bound_quiver(rng, char=0, max_vertices=6):
                 if terms:
                     gens.append(make_relation(quiver, fld, x, y, terms))
     return close_ideal(quiver, fld, gens)
+
+
+def decide_unknown(monkeypatch):
+    """Make every pair of classes have the same abelian image and
+    ``decide`` answer Unknown, so a relation built afterwards has an
+    Unknown pair wherever a hom-set has two congruence classes."""
+    monkeypatch.setattr(HomotopyRelation, "abelian_image", lambda self, u, v: ())
+    monkeypatch.setattr(HomotopyRelation, "decide",
+                        lambda self, u, v, cap=None, want_chain=True:
+                        Decision(UNKNOWN))
 
 
 UNIT_RELATIONS = {

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import FOUR_VERTEX, twobypass_chain
+from conftest import FOUR_VERTEX, decide_unknown, twobypass_chain
 
 from bqkit.dsl import parse_path, parse_source
 from bqkit.errors import GammaError
@@ -100,6 +100,14 @@ def test_explore_two_bypass_char2_from_I1(ws5):
     invs = sorted(v.abelian_invariants for v in gamma.vertices)
     assert invs == [(0, ()), (0, (2,)), (1, ())]
     assert any("2 sources" in d for d in gamma.diagnostics)
+
+
+def test_find_sources_warns_once(ws5):
+    """A second call on the same graph adds no second warning."""
+    gamma = explore_gamma(ws5.ideal("I1", char=2))
+    for _ in range(2):
+        assert len(find_sources(gamma)) == 2
+    assert len([d for d in gamma.diagnostics if "sources found" in d]) == 1
 
 
 def test_surjection_exple1(ideal_I, ideal_J):
@@ -233,20 +241,11 @@ def test_trichotomy_seeded_sample():
 
 def test_unknown_contaminated_fingerprint_fails_loudly(monkeypatch):
     from bqkit.errors import GammaError
-    from bqkit import homotopy as homotopy_mod
 
-    # a private copy: the poison writes into the relation kept on the ideal
+    # a private copy: the relation built with Unknown answers is kept on
+    # the ideal
     ideal_I = parse_source(FOUR_VERTEX).ideal("I")
-
-    real = homotopy_mod.fingerprint_key
-
-    def poisoned(h):
-        for pair in h.fingerprint:
-            h.fingerprint[pair] = homotopy_mod.UNKNOWN
-            break
-        return real(h)
-
-    monkeypatch.setattr("bqkit.gamma.fingerprint_key", poisoned)
+    decide_unknown(monkeypatch)
     with pytest.raises(GammaError, match="cannot explore"):
         explore_gamma(ideal_I)
 

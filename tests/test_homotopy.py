@@ -1,7 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
-from conftest import twobypass_chain
+from conftest import decide_unknown, twobypass_chain
 
 from bqkit import homotopy
 from bqkit.dsl import parse_path, parse_quiver, parse_source, parse_walk
@@ -10,7 +11,7 @@ from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             GroupPresentation, fingerprint_key,
                             homotopy_relation, relations_equal)
 from bqkit.ideal import close_ideal
-from bqkit.quiver import FORWARD, make_walk, walk_of_path
+from bqkit.quiver import FORWARD, make_walk, paths_between, walk_of_path
 from bqkit.snf import RowLattice
 
 
@@ -107,6 +108,46 @@ def test_zero_ideal_fingerprint(exple1, rationals):
         assert tag == NOT_HOMOTOPIC, pair
 
 
+def test_pair_status_rejects_pairs_that_are_not_parallel(h_I, exple1,
+                                                        twobypass):
+    a = parse_path(exple1, "a")
+    b = parse_path(exple1, "b")
+    d = parse_path(exple1, "d")
+    # e of twobypass runs 3 -> 4 like d of exple1, but is not a path of it
+    e = parse_path(twobypass, "e")
+    for u, v in ((a, b), (b, a), (d, e), (e, d)):
+        with pytest.raises(HomotopyError, match="not a parallel path pair"):
+            h_I.pair_status(u, v)
+
+
+def test_fingerprint_is_a_read_only_view(h_J, ideal_I0):
+    pair = next(iter(h_J.fingerprint))
+    with pytest.raises(TypeError):
+        h_J.fingerprint[pair] = NOT_HOMOTOPIC
+    assert h_J.fingerprint[pair] == HOMOTOPIC
+    # only u before v is a key
+    assert pair[::-1] not in h_J.fingerprint
+    for h in (h_J, homotopy_relation(ideal_I0),
+              homotopy_relation(twobypass_chain(2))):
+        q = h.quiver
+        parallel = [pair for x in q.vertices for y in q.vertices
+                    for pair in combinations(paths_between(q, x, y), 2)]
+        assert len(h.fingerprint) == len(parallel)
+        assert list(h.fingerprint) == parallel
+
+
+def test_unknown_fingerprint_names_its_first_pair(monkeypatch, rationals):
+    """The first Unknown pair in hom-set order, (x, y) in vertex order,
+    is named, though (b1, b2) comes first in the order of the key."""
+    q = parse_quiver("""quiver fork { vertices: 1 2 3;
+                        arrow a: 1 -> 2; arrow b1: 2 -> 3; arrow b2: 2 -> 3; }""")
+    decide_unknown(monkeypatch)
+    h = homotopy.HomotopyRelation(close_ideal(q, rationals, []))
+    with pytest.raises(UnresolvedError,
+                       match=r"Unknown pair \(b1\*a, b2\*a\)$"):
+        fingerprint_key(h)
+
+
 def test_pi1_exple1(h_I, h_J):
     gp_I = h_I.presentation
     assert gp_I.generators == ("c",)
@@ -194,10 +235,11 @@ def test_homotopy_relation_is_kept_per_base_point(ideal_I0):
     assert homotopy.HomotopyRelation(ideal_I0) is not h
 
 
-def test_unknown_fingerprint_raises_on_every_call(ideal_J):
+def test_unknown_fingerprint_raises_on_every_call(monkeypatch, ideal_I):
     """The failure is not kept: a second call raises as the first did."""
-    h = homotopy.HomotopyRelation(ideal_J)
-    h.fingerprint[next(iter(h.fingerprint))] = homotopy.UNKNOWN
+    # under I, a and c*b are two classes of one hom-set
+    decide_unknown(monkeypatch)
+    h = homotopy.HomotopyRelation(ideal_I)
     for _ in range(2):
         with pytest.raises(UnresolvedError, match="Unknown pair"):
             fingerprint_key(h)

@@ -4,6 +4,11 @@ pending-list congruence closure and the per-class fingerprint of
 the pairwise rescan-to-fixpoint closure and the all-pairs fingerprint
 they replaced, kept here as reference implementations.
 
+The partition that ``HomotopyRelation`` keeps per hom-set is compared
+with the pair dict it replaced, built from ``combinations`` and sorted
+into ``fingerprint_key``, through ``fingerprint_key``, ``pair_status``
+and ``relations_equal``.
+
 The congruence closures are compared by their partitions of the paths,
 not only by fingerprints: a closure that misses a cancellation can still
 produce the same fingerprint, because ``decide`` certifies the pairs it
@@ -20,23 +25,27 @@ the images of the minimal relations again.
 """
 
 import random
+import re
 from importlib import resources
+from itertools import combinations
 
 import pytest
 from conftest import make_random_bound_quiver, twobypass_chain
 
 from bqkit.disjoint_sets import DisjointSets
 from bqkit.dsl import parse_source
-from bqkit.errors import HomotopyError
+from bqkit.errors import HomotopyError, UnresolvedError
 from bqkit.fields import Field
 from bqkit.gamma import tau_schedule
-from bqkit.homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, UNKNOWN, Decision,
-                            HomotopyRelation, homotopy_relation)
+from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
+                            UNKNOWN, Decision, HomotopyRelation,
+                            fingerprint_key, homotopy_relation,
+                            relations_equal)
 from bqkit.ideal import (Ideal, Relation, add_relations, close_ideal,
                          mul_relations, relation_of_path, scale_relation)
 from bqkit.quiver import (FORWARD, INVERSE, Path, Walk, enumerate_paths,
-                          find_bypasses, paths_between, trivial_path,
-                          walk_of_path)
+                          find_bypasses, path_key, paths_between,
+                          trivial_path, walk_of_path)
 from bqkit.transform import (Dilatation, Transvection, apply_automorphism,
                              as_path_automorphism)
 
@@ -435,10 +444,11 @@ quiver three {
 """
 
 
-def scripted_fingerprint(monkeypatch, ideal, script):
-    """The fingerprint when every pair of classes has the same abelian
+def scripted_relation(monkeypatch, ideal, script):
+    """The relation built when every pair of classes has the same abelian
     image and ``decide`` answers from ``script`` (written paths to
-    status, Unknown if absent); returns it and the decided pairs."""
+    status, Unknown if absent); returns it and the decided pairs.  The
+    patches stay until ``monkeypatch`` is undone."""
     calls = []
 
     def decide(self, u, v, cap=None, want_chain=True):
@@ -448,7 +458,13 @@ def scripted_fingerprint(monkeypatch, ideal, script):
 
     monkeypatch.setattr(HomotopyRelation, "abelian_image", lambda self, u, v: ())
     monkeypatch.setattr(HomotopyRelation, "decide", decide)
-    h = HomotopyRelation(ideal)
+    return HomotopyRelation(ideal), calls
+
+
+def scripted_fingerprint(monkeypatch, ideal, script):
+    """The fingerprint of ``scripted_relation``, keyed by written paths,
+    and the decided pairs."""
+    h, calls = scripted_relation(monkeypatch, ideal, script)
     return {(u.to_text(), v.to_text()): tag
             for (u, v), tag in h.fingerprint.items()}, calls
 
@@ -490,6 +506,112 @@ def test_fingerprint_decides_per_pair_of_classes(monkeypatch):
         scripted_fingerprint(monkeypatch, zero, {
             ("x", "y"): HOMOTOPIC, ("y", "z"): HOMOTOPIC,
             ("x", "z"): NOT_HOMOTOPIC})
+
+
+def grid_ideal(n):
+    """The commutative n x n grid over Q: every square r*d - d*r."""
+    lines = ["quiver grid {", "  vertices: %s;" % " ".join(
+        "v%d_%d" % (i, j) for i in range(n) for j in range(n))]
+    rels = []
+    for i in range(n):
+        for j in range(n):
+            if j + 1 < n:
+                lines.append("  arrow r%d_%d: v%d_%d -> v%d_%d;"
+                             % (i, j, i, j, i, j + 1))
+            if i + 1 < n:
+                lines.append("  arrow d%d_%d: v%d_%d -> v%d_%d;"
+                             % (i, j, i, j, i + 1, j))
+            if i + 1 < n and j + 1 < n:
+                rels.append("rel d%d_%d*r%d_%d - r%d_%d*d%d_%d;"
+                            % (i, j + 1, i, j, i + 1, j, i, j))
+    lines.append("}")
+    lines.append("ideal I over grid(0) { %s }" % " ".join(rels))
+    return parse_source("\n".join(lines)).ideal("I")
+
+
+def pair_dict(h):
+    """The pair dict the relation kept before it kept a partition: every
+    pair of parallel paths from ``combinations`` of each hom-set, with
+    its status in the all-pairs reference."""
+    tags = pairwise_fingerprint(h)
+    return {pair: tags[pair]
+            for x in h.quiver.vertices for y in h.quiver.vertices
+            for pair in combinations(paths_between(h.quiver, x, y), 2)}
+
+
+def sorted_key(h, tags):
+    """``fingerprint_key`` as the sort of the pair dict's items."""
+    for (u, v), tag in tags.items():
+        if tag == UNKNOWN:
+            raise UnresolvedError(
+                "fingerprint contains an Unknown pair (%s, %s)" % (u, v))
+    return tuple(sorted(((path_key(h.quiver, u), path_key(h.quiver, v)), tag)
+                        for (u, v), tag in tags.items()))
+
+
+def walked_relations_equal(tags1, tags2):
+    """``relations_equal`` as a walk over the pair dicts."""
+    unknown_pair = None
+    for pair, tag1 in tags1.items():
+        tag2 = tags2[pair]
+        if UNKNOWN in (tag1, tag2):
+            if unknown_pair is None:
+                unknown_pair = pair
+            continue
+        if tag1 != tag2:
+            return (DIFFERENT, pair)
+    if unknown_pair is not None:
+        return (UNKNOWN, unknown_pair)
+    return (EQUAL, None)
+
+
+def test_partition_matches_pair_dict(monkeypatch):
+    ideals = (list(all_ideals()) + [twobypass_chain(units) for units in (1, 2, 3)]
+              + [grid_ideal(4)])
+    relations = []
+    for ideal in ideals:
+        h = HomotopyRelation(ideal)
+        relations.append((h, pair_dict(h)))
+    # Unknown pairs come from scripted decisions on the square, next to
+    # its real relation: (a1, a2) is Unknown in every scripted one, and
+    # the second script makes the cross pairs of 1 -> 3 Homotopic, which
+    # the real relation certifies Not-homotopic
+    square = parse_source(SQUARE).ideal("I")
+    h = HomotopyRelation(square)
+    relations.append((h, pair_dict(h)))
+    for script in ({}, {("b1*a1", "b2*a1"): HOMOTOPIC}):
+        h, _ = scripted_relation(monkeypatch, square, script)
+        relations.append((h, pair_dict(h)))
+        monkeypatch.undo()
+
+    for h, tags in relations:
+        assert list(h.fingerprint.items()) == list(tags.items())
+        try:
+            expected = sorted_key(h, tags)
+        except UnresolvedError as exc:
+            with pytest.raises(UnresolvedError, match=re.escape(str(exc))):
+                fingerprint_key(h)
+        else:
+            assert fingerprint_key(h) == expected
+        for (u, v), tag in tags.items():
+            assert h.pair_status(u, v) == h.pair_status(v, u) == tag
+
+    by_quiver = {}
+    for h, tags in relations:
+        by_quiver.setdefault(h.quiver, []).append((h, tags))
+    outcomes = {}
+    for group in by_quiver.values():
+        for h1, tags1 in group:
+            for h2, tags2 in group:
+                result = relations_equal(h1, h2)
+                assert result == walked_relations_equal(tags1, tags2)
+                outcomes.setdefault(result[0], set()).add(
+                    None if result[1] is None
+                    else tuple(p.to_text() for p in result[1]))
+    assert outcomes[EQUAL] == {None}
+    assert outcomes[UNKNOWN] >= {("a1", "a2")}
+    # a certified difference after an earlier Unknown pair is the witness
+    assert ("b1*a1", "b1*a2") in outcomes[DIFFERENT]
 
 
 def relation_image(auto, rel):
