@@ -48,8 +48,9 @@ class CosetTable:
         return True
 
 
-def enumerate_cosets(ngens, relators, max_cosets=DEFAULT_MAX_COSETS):
-    """Enumerate the cosets of the trivial subgroup; None if capped.
+def enumerate_cosets(ngens, relators):
+    """Enumerate the cosets of the trivial subgroup; None past
+    ``DEFAULT_MAX_COSETS`` cosets.
 
     relators are tuples of signed 1-based generator indices.  Letters are
     columns 2i (generator i+1) and 2i+1 (its inverse).
@@ -102,7 +103,7 @@ def enumerate_cosets(ngens, relators, max_cosets=DEFAULT_MAX_COSETS):
     start = new_vertex()
     to_visit = 0
     while to_visit < len(labels):
-        if len(labels) > max_cosets:
+        if len(labels) > DEFAULT_MAX_COSETS:
             return None
         c = to_visit
         if find(c) == c:

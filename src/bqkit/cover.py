@@ -81,10 +81,6 @@ class FiniteGroup:
                 return other
         raise CoverError("element %r has no inverse" % (g,))
 
-    @property
-    def order(self):
-        return len(self.elements)
-
 
 @dataclass(frozen=True)
 class Grading:
@@ -136,7 +132,6 @@ class DeckMap:
     name: str
     vertex_map: dict
     arrow_map: dict
-    total: bool
 
 
 # -- the cover container ------------------------------------------------------
@@ -389,7 +384,7 @@ def universal_cover(ideal: Ideal, x0=None, radius=None) -> CoverQuiver:
 
     cover = CoverQuiver(total, ideal, vertex_map, arrow_map, None,
                         complete, radius, interior, [], "universal",
-                        {"reps": meta_reps, "base_point": h.base_point})
+                        {"reps": meta_reps})
     cover._ball = ball
     cover._h = h
     cover.action = _universal_deck_generators(cover)
@@ -420,9 +415,7 @@ def _universal_deck_generators(cover: CoverQuiver):
             image = cover.arrow_over(src_img, cover.arrow_map[e.name], FORWARD)
             if image is not None and image.target == tgt_img:
                 amap[e.name] = image.name
-        total = len(vmap) == len(cover.total.vertices) and \
-            len(amap) == len(cover.total.arrows)
-        generators.append(DeckMap("g_%s" % chord, vmap, amap, total))
+        generators.append(DeckMap("g_%s" % chord, vmap, amap))
     return generators
 
 
@@ -451,8 +444,7 @@ def smash_product(ideal: Ideal, grading: Grading) -> CoverQuiver:
     total = Quiver(quiver.name + "_smash", vertices, tuple(arrows))
 
     cover = CoverQuiver(total, ideal, vertex_map, arrow_map, None,
-                        True, None, set(vertices), [], "smash",
-                        {"group": G.name, "labels": {v: v for v in vertices}})
+                        True, None, set(vertices), [], "smash")
     for g in G.elements:
         if g == G.identity:
             continue
@@ -460,7 +452,7 @@ def smash_product(ideal: Ideal, grading: Grading) -> CoverQuiver:
                 for x in quiver.vertices for s in G.elements}
         amap = {"%s_%s" % (a.name, s): "%s_%s" % (a.name, G.mul(g, s))
                 for a in quiver.arrows for s in G.elements}
-        cover.action.append(DeckMap("g_%s" % g, vmap, amap, True))
+        cover.action.append(DeckMap("g_%s" % g, vmap, amap))
     return cover
 
 
@@ -613,7 +605,7 @@ def _extend_deck_map(cover: CoverQuiver, anchor, image):
         moved = _map_relation(rel, cover.total, cover.field, vmap, amap)
         if not cover.total_ideal.contains(moved):
             return None
-    return DeckMap("deck_%s" % image, vmap, amap, True)
+    return DeckMap("deck_%s" % image, vmap, amap)
 
 
 def _map_relation(rel: Relation, quiver: Quiver, fld, vmap, amap) -> Relation:

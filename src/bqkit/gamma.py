@@ -23,7 +23,8 @@ from .homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, UNKNOWN, HomotopyRelation,
 from .ideal import Ideal, ideals_equal
 from .quiver import (Arrow, Bypass, Path, Quiver, find_bypasses,
                      find_double_bypasses, longest_path_length, make_path)
-from .transform import Transvection, apply_automorphism, match_by_dilatation
+from .transform import (Transvection, apply_automorphism, as_path_automorphism,
+                        match_by_dilatation)
 
 DEFAULT_MAX_REPRESENTATIVES = 16
 
@@ -41,12 +42,15 @@ class _HomotopyCache:
     that makes equal ideals one ``Ideal`` object.  ``homotopy_relation``
     keeps a relation on the ideal object, so each distinct ideal of an
     exploration builds one relation, and later readers of the interned
-    representatives (``check_surjection``, covers) build none."""
+    representatives (``check_surjection``, covers) build none.  Each
+    distinct transvection becomes one ``PathAutomorphism``, whose path
+    images then serve every ideal it maps."""
 
     def __init__(self, x0=None):
         self.x0 = x0
         self._ideals = {}
         self._images = {}
+        self._automorphisms = {}
 
     def intern(self, ideal: Ideal) -> Ideal:
         return self._ideals.setdefault(ideal, ideal)
@@ -55,10 +59,14 @@ class _HomotopyCache:
         return homotopy_relation(self.intern(ideal), self.x0)
 
     def image(self, ideal: Ideal, t: Transvection) -> Ideal:
-        key = (ideal, t.arrow, t.path, t.tau)
+        key = (ideal, t)
         image = self._images.get(key)
         if image is None:
-            image = self._images[key] = self.intern(apply_automorphism(t, ideal))
+            auto = self._automorphisms.get(t)
+            if auto is None:
+                auto = self._automorphisms[t] = as_path_automorphism(
+                    t, ideal.quiver, ideal.field)
+            image = self._images[key] = self.intern(apply_automorphism(auto, ideal))
         return image
 
 
@@ -222,7 +230,6 @@ class GammaEdge:
 class GammaQuiver:
     vertices: list
     edges: list
-    start: int
     bypass_count: int
     diagnostics: list
 
@@ -325,7 +332,7 @@ def explore_gamma(ideal: Ideal) -> GammaQuiver:
             add_representative(key, image, h_image)
 
     gamma = GammaQuiver(list(vertices.values()), list(edges.values()),
-                        0, len(find_bypasses(ideal.quiver)), diagnostics)
+                        len(find_bypasses(ideal.quiver)), diagnostics)
     violations = gamma.validate()
     if violations:
         raise GammaError("structural invariants violated: %s"

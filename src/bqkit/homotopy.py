@@ -20,8 +20,9 @@ from . import coset
 from .disjoint_sets import DisjointSets
 from .errors import HomotopyError, UnresolvedError
 from .ideal import Ideal
-from .quiver import (FORWARD, INVERSE, Path, Quiver, Walk, longest_path_length,
-                     enumerate_paths, path_key, paths_between, walk_of_path)
+from .quiver import (FORWARD, INVERSE, Quiver, Walk, longest_path_length,
+                     enumerate_paths, path_key, path_tables, paths_between,
+                     walk_of_path)
 from .snf import RowLattice
 
 HOMOTOPIC = "homotopic"
@@ -292,41 +293,37 @@ class HomotopyRelation:
         arrow, and the heads of those with the same last arrow, are
         queued; within each class they are already equivalent.
 
+        It runs on path numbers, through ``quiver.path_tables``.
         Returns the class root of every path.
         """
         quiver = self.quiver
         paths = enumerate_paths(quiver)
-        index = {p: i for i, p in enumerate(paths)}
+        index, after, before, head, tail = path_tables(quiver)
         sets = DisjointSets(range(len(paths)))
         union = sets.union
-        by_first = [{p.arrows[0]: p} if p.arrows else {} for p in paths]
-        by_last = [{p.arrows[-1]: p} if p.arrows else {} for p in paths]
+        by_first = [{p.arrows[0]: i} if p.arrows else {}
+                    for i, p in enumerate(paths)]
+        by_last = [{p.arrows[-1]: i} if p.arrows else {}
+                   for i, p in enumerate(paths)]
 
-        def tail(p):
-            return Path(quiver.arrow(p.arrows[0]).target, p.target, p.arrows[1:])
-
-        def head(p):
-            return Path(p.source, quiver.arrow(p.arrows[-1]).source, p.arrows[:-1])
-
-        pending = list(self.generating_pairs)
+        pending = [(index[u], index[v]) for u, v in self.generating_pairs]
         while pending:
-            p, q = pending.pop()
-            merged = union(index[p], index[q])
+            i, j = pending.pop()
+            merged = union(i, j)
             if merged is None:
                 continue
             rp, rq = merged
+            p = paths[i]
             for a in quiver.arrows_from(p.target):
-                pending.append((Path(p.source, a.target, p.arrows + (a.name,)),
-                                Path(q.source, a.target, q.arrows + (a.name,))))
+                pending.append((after[a.name][i], after[a.name][j]))
             for b in quiver.arrows_into(p.source):
-                pending.append((Path(b.source, p.target, (b.name,) + p.arrows),
-                                Path(b.source, q.target, (b.name,) + q.arrows)))
+                pending.append((before[b.name][i], before[b.name][j]))
             for table, cancel in ((by_first, tail), (by_last, head)):
                 kept = table[rq]
                 for a, u in table[rp].items():
                     w = kept.setdefault(a, u)
-                    if w is not u:
-                        pending.append((cancel(u), cancel(w)))
+                    if w != u:
+                        pending.append((cancel[u], cancel[w]))
                 table[rp] = None
         return {p: paths[sets.find(i)] for i, p in enumerate(paths)}
 

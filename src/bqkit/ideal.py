@@ -17,7 +17,7 @@ from .disjoint_sets import DisjointSets
 from .errors import IdealError
 from .fields import Field
 from .quiver import (Path, Quiver, compose_paths, enumerate_paths, path_key,
-                     paths_between)
+                     path_tables, paths_between)
 
 SPLIT_ENUMERATION_BITS = 12
 
@@ -111,10 +111,13 @@ def mul_relations(quiver: Quiver, fld: Field, later: Relation, earlier: Relation
 class _HomSpace:
     """Echelon basis of one hom-pair subspace, in coordinates.
 
-    A vector is a sparse ``{path index: coefficient}`` dict with no zero
-    entries; ``rows`` maps each pivot to its basis row.  The basis is
-    kept fully reduced, so a row has coefficient 1 at its own pivot and
-    no entry at any other pivot.
+    A vector is a sparse ``{path number: coefficient}`` dict with no zero
+    entries (``quiver.path_tables`` numbers the paths), and ``vector``
+    and ``relation`` convert a Relation to one and back; ``rows`` maps
+    each pivot to its basis row.  Restricted to a hom-set the numbering
+    is the canonical order, so ``max(vec)`` is the leading path.  The
+    basis is kept fully reduced, so a row has coefficient 1 at its own
+    pivot and no entry at any other pivot.
     """
 
     def __init__(self, quiver, fld, x, y):
@@ -122,17 +125,16 @@ class _HomSpace:
         self.fld = fld
         self.x = x
         self.y = y
-        self.paths = paths_between(quiver, x, y)
-        self.index = {p: i for i, p in enumerate(self.paths)}
-        self.rows = {}  # pivot index -> sparse row
+        self.rows = {}  # pivot number -> sparse row
 
     def vector(self, r: Relation):
-        return {self.index[p]: c for p, c in r.terms
-                if not self.fld.is_zero(c)}
+        index = path_tables(self.quiver)[0]
+        return {index[p]: c for p, c in r.terms if not self.fld.is_zero(c)}
 
     def relation(self, vec) -> Relation:
+        paths = enumerate_paths(self.quiver)
         return Relation(self.x, self.y,
-                        tuple((self.paths[i], vec[i]) for i in sorted(vec)))
+                        tuple((paths[i], vec[i]) for i in sorted(vec)))
 
     def reduce(self, vec):
         """Fully reduce against the basis.  Subtracting a row clears its
@@ -242,21 +244,21 @@ class Ideal:
         return self._space(r.source, r.target).contains(r)
 
     def image(self, row_image) -> "Ideal":
-        """The spans, per hom-set (x, y), of ``row_image(x, y, row)`` over
-        the basis rows of I(x, y), as an ideal.
+        """The spans, per hom-set (x, y), of ``row_image(row)`` over the
+        basis rows of I(x, y), as an ideal.
 
-        Rows are sparse ``{index: coeff}`` vectors over
-        ``paths_between(quiver, x, y)``, and ``row_image`` must return
-        one over the same hom-set.  No closure runs: the caller vouches
-        that the spans form an ideal, as the images under a
-        vertex-fixing algebra automorphism do.
+        Rows are sparse ``{path number: coeff}`` vectors (see
+        ``_HomSpace``), and ``row_image`` must return one over the same
+        hom-set.  No closure runs: the caller vouches that the spans form
+        an ideal, as the images under a vertex-fixing algebra
+        automorphism do.
         """
         spaces = {}
         for (x, y), src in self._spaces.items():
             if src.dim:
                 dst = spaces[(x, y)] = _HomSpace(self.quiver, self.field, x, y)
                 for row in src.rows.values():
-                    dst.insert(row_image(x, y, row))
+                    dst.insert(row_image(row))
         image = Ideal(self.quiver, self.field, (), spaces)
         image.generators = image.minimal_relations()
         return image
@@ -313,8 +315,8 @@ def close_ideal(quiver: Quiver, fld: Field, generators) -> Ideal:
     The worklist holds ``(hom-space, vector)`` pairs in coordinates.
     Composing with an arrow sends distinct paths to distinct paths with
     coefficient 1, so it only relabels coordinates: the extension of a
-    vector is ``{m[i]: c for i, c in vec.items()}`` for the index map m of
-    its hom-set, the arrow and the side, built once per call.
+    vector by arrow a is ``{m[i]: c for i, c in vec.items()}`` for m the
+    table ``after[a]`` or ``before[a]`` of ``quiver.path_tables``.
     """
     gens = []
     for g in generators:
@@ -327,30 +329,14 @@ def close_ideal(quiver: Quiver, fld: Field, generators) -> Ideal:
                     % (g.to_text(fld), p, len(p)))
         gens.append(g)
 
+    _, after, before, _, _ = path_tables(quiver)
     spaces = {}
-    maps = {}
 
     def space(x, y):
         s = spaces.get((x, y))
         if s is None:
             s = spaces[(x, y)] = _HomSpace(quiver, fld, x, y)
         return s
-
-    def extension(src, a, after):
-        """The hom-space of a*p (after) or p*a, and the index map p -> it."""
-        key = (src.x, src.y, a.name, after)
-        hit = maps.get(key)
-        if hit is None:
-            if after:
-                dst = space(src.x, a.target)
-                m = [dst.index[Path(src.x, a.target, p.arrows + (a.name,))]
-                     for p in src.paths]
-            else:
-                dst = space(a.source, src.y)
-                m = [dst.index[Path(a.source, src.y, (a.name,) + p.arrows)]
-                     for p in src.paths]
-            hit = maps[key] = (dst, m)
-        return hit
 
     todo = []
     for g in gens:
@@ -360,13 +346,14 @@ def close_ideal(quiver: Quiver, fld: Field, generators) -> Ideal:
             todo.append((s, vec))
     while todo:
         s, vec = todo.pop()
-        for after, arrows in ((True, quiver.arrows_from(s.y)),
-                              (False, quiver.arrows_into(s.x))):
-            for a in arrows:
-                dst, m = extension(s, a, after)
-                grown = {m[i]: c for i, c in vec.items()}
-                if dst.insert(grown):
-                    todo.append((dst, grown))
+        steps = [(space(s.x, a.target), after[a.name])
+                 for a in quiver.arrows_from(s.y)]
+        steps += [(space(a.source, s.y), before[a.name])
+                  for a in quiver.arrows_into(s.x)]
+        for dst, m in steps:
+            grown = {m[i]: c for i, c in vec.items()}
+            if dst.insert(grown):
+                todo.append((dst, grown))
     return Ideal(quiver, fld, gens, spaces)
 
 
@@ -433,16 +420,13 @@ def _split_off_minimal(ideal: Ideal, r: Relation):
 
 def support_equivalence(ideal: Ideal, x, y):
     """The classes of parallel paths x -> y linked through basis supports."""
-    quiver = ideal.quiver
-    linked = DisjointSets(paths_between(quiver, x, y))
+    linked = DisjointSets(paths_between(ideal.quiver, x, y))
     for rel in ideal.groebner_basis(x, y):
         supp = rel.support()
         for p in supp[1:]:
             linked.union(p, supp[0])
-    out = [tuple(sorted(v, key=lambda p: path_key(quiver, p)))
-           for v in linked.classes()]
-    out.sort(key=lambda cls: path_key(quiver, cls[0]))
-    return tuple(out)
+    # classes in canonical order, each in canonical order
+    return tuple(tuple(cls) for cls in linked.classes())
 
 
 def is_constricted(ideal: Ideal) -> bool:

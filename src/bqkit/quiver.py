@@ -10,9 +10,12 @@ any result.
 Each ``Quiver`` indexes itself once, at construction: names, arrow
 positions and in/out adjacency.  It also owns the caches of the
 functions below that depend on it alone (``enumerate_paths``, the
-hom-sets of ``paths_between``, ``longest_path_length`` and a memo of
-``path_key``), filled on first use.  The caches live and die with the
-quiver, so a cover quiver that is dropped takes its paths with it.
+hom-sets of ``paths_between``, the composition tables of
+``path_tables``, ``longest_path_length`` and a memo of ``path_key``),
+filled on first use.  The caches live and die with the quiver, so a
+cover quiver that is dropped takes its paths with it.  A path's number
+is its position in ``enumerate_paths``; ideals, automorphisms and the
+homotopy relation key their sparse vectors by it.
 """
 
 from __future__ import annotations
@@ -68,10 +71,11 @@ class Quiver:
         setattr_(self, "_out", {v: tuple(arrs) for v, arrs in outgoing.items()})
         setattr_(self, "_in", {v: tuple(arrs) for v, arrs in incoming.items()})
         setattr_(self, "_hash", hash((self.name, self.vertices, self.arrows)))
-        # filled on first use by enumerate_paths, paths_between,
-        # longest_path_length and path_key
+        # filled on first use by enumerate_paths (for paths_between and
+        # path_tables too), longest_path_length and path_key
         setattr_(self, "_paths", None)
         setattr_(self, "_homs", None)
+        setattr_(self, "_tables", None)
         setattr_(self, "_longest", None)
         setattr_(self, "_keys", {})
         self._check_acyclic()
@@ -301,27 +305,58 @@ class Bypass:
 def enumerate_paths(quiver: Quiver):
     """All paths of the quiver, sorted by the canonical total order.
 
-    Computed once per quiver, together with the hom-sets that
-    ``paths_between`` returns.
+    Computed once per quiver, with the hom-sets of ``paths_between``
+    and the tables of ``path_tables``.  The paths of length n + 1 come
+    out in canonical order: for each arrow a in declaration order, the
+    paths of length n into the source of a, in order, followed by a.
     """
     if quiver._paths is None:
+        vertex = {x: i for i, x in enumerate(quiver.vertices)}
         paths = [trivial_path(quiver, x) for x in quiver.vertices]
-        frontier = [Path(a.source, a.target, (a.name,)) for a in quiver.arrows]
-        while frontier:
-            paths.extend(frontier)
-            nxt = []
-            for p in frontier:
-                for a in quiver.arrows_from(p.target):
-                    nxt.append(Path(p.source, a.target, p.arrows + (a.name,)))
-            frontier = nxt
-        paths.sort(key=lambda p: path_key(quiver, p))
+        head = [None] * len(paths)
+        tail = [None] * len(paths)
+        after = {a.name: {} for a in quiver.arrows}
+        before = {a.name: {} for a in quiver.arrows}
+        level = {x: [i] for x, i in vertex.items()}  # newest paths, by target
+        while level:
+            grown = {}
+            for a in quiver.arrows:
+                ext = after[a.name]
+                for i in level.get(a.source, ()):
+                    p = paths[i]
+                    j = len(paths)
+                    paths.append(Path(p.source, a.target, p.arrows + (a.name,)))
+                    # tail(p then a) = tail(p) then a, numbered a level ago
+                    t = ext[tail[i]] if p.arrows else vertex[a.target]
+                    head.append(i)
+                    tail.append(t)
+                    ext[i] = j
+                    before[p.arrows[0] if p.arrows else a.name][t] = j
+                    grown.setdefault(a.target, []).append(j)
+            level = grown
         homs = {}
         for p in paths:
             homs.setdefault((p.source, p.target), []).append(p)
         object.__setattr__(quiver, "_homs",
                            {k: tuple(v) for k, v in homs.items()})
+        object.__setattr__(quiver, "_tables", (
+            {p: i for i, p in enumerate(paths)}, after, before,
+            tuple(head), tuple(tail)))
         object.__setattr__(quiver, "_paths", tuple(paths))
     return quiver._paths
+
+
+def path_tables(quiver: Quiver):
+    """``(index, after, before, head, tail)`` on the path numbers.
+
+    ``index[p]`` numbers path p.  For the path p_i numbered i and arrow
+    name a, ``after[a][i]`` numbers p_i followed by a, ``before[a][i]``
+    a followed by p_i, and ``head[i]`` and ``tail[i]`` p_i without its
+    last and its first arrow (None for a trivial path).
+    """
+    if quiver._tables is None:
+        enumerate_paths(quiver)
+    return quiver._tables
 
 
 def paths_between(quiver: Quiver, x, y):

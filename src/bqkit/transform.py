@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 from .errors import TransformError
 from .fields import Field
-from .ideal import (Ideal, Relation, add_relations, ideals_equal,
+from .ideal import (Ideal, Relation, _HomSpace, add_relations, ideals_equal,
                     mul_relations, relation_of_path, scale_relation)
-from .quiver import Bypass, Path, Quiver, paths_between, trivial_path
+from .quiver import (Bypass, Path, Quiver, enumerate_paths, path_tables,
+                     trivial_path)
 from .snf import smith_normal_form
 
 
@@ -85,25 +86,16 @@ def make_dilatation(quiver: Quiver, fld: Field, scales) -> Dilatation:
     return Dilatation(tuple(out))
 
 
-class _HomImages:
-    """The images of the paths of one hom-set, filled on demand."""
-
-    __slots__ = ("paths", "pos", "images")
-
-    def __init__(self, paths):
-        self.paths = paths
-        self.pos = {p.arrows: i for i, p in enumerate(paths)}
-        self.images = [None] * len(paths)
-
-
 class PathAutomorphism:
     """A vertex-fixing automorphism, stored by its arrow images.
 
-    Paths and relations are mapped in coordinates: the image of the i-th
-    path of hom(x, y) is a sparse ``{path index: coeff}`` vector over the
-    same hom-set, in the order of ``paths_between``, the coordinates of
-    the rows of ``Ideal.image``.  Each path image is built once, on first
-    use, by a DP over prefixes: phi(p * a) = phi(a) * phi(p).
+    Paths and relations are mapped in coordinates, on the path numbering
+    of ``quiver.path_tables``: the image of path number i is a sparse
+    ``{path number: coeff}`` vector over the same hom-set, the
+    coordinates of the rows of ``Ideal.image``.  Each path image is
+    built once, on first use, by a DP over heads (phi(a * p) =
+    phi(a) * phi(p)), and kept in one table for every vector and ideal
+    the automorphism maps later.
     """
 
     def __init__(self, quiver: Quiver, fld: Field, images):
@@ -121,7 +113,7 @@ class PathAutomorphism:
         self.images = full
         self._check_linear_part()
         self._moved = None  # see _moved_terms
-        self._homs = {}  # (x, y) -> _HomImages
+        self._path_images = {}  # path number -> its image, see _path_image
 
     def _check_linear_part(self):
         """The induced arrow-to-arrow map must be invertible per parallel class."""
@@ -144,12 +136,6 @@ class PathAutomorphism:
                     mat[names.index(p.arrows[0])][j] = c
         return mat
 
-    def _hom(self, x, y) -> _HomImages:
-        hom = self._homs.get((x, y))
-        if hom is None:
-            hom = self._homs[(x, y)] = _HomImages(paths_between(self.quiver, x, y))
-        return hom
-
     def _moved_terms(self):
         """Arrow name -> (arrows of path, coeff) terms of its image, for
         the arrows whose image is not the arrow itself; read from
@@ -162,54 +148,53 @@ class PathAutomorphism:
                 if img.terms != ((Path(img.source, img.target, (name,)), one),)}
         return self._moved
 
-    def _path_image(self, hom: _HomImages, i):
-        """phi of the i-th path of ``hom``, as a sparse vector over it.
+    def _path_image(self, i):
+        """phi of path number i, as a sparse vector over its hom-set.
 
         A path with no moved arrow maps to itself.  Otherwise the path is
-        its prefix p followed by its last arrow a, and phi(p) is a vector
+        its head p followed by its last arrow a, and phi(p) is a vector
         over hom(x, z) for z the source of a.  If phi fixes a, the step
-        only relabels indices.  If not, each term c * r of phi(a) sends
-        the entry d at path q to c * d at q followed by r.  All q end at
-        z and the quiver has no oriented cycle, so distinct (q, r) give
-        distinct paths: no two products land on one index, and none is
-        zero, since the terms of a Relation are nonzero.
+        only renumbers through ``after[a]``.  If not, each term c * r of
+        phi(a) sends the entry d at path q to c * d at q followed by r.
+        All q end at z and the quiver has no oriented cycle, so distinct
+        (q, r) give distinct paths: no two products land on one number,
+        and none is zero, since the terms of a Relation are nonzero.
         """
-        vec = hom.images[i]
+        vec = self._path_images.get(i)
         if vec is not None:
             return vec
         moved = self._moved_terms()
-        arrows = hom.paths[i].arrows
+        arrows = enumerate_paths(self.quiver)[i].arrows
         if moved.keys().isdisjoint(arrows):
             vec = {i: self.field.one}
         else:
-            last = arrows[-1]
-            x = hom.paths[i].source
-            pre = self._hom(x, self.quiver.arrow(last).source)
-            prefix = self._path_image(pre, pre.pos[arrows[:-1]])
-            pos = hom.pos
-            terms = moved.get(last)
+            _, after, _, head, _ = path_tables(self.quiver)
+            prefix = self._path_image(head[i])
+            terms = moved.get(arrows[-1])
             if terms is None:
-                step = (last,)
-                vec = {pos[pre.paths[k].arrows + step]: d
-                       for k, d in prefix.items()}
+                step = after[arrows[-1]]
+                vec = {step[k]: d for k, d in prefix.items()}
             else:
                 mul = self.field.mul
-                vec = {pos[pre.paths[k].arrows + r]: mul(c, d)
-                       for r, c in terms for k, d in prefix.items()}
-        hom.images[i] = vec
+                vec = {}
+                for r, c in terms:
+                    for k, d in prefix.items():
+                        for b in r:
+                            k = after[b][k]
+                        vec[k] = mul(c, d)
+        self._path_images[i] = vec
         return vec
 
-    def apply_to_vector(self, x, y, vec):
-        """phi of a sparse vector over hom(x, y); the result has no zero
+    def apply_to_vector(self, vec):
+        """phi of a sparse vector over one hom-set; the result has no zero
         entries."""
         fld = self.field
-        hom = self._hom(x, y)
-        images = hom.images
+        images = self._path_images
         out = {}
         for i, c in vec.items():
-            img = images[i]
+            img = images.get(i)
             if img is None:
-                img = self._path_image(hom, i)
+                img = self._path_image(i)
             for k, d in img.items():
                 # the image of a path phi fixes is that path with coeff 1
                 v = c if d == 1 else fld.mul(c, d)
@@ -217,15 +202,8 @@ class PathAutomorphism:
         return {k: v for k, v in out.items() if not fld.is_zero(v)}
 
     def apply_to_relation(self, rel: Relation) -> Relation:
-        x, y = rel.source, rel.target
-        hom = self._hom(x, y)
-        vec = self.apply_to_vector(x, y, {hom.pos[p.arrows]: c
-                                          for p, c in rel.terms})
-        return Relation(x, y, tuple((hom.paths[i], vec[i]) for i in sorted(vec)))
-
-    def apply_to_path(self, path: Path) -> Relation:
-        return self.apply_to_relation(
-            relation_of_path(self.quiver, self.field, path))
+        space = _HomSpace(self.quiver, self.field, rel.source, rel.target)
+        return space.relation(self.apply_to_vector(space.vector(rel)))
 
     def __eq__(self, other):
         if not isinstance(other, PathAutomorphism):

@@ -33,8 +33,8 @@ def test_quaternion_group():
 
 
 def test_infinite_group_hits_cap():
-    assert enumerate_cosets(1, [], max_cosets=500) is None
-    assert enumerate_cosets(2, [(1, 2, -1, -2)], max_cosets=500) is None
+    assert enumerate_cosets(1, []) is None
+    assert enumerate_cosets(2, [(1, 2, -1, -2)]) is None
 
 
 def test_collapsing_relators():

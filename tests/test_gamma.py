@@ -16,7 +16,8 @@ from bqkit.homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, HomotopyRelation,
                             relations_equal, EQUAL)
 from bqkit.ideal import close_ideal, ideals_equal, relation_of_path
 from bqkit.quiver import Bypass, find_bypasses
-from bqkit.transform import Dilatation, Transvection, apply_automorphism
+from bqkit.transform import (Dilatation, PathAutomorphism, Transvection,
+                             apply_automorphism)
 
 
 def test_successors_exple1_I(ideal_I, ideal_J):
@@ -321,7 +322,7 @@ def test_validate_reports_each_violation(edges, vertex_count, bypass_count,
                 for i in range(vertex_count)]
     gamma = GammaQuiver(vertices,
                         [GammaEdge(s, t, None, None, None) for s, t in edges],
-                        0, bypass_count, [])
+                        bypass_count, [])
     assert gamma.validate() == violations
 
 
@@ -369,3 +370,27 @@ def test_surjection_checks_after_exploration_build_no_relation(monkeypatch):
     monkeypatch.setattr(HomotopyRelation, "__init__", no_build)
     for e in gamma.edges:
         assert check_surjection(e.source_rep, e.target_rep).status == CONFIRMED
+
+
+def test_exploration_builds_one_automorphism_per_transvection(monkeypatch):
+    """Every image of an exploration under one transvection reads the path
+    images of one ``PathAutomorphism``: 4 distinct transvections make 4
+    builds, though the exploration applies them 36 times."""
+    builds = []
+    applies = []
+    init = PathAutomorphism.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_apply(phi, ideal):
+        applies.append(phi)
+        return apply_automorphism(phi, ideal)
+
+    monkeypatch.setattr(PathAutomorphism, "__init__", counting_init)
+    monkeypatch.setattr(gamma_mod, "apply_automorphism", counting_apply)
+    explore_gamma(twobypass_chain(2, "I2", char=2))
+    assert len(builds) == 4
+    assert len(applies) == 36
+    assert len(set(map(id, applies))) == 4

@@ -1,15 +1,18 @@
 import gc
+import random
 import weakref
 
 import pytest
+from conftest import TWO_BYPASS, make_random_bound_quiver
 
 from bqkit.cover import universal_cover
-from bqkit.dsl import parse_path, parse_quiver, parse_walk
+from bqkit.dsl import parse_path, parse_quiver, parse_source, parse_walk
 from bqkit.errors import ParseError, QuiverError
-from bqkit.quiver import (FORWARD, INVERSE, Quiver, enumerate_paths,
-                          find_bypasses, find_double_bypasses,
+from bqkit.quiver import (FORWARD, INVERSE, Arrow, Quiver, compose_paths,
+                          enumerate_paths, find_bypasses, find_double_bypasses,
                           longest_path_length, make_path, make_walk, path_key,
-                          paths_between, trivial_path, walk_of_path)
+                          path_tables, paths_between, trivial_path,
+                          walk_of_path)
 
 
 def brute_paths(quiver):
@@ -211,10 +214,65 @@ def test_equal_quivers_give_equal_paths_and_hashes(twobypass):
     assert longest_path_length(twin) == longest_path_length(twobypass)
 
 
+def grid_quiver(n):
+    """The n x n grid, arrows right and down."""
+    def v(i, j):
+        return "%d.%d" % (i, j)
+    arrows = [Arrow("r" + v(i, j), v(i, j), v(i, j + 1))
+              for i in range(n) for j in range(n - 1)]
+    arrows += [Arrow("d" + v(i, j), v(i, j), v(i + 1, j))
+               for i in range(n - 1) for j in range(n)]
+    return Quiver("grid", [v(i, j) for i in range(n) for j in range(n)], arrows)
+
+
+def table_quivers(exple1, twobypass):
+    for seed in range(30):
+        yield make_random_bound_quiver(random.Random(seed)).quiver
+    yield exple1
+    yield twobypass
+    yield grid_quiver(4)
+    free = parse_source(TWO_BYPASS + "ideal F over twobypass(0) "
+                                     "{ rel d*a; rel f*e*c*b; }").ideal("F")
+    cov = universal_cover(free, radius=4)
+    assert not cov.complete
+    yield cov.total
+
+
+def test_path_tables_compose_with_arrows(exple1, twobypass):
+    for q in table_quivers(exple1, twobypass):
+        paths = enumerate_paths(q)
+        index, after, before, head, tail = path_tables(q)
+        assert [index[p] for p in paths] == list(range(len(paths)))
+        keys = [path_key(q, p) for p in paths]
+        assert keys == sorted(keys)
+        for i, p in enumerate(paths):
+            for a in q.arrows_from(p.target):
+                later = make_path(q, [a.name])
+                assert after[a.name][i] == index[compose_paths(q, later, p)]
+                assert head[after[a.name][i]] == i
+            for a in q.arrows_into(p.source):
+                earlier = make_path(q, [a.name])
+                assert before[a.name][i] == index[compose_paths(q, p, earlier)]
+                assert tail[before[a.name][i]] == i
+            if p.is_trivial:
+                assert head[i] is None and tail[i] is None
+            else:
+                assert after[p.arrows[-1]][head[i]] == i
+                assert before[p.arrows[0]][tail[i]] == i
+        nontrivial = len(paths) - len(q.vertices)
+        assert sum(len(m) for m in after.values()) == nontrivial
+        assert sum(len(m) for m in before.values()) == nontrivial
+
+
 def test_dropped_cover_quiver_is_freed(ideal_I0):
     cov = universal_cover(ideal_I0, radius=4)
     enumerate_paths(cov.total)
+    index = path_tables(cov.total)[0]
+    # the index of the tables holds this path as a key, so the path dies
+    # only once the tables die too
+    last = weakref.ref(max(index, key=index.get))
     ref = weakref.ref(cov.total)
-    del cov
+    del cov, index
     gc.collect()
     assert ref() is None
+    assert last() is None
