@@ -131,7 +131,6 @@ class DeckMap:
 
     name: str
     vertex_map: dict
-    arrow_map: dict
 
 
 # -- the cover container ------------------------------------------------------
@@ -406,16 +405,7 @@ def _universal_deck_generators(cover: CoverQuiver):
             hit = ball.classify(moved, create=False)
             if hit is not None:
                 vmap[names[cls.index]] = names[hit.index]
-        amap = {}
-        for e in cover.total.arrows:
-            src_img = vmap.get(e.source)
-            tgt_img = vmap.get(e.target)
-            if src_img is None or tgt_img is None:
-                continue
-            image = cover.arrow_over(src_img, cover.arrow_map[e.name], FORWARD)
-            if image is not None and image.target == tgt_img:
-                amap[e.name] = image.name
-        generators.append(DeckMap("g_%s" % chord, vmap, amap))
+        generators.append(DeckMap("g_%s" % chord, vmap))
     return generators
 
 
@@ -450,9 +440,7 @@ def smash_product(ideal: Ideal, grading: Grading) -> CoverQuiver:
             continue
         vmap = {vname(x, s): vname(x, G.mul(g, s))
                 for x in quiver.vertices for s in G.elements}
-        amap = {"%s_%s" % (a.name, s): "%s_%s" % (a.name, G.mul(g, s))
-                for a in quiver.arrows for s in G.elements}
-        cover.action.append(DeckMap("g_%s" % g, vmap, amap))
+        cover.action.append(DeckMap("g_%s" % g, vmap))
     return cover
 
 
@@ -462,8 +450,6 @@ def smash_product(ideal: Ideal, grading: Grading) -> CoverQuiver:
 class CoverReport:
     ok: bool
     violations: list
-    checked_vertices: int
-    skipped_vertices: int
     rim_lifts: int  # relation lifts that left a truncated ball
 
 
@@ -491,11 +477,9 @@ def check_covering(cover: CoverQuiver) -> CoverReport:
             violations.append("projection of %s misses the base ideal"
                               % rel.to_text(fld))
 
-    checked = 0
     for v in cover.total.vertices:
         if v not in cover.interior:
             continue
-        checked += 1
         x = cover.vertex_map[v]
         out_base = [a.name for a in base.arrows_from(x)]
         out_total = [cover.arrow_map[e.name] for e in cover.total.arrows_from(v)]
@@ -531,8 +515,7 @@ def check_covering(cover: CoverQuiver) -> CoverReport:
                         "%s lift of %s at %s is not in the lifted ideal"
                         % (end, rel.to_text(fld), v))
 
-    return CoverReport(not violations, violations, checked,
-                       len(cover.total.vertices) - checked, rim_lifts)
+    return CoverReport(not violations, violations, rim_lifts)
 
 
 # -- Galois test ---------------------------------------------------------------
@@ -605,7 +588,7 @@ def _extend_deck_map(cover: CoverQuiver, anchor, image):
         moved = _map_relation(rel, cover.total, cover.field, vmap, amap)
         if not cover.total_ideal.contains(moved):
             return None
-    return DeckMap("deck_%s" % image, vmap, amap)
+    return DeckMap("deck_%s" % image, vmap)
 
 
 def _map_relation(rel: Relation, quiver: Quiver, fld, vmap, amap) -> Relation:
@@ -674,18 +657,13 @@ def _match_vertices_by_reps(cov_src: CoverQuiver, cov_tgt: CoverQuiver):
     return vmap
 
 
-def _verify_squares(morphism: CoverMorphism, base_images):
-    """q(psi(e)) must equal the base automorphism image of p(e)."""
+def _failed_squares(morphism: CoverMorphism, base_images):
+    """The arrows e, in order, where q(psi(e)) is not the base image of
+    p(e)."""
     src = morphism.source
     tgt = morphism.target
-    ok = 0
-    for e_name, image in morphism.arrow_images.items():
-        projected = tgt.project_relation(image)
-        expected = base_images[src.arrow_map[e_name]]
-        if projected != expected:
-            raise CoverError("square fails at arrow %s" % e_name)
-        ok += 1
-    return ok
+    return [e_name for e_name, image in morphism.arrow_images.items()
+            if tgt.project_relation(image) != base_images[src.arrow_map[e_name]]]
 
 
 def _verify_ideal_mapped(morphism: CoverMorphism):
@@ -786,7 +764,10 @@ def _cover_morphism(source: CoverQuiver, target: CoverQuiver, vmap,
             images[e.name] = image
 
     morphism = CoverMorphism(source, target, vmap, images, label)
-    morphism.checks["squares"] = _verify_squares(morphism, base_images)
+    failed = _failed_squares(morphism, base_images)
+    if failed:
+        raise CoverError("square fails at arrow %s" % failed[0])
+    morphism.checks["squares"] = len(images)
     morphism.checks["relations"] = _verify_ideal_mapped(morphism)
     morphism.checks["skipped_arrows"] = skipped
     morphism.checks["fiber_sizes"] = morphism.fiber_sizes()
@@ -933,13 +914,7 @@ def theorem_b_pipeline(privileged: Ideal, target_cover: CoverQuiver,
     dil = next((s for s in chain if isinstance(s, Dilatation)), Dilatation(()))
     base_map = recompose_DT(privileged.quiver, privileged.field, dil,
                             transvections).images
-    commutes = True
-    for e_name, image in composite.arrow_images.items():
-        projected = target_cover.project_relation(image)
-        expected = base_map[composite.source.arrow_map[e_name]]
-        if projected != expected:
-            commutes = False
-            break
+    commutes = not _failed_squares(composite, base_map)
 
     return PipelineResult(chain, morphisms, composite, len(autos),
                           chord_images, surjective, kernel_report, commutes)

@@ -37,19 +37,20 @@ def tau_schedule(fld: Field):
 
 
 class _HomotopyCache:
-    """Per-exploration memo of transvection images keyed by value (mirror
-    probes recompute the same ideals over and over), with an intern table
-    that makes equal ideals one ``Ideal`` object.  ``homotopy_relation``
+    """Per-exploration intern table that makes equal ideals one ``Ideal``
+    object, and one ``PathAutomorphism`` per distinct transvection, whose
+    path images then serve every ideal it maps.  ``homotopy_relation``
     keeps a relation on the ideal object, so each distinct ideal of an
     exploration builds one relation, and later readers of the interned
-    representatives (``check_surjection``, covers) build none.  Each
-    distinct transvection becomes one ``PathAutomorphism``, whose path
-    images then serve every ideal it maps."""
+    representatives (``check_surjection``, covers) build none.  Images
+    are not kept: an exploration maps each (ideal, transvection) pair at
+    most once, since each distinct ideal is probed once with distinct
+    taus, and the successor and predecessor probes take disjoint
+    bypasses."""
 
     def __init__(self, x0=None):
         self.x0 = x0
         self._ideals = {}
-        self._images = {}
         self._automorphisms = {}
 
     def intern(self, ideal: Ideal) -> Ideal:
@@ -59,15 +60,11 @@ class _HomotopyCache:
         return homotopy_relation(self.intern(ideal), self.x0)
 
     def image(self, ideal: Ideal, t: Transvection) -> Ideal:
-        key = (ideal, t)
-        image = self._images.get(key)
-        if image is None:
-            auto = self._automorphisms.get(t)
-            if auto is None:
-                auto = self._automorphisms[t] = as_path_automorphism(
-                    t, ideal.quiver, ideal.field)
-            image = self._images[key] = self.intern(apply_automorphism(auto, ideal))
-        return image
+        auto = self._automorphisms.get(t)
+        if auto is None:
+            auto = self._automorphisms[t] = as_path_automorphism(
+                t, ideal.quiver, ideal.field)
+        return self.intern(apply_automorphism(auto, ideal))
 
 
 def _bypass_status(h: HomotopyRelation, bypass: Bypass) -> str:

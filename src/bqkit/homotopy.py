@@ -209,10 +209,7 @@ class HomotopyRelation:
     partition of each hom-set into classes with a table of statuses
     between classes (see ``_fingerprint``).  ``fingerprint`` is a
     read-only mapping view over it, from every pair (u, v) of parallel
-    paths, u before v in the canonical order, to its status.  A relation
-    from ``homotopy_relation`` is shared by every caller that asks for
-    the same ideal and base point, so its decision memo is read-only
-    too.
+    paths, u before v in the canonical order, to its status.
     """
 
     def __init__(self, ideal: Ideal, x0=None):
@@ -230,7 +227,6 @@ class HomotopyRelation:
         self.presentation = self._presentation()
         self._generator_index = {g: i for i, g in
                                  enumerate(self.presentation.generators)}
-        self._decisions = {}
         self._path_classes = self._congruence_closure()
         self._homs, self._where = self._fingerprint()
         self._key = None  # see fingerprint_key
@@ -430,24 +426,13 @@ class HomotopyRelation:
         return self.presentation.lattice.image(self.loop_exponents(u, v))
 
     def decide(self, u: Walk, v: Walk, cap=None, want_chain=True) -> Decision:
-        """Tri-state decision for parallel walks u, v (see ``_decide``).
+        """Tri-state decision for parallel walks u, v.
 
         ``cap`` bounds the length of the walks the search visits; only
         None stands for ``default_cap``, and the search lifts a cap below
-        the lengths of u and v to those lengths."""
-        if (u.source, u.target) != (v.source, v.target):
-            raise HomotopyError("walks are not parallel: %s -> %s vs %s -> %s"
-                                % (u.source, u.target, v.source, v.target))
-        if cap is None:
-            cap = self.default_cap
-        key = (u, v, cap, want_chain)
-        decision = self._decisions.get(key)
-        if decision is None:
-            decision = self._decisions[key] = self._decide(u, v, cap, want_chain)
-        return decision
+        the lengths of u and v to those lengths.
 
-    def _decide(self, u, v, cap, want_chain):
-        """The certifiers, each tried only when those before it gave no
+        The certifiers, each tried only when those before it gave no
         verdict: 1. free; 2. abelianization; 3. coset action, when no
         chain is wanted; 4. search (``_bfs``); 5. coset action; 6. Unknown,
         with the cap that ended the search.
@@ -458,6 +443,11 @@ class HomotopyRelation:
         once, so step 5 after step 3 would repeat it and is skipped; it
         is not enumerated at all when pi1 has free rank > 0.
         """
+        if (u.source, u.target) != (v.source, v.target):
+            raise HomotopyError("walks are not parallel: %s -> %s vs %s -> %s"
+                                % (u.source, u.target, v.source, v.target))
+        if cap is None:
+            cap = self.default_cap
         u_red = u.reduced()
         v_red = v.reduced()
         glue_u = _reduction_steps(u) if want_chain else ()
@@ -819,10 +809,9 @@ def homotopy_relation(ideal: Ideal, x0=None) -> HomotopyRelation:
     """The homotopy relation of (Q, I) based at x0 (by default the first
     vertex), built once per (ideal, base point) and kept on the ideal.
 
-    Every caller gets the same object, so its decision memo must be
-    treated as read-only; ``HomotopyRelation(ideal, x0)`` builds a fresh
-    one.  The ideal holds the relation by object,
-    not by value: an equal ideal built elsewhere builds its own.
+    Every caller gets the same object; ``HomotopyRelation(ideal, x0)``
+    builds a fresh one.  The ideal holds the relation by object, not by
+    value: an equal ideal built elsewhere builds its own.
     """
     if x0 is None:
         x0 = ideal.quiver.vertices[0]

@@ -204,7 +204,6 @@ class Ideal:
         self.field = fld
         self.generators = tuple(generators)
         self._spaces = spaces
-        self._radical = None
         self._snapshot = None
         self._hash = None
         self._minimal = None
@@ -212,15 +211,19 @@ class Ideal:
 
     @property
     def radical_length(self) -> int:
-        if self._radical is None:
-            self._radical = self._radical_length()
-        return self._radical
+        worst = 0
+        for p in enumerate_paths(self.quiver):
+            if not self.contains(relation_of_path(self.quiver, self.field, p)):
+                worst = max(worst, len(p) + 1)
+        return worst
 
     def _space(self, x, y):
-        key = (x, y)
-        if key not in self._spaces:
-            self._spaces[key] = _HomSpace(self.quiver, self.field, x, y)
-        return self._spaces[key]
+        """The space of I(x, y); an empty hom-pair gets a fresh empty one
+        that is not kept, so reads never write into the ideal."""
+        s = self._spaces.get((x, y))
+        if s is None:
+            s = _HomSpace(self.quiver, self.field, x, y)
+        return s
 
     def groebner_basis(self, x, y):
         return self._space(x, y).basis_relations()
@@ -271,13 +274,6 @@ class Ideal:
 
     def total_dim(self) -> int:
         return sum(s.dim for s in self._spaces.values())
-
-    def _radical_length(self) -> int:
-        worst = 0
-        for p in enumerate_paths(self.quiver):
-            if not self.contains(relation_of_path(self.quiver, self.field, p)):
-                worst = max(worst, len(p) + 1)
-        return worst
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):

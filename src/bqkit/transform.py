@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from .errors import TransformError
 from .fields import Field
 from .ideal import (Ideal, Relation, _HomSpace, add_relations, ideals_equal,
-                    mul_relations, relation_of_path, scale_relation)
-from .quiver import (Bypass, Path, Quiver, enumerate_paths, path_tables,
-                     trivial_path)
+                    make_relation, relation_of_path, scale_relation)
+from .quiver import Bypass, Path, Quiver, enumerate_paths, path_tables
 from .snf import smith_normal_form
 
 
@@ -426,20 +425,15 @@ class Derivation:
         self.images = images
 
     def apply_to_path(self, path: Path) -> Relation:
-        """Leibniz rule: sum over positions of the arrow images."""
-        fld = self.field
-        out = Relation(path.source, path.target, ())
-        for i, name in enumerate(path.arrows):
-            piece = relation_of_path(self.quiver, fld,
-                                     trivial_path(self.quiver, path.source))
-            for j, other in enumerate(path.arrows):
-                img = self.images[other] if j == i else relation_of_path(
-                    self.quiver, fld,
-                    Path(self.quiver.arrow(other).source,
-                         self.quiver.arrow(other).target, (other,)))
-                piece = mul_relations(self.quiver, fld, img, piece)
-            out = add_relations(self.quiver, fld, out, piece)
-        return out
+        """Leibniz rule: the sum over positions i of the path with its
+        i-th arrow replaced by that arrow's image."""
+        arrows = path.arrows
+        terms = [(Path(path.source, path.target,
+                       arrows[:i] + p.arrows + arrows[i + 1:]), c)
+                 for i, name in enumerate(arrows)
+                 for p, c in self.images[name].terms]
+        return make_relation(self.quiver, self.field, path.source,
+                             path.target, terms)
 
     def apply_to_relation(self, rel: Relation) -> Relation:
         fld = self.field

@@ -98,9 +98,20 @@ def test_cover_smash_lift_pipeline(capsys, tmp_path):
     code, out, _ = run(capsys, "cover", f"{EXAMPLES}/twobypass.bq",
                        "--ideal", "I0", "--radius", "8", "--json")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["vertices"] == 10
-    assert payload["group_order"] == 2
+    assert json.loads(out) == {
+        "action_generators": ["g_c", "g_f"],
+        "arrows": 12,
+        "complete": True,
+        "covering_ok": True,
+        "fibers": {"1": 2, "2": 2, "3": 2, "4": 2, "5": 2},
+        "galois": "galois",
+        "group_order": 2,
+        "kind": "universal",
+        "radius": 8,
+        "rim_lifts": 0,
+        "vertices": 10,
+        "violations": [],
+    }
 
     code, out, _ = run(capsys, "cover", f"{EXAMPLES}/exple1.bq",
                        "--ideal", "I", "--radius", "5")
@@ -109,19 +120,51 @@ def test_cover_smash_lift_pipeline(capsys, tmp_path):
     code, out, _ = run(capsys, "smash", f"{EXAMPLES}/exple1.bq", "--ideal", "I",
                        "--group", "Z2", "--degrees", "a=1", "--json")
     assert code == 0
-    assert json.loads(out)["group_order"] == 2
+    assert json.loads(out) == {
+        "action_generators": ["g_1"],
+        "arrows": 8,
+        "complete": True,
+        "covering_ok": True,
+        "fibers": {"1": 2, "2": 2, "3": 2, "4": 2},
+        "galois": "galois",
+        "group_order": 2,
+        "kind": "smash",
+        "radius": None,
+        "rim_lifts": 0,
+        "vertices": 8,
+        "violations": [],
+    }
 
     code, out, _ = run(capsys, "lift", f"{EXAMPLES}/exple1.bq", "--ideal", "I",
                        "--transvection", "a:c*b:-1", "--radius", "6", "--json")
     assert code == 0
+    assert json.loads(out) == {
+        "base_map": "phi(a, c*b, -1)",
+        "checks": {
+            "equivariance": 13,
+            "fiber_sizes": {"w0": 5, "w1": 4, "w2": 4, "w3": 4},
+            "kernel_abelianized": {"source_invariants": [1, []],
+                                   "target_invariants": [0, []]},
+            "relations": 4,
+            "skipped_arrows": [],
+            "squares": 16,
+        },
+        "target_complete": True,
+    }
 
     code, out, _ = run(capsys, "pipeline", f"{EXAMPLES}/exple1.bq",
                        "--ideal", "I", "--group", "Z2", "--degrees", "a=1",
                        "--radius", "6", "--json")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["group_order"] == 2
-    assert payload["surjective"] is True
+    assert json.loads(out) == {
+        "chain": [],
+        "chord_images": {"c": "deck_1_1"},
+        "commutes": True,
+        "group_order": 2,
+        "kernel": {"abelianized_index": 2, "group_order": 2, "image_order": 2,
+                   "source_invariants": [1, []]},
+        "surjective": True,
+    }
 
 
 def test_truncated_free_cover_exits_unknown(capsys, tmp_path):

@@ -375,9 +375,11 @@ def test_surjection_checks_after_exploration_build_no_relation(monkeypatch):
 def test_exploration_builds_one_automorphism_per_transvection(monkeypatch):
     """Every image of an exploration under one transvection reads the path
     images of one ``PathAutomorphism``: 4 distinct transvections make 4
-    builds, though the exploration applies them 36 times."""
+    builds, though the exploration applies them 36 times.  No (ideal,
+    transvection) pair is mapped twice, so images are not worth keeping."""
     builds = []
     applies = []
+    pairs = []
     init = PathAutomorphism.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -386,6 +388,7 @@ def test_exploration_builds_one_automorphism_per_transvection(monkeypatch):
 
     def counting_apply(phi, ideal):
         applies.append(phi)
+        pairs.append((ideal, id(phi)))  # one automorphism per transvection
         return apply_automorphism(phi, ideal)
 
     monkeypatch.setattr(PathAutomorphism, "__init__", counting_init)
@@ -394,3 +397,4 @@ def test_exploration_builds_one_automorphism_per_transvection(monkeypatch):
     assert len(builds) == 4
     assert len(applies) == 36
     assert len(set(map(id, applies))) == 4
+    assert len(set(pairs)) == len(pairs)

@@ -75,6 +75,19 @@ def test_close_zero_ideal(exple1, rationals):
     assert zero.radical_length == 4  # longest path has length 3
 
 
+def test_reads_do_not_write_into_the_ideal(twobypass, ideal_I0):
+    ideal = close_ideal(twobypass, ideal_I0.field, ideal_I0.generators)
+    stored = len(ideal._spaces)
+    x, y = next((a.source, a.target) for a in twobypass.arrows
+                if (a.source, a.target) not in ideal._spaces)
+    arrow = paths_between(twobypass, x, y)[0]
+    assert ideal.radical_length == 5
+    assert not ideal.contains(relation_of_path(twobypass, ideal.field, arrow))
+    assert ideal.groebner_basis(x, y) == ()
+    assert ideal.dim_ideal(x, y) == 0
+    assert len(ideal._spaces) == stored
+
+
 def test_close_ideal_two_bypass_I0(twobypass, ideal_I0):
     assert ideal_I0.dim_ideal("1", "5") == 2
     assert ideal_I0.dim_quotient("1", "5") == 2
