@@ -1,8 +1,12 @@
 """Exact base-field arithmetic: the rationals, or a prime field F_p.
 
-Scalars are plain ``Fraction`` values in characteristic 0 and ints in
-``range(p)`` in characteristic p; a ``Field`` instance mediates all
-arithmetic so that every computation in the toolkit stays exact.
+In characteristic 0 a scalar is an ``int`` when it is integral and a
+``Fraction`` otherwise, so the common coefficients (0, 1, -1) never
+build a ``Fraction``; in characteristic p it is an int in ``range(p)``.
+A ``Field`` instance mediates all arithmetic and returns scalars in
+this form, so that every computation in the toolkit stays exact.  An
+integral ``Fraction`` equals and hashes as its int, so the two forms
+agree wherever scalars are compared or hashed.
 """
 
 from __future__ import annotations
@@ -36,20 +40,20 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.char == 0 else 0
+        return 0
 
     @property
     def one(self):
-        return Fraction(1) if self.char == 0 else 1
+        return 1
 
     def scalar(self, num, den=1):
         """Coerce an integer (pair) or Fraction into a field scalar."""
         if isinstance(num, float) or isinstance(den, float):
             raise FieldError("floating point scalars are not allowed")
         if self.char == 0:
-            if den == 1 and type(num) is Fraction:
+            if den == 1 and type(num) is int:
                 return num
-            return Fraction(num, den)
+            return _rational(Fraction(num, den))
         if isinstance(num, Fraction):
             num, den = num.numerator, num.denominator * den
         num = int(num)
@@ -58,22 +62,40 @@ class Field:
             raise FieldError("denominator %d is not invertible mod %d" % (den, self.char))
         return (num * pow(den, -1, self.char)) % self.char
 
+    # the hot operations test for an int result inline before the
+    # general ``_rational``, since on most inputs every scalar is an int
+
     def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
+        if self.char:
+            return (a + b) % self.char
+        r = a + b
+        return r if type(r) is int else _rational(r)
 
     def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
+        if self.char:
+            return (a - b) % self.char
+        r = a - b
+        return r if type(r) is int else _rational(r)
 
     def neg(self, a):
-        return -a if self.char == 0 else (-a) % self.char
+        if self.char:
+            return (-a) % self.char
+        r = -a
+        return r if type(r) is int else _rational(r)
 
     def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
+        if self.char:
+            return (a * b) % self.char
+        r = a * b
+        return r if type(r) is int else _rational(r)
 
     def inv(self, a):
         if self.is_zero(a):
             raise FieldError("division by zero")
-        return 1 / a if self.char == 0 else pow(a, -1, self.char)
+        if self.char:
+            return pow(a, -1, self.char)
+        # never ``1 / a`` on an int, which is a float
+        return _rational(Fraction(1, a) if type(a) is int else 1 / a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -82,7 +104,7 @@ class Field:
         """a to the integer power e (a nonzero when e < 0)."""
         if e < 0:
             a, e = self.inv(a), -e
-        return a ** e if self.char == 0 else pow(a, e, self.char)
+        return _rational(a ** e) if self.char == 0 else pow(a, e, self.char)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -129,7 +151,7 @@ class Field:
                     return x
             return None
         if a == 0:
-            return Fraction(0)
+            return 0
         sign = 1
         if a < 0:
             if n % 2 == 0:
@@ -140,7 +162,12 @@ class Field:
         den = _int_nth_root(a.denominator, n)
         if num is None or den is None:
             return None
-        return Fraction(sign * num, den)
+        return _rational(Fraction(sign * num, den))
+
+
+def _rational(q):
+    """The canonical scalar of a rational q: its int when integral."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
 
 
 def _int_nth_root(m: int, n: int):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 
 from .disjoint_sets import DisjointSets
 from .errors import GammaError, QuiverError, UnresolvedError
@@ -32,7 +31,8 @@ DEFAULT_MAX_REPRESENTATIVES = 16
 def tau_schedule(fld: Field):
     """Probe values for transvection coefficients."""
     if fld.char == 0:
-        return (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(3))
+        return (fld.scalar(1), fld.scalar(-1), fld.scalar(2), fld.scalar(1, 2),
+                fld.scalar(3))
     return tuple(fld.nonzero_elements(limit=32))
 
 
@@ -273,13 +273,16 @@ def explore_gamma(ideal: Ideal) -> GammaQuiver:
     predecessors, with fingerprint dedup; raises on Unknown contamination.
 
     A vertex keeps at most ``DEFAULT_MAX_REPRESENTATIVES`` representatives;
-    a vertex that drops a new one past the cap gets one diagnostic."""
+    a vertex that drops a new one past the cap gets one diagnostic.  Every
+    representative is interned by the exploration's cache, so equal ideals
+    are one object and ``kept`` answers "seen before?" in one lookup."""
     fld = ideal.field
     cache = _HomotopyCache()
     h0 = cache.get(ideal)
     key0 = _key(h0, "explore")
 
     vertices = {key0: GammaVertex(0, key0, ideal, h0, [ideal])}
+    kept = {ideal}  # the representatives of every vertex
     edges = {}
     diagnostics = []
     capped = set()
@@ -288,15 +291,17 @@ def explore_gamma(ideal: Ideal) -> GammaQuiver:
     def vertex_for(key, rep, h_rep):
         if key not in vertices:
             vertices[key] = GammaVertex(len(vertices), key, rep, h_rep, [rep])
+            kept.add(rep)
             queue.append((key, rep, h_rep))
         return vertices[key]
 
     def add_representative(key, rep, h_rep):
         vertex = vertices[key]
-        if any(ideals_equal(rep, known) for known in vertex.representatives):
+        if rep in kept:
             return
         if len(vertex.representatives) < DEFAULT_MAX_REPRESENTATIVES:
             vertex.representatives.append(rep)
+            kept.add(rep)
             queue.append((key, rep, h_rep))
         elif vertex.index not in capped:
             capped.add(vertex.index)

@@ -248,12 +248,15 @@ class HomotopyRelation:
 
     def _presentation(self):
         """The chord presentation of pi1: one relator per generating pair
-        whose chord words differ."""
+        whose chord words differ.  A path is a reduced walk of forward
+        letters, so its chord word is its chords, last arrow first, and
+        the inverse word of v is v's chords inverted, first arrow first."""
+        tree = self.tree.tree_arrows
         relators = []
         for u, v in self.generating_pairs:
             word = _free_reduce_word(
-                self.tree.chord_word(walk_of_path(u))
-                + _invert_word(self.tree.chord_word(walk_of_path(v))))
+                tuple((a, FORWARD) for a in reversed(u.arrows) if a not in tree)
+                + tuple((a, INVERSE) for a in v.arrows if a not in tree))
             if word:
                 relators.append(word)
         return GroupPresentation(self.tree.chords, tuple(relators))

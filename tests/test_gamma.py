@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,33 @@ def test_representative_cap_is_reported(ws5):
                       "not probed" % gamma_mod.DEFAULT_MAX_REPRESENTATIVES]
     gamma = explore_gamma(twobypass_chain(2, "I2", char=2))
     assert not [d for d in gamma.diagnostics if "cap" in d]
+
+
+def test_representatives_are_kept_without_comparing_ideals(monkeypatch, ws5):
+    # the cache interns equal ideals to one object, so a new representative
+    # is found among the kept ones by one lookup, not by ideals_equal
+    callers = []
+
+    def spy(a, b):
+        frame = sys._getframe(1)
+        while frame is not None:
+            callers.append(frame.f_code.co_name)
+            frame = frame.f_back
+        return ideals_equal(a, b)
+
+    monkeypatch.setattr(gamma_mod, "ideals_equal", spy)
+    gamma = explore_gamma(ws5.ideal("I2"))
+    assert "add_representative" not in callers
+    assert [(v.index, len(v.representatives)) for v in gamma.vertices] == \
+        [(0, gamma_mod.DEFAULT_MAX_REPRESENTATIVES), (1, 1)]
+    assert all(len(set(v.representatives)) == len(v.representatives)
+               for v in gamma.vertices)
+    assert [(e.source, e.target, e.transvection.arrow,
+             e.transvection.path.to_text(), e.transvection.tau)
+            for e in gamma.edges] == [(1, 0, "d", "f*e", -1)]
+    assert gamma.diagnostics == [
+        "vertex 0: representatives past the cap of %d were not probed"
+        % gamma_mod.DEFAULT_MAX_REPRESENTATIVES]
 
 
 @pytest.mark.parametrize("edges, vertex_count, bypass_count, violations", [

@@ -22,10 +22,17 @@ same order and returns the same chains.
 hom-set at a time; it is compared with the Relation-based version it
 replaced, which multiplies arrow images one arrow at a time and closes
 the images of the minimal relations again.
+
+Over Q the field keeps integral scalars as ints; ``close_ideal`` on
+generators with fractional coefficients is compared with the dense
+closure run in ``FractionField``, the all-``Fraction`` arithmetic it
+replaced.  The presentation reads each path's chord word from its
+arrows; it is compared with the chord words of ``walk_of_path``.
 """
 
 import random
 import re
+from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
@@ -39,6 +46,7 @@ from bqkit.fields import Field
 from bqkit.gamma import tau_schedule
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             UNKNOWN, Decision, HomotopyRelation,
+                            _free_reduce_word, _invert_word,
                             fingerprint_key, homotopy_relation,
                             relations_equal)
 from bqkit.ideal import (Ideal, Relation, add_relations, close_ideal,
@@ -237,6 +245,79 @@ def test_sparse_rows_match_dense_rows():
     for ideal in all_ideals():
         dense = relation_closure(ideal.quiver, ideal.field, ideal.generators)
         assert dense._basis_snapshot() == ideal._basis_snapshot()
+
+
+class FractionField:
+    """Characteristic-0 arithmetic with every scalar a ``Fraction``."""
+
+    char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def scalar(self, num, den=1):
+        return Fraction(num, den)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return 1 / a
+
+    def is_zero(self, a):
+        return a == 0
+
+
+FRACTIONS = (Fraction(3, 5), Fraction(-7, 4), Fraction(1, 3))
+
+
+def fractional_generators(ideal):
+    """The generators with their terms scaled by 3/5, -7/4 and 1/3 in turn."""
+    fld = ideal.field
+    scales = iter(FRACTIONS * sum(len(g.terms) for g in ideal.generators))
+    return [Relation(g.source, g.target,
+                     tuple((p, fld.mul(c, next(scales))) for p, c in g.terms))
+            for g in ideal.generators]
+
+
+def test_int_scalars_close_like_fractions():
+    for ideal in all_ideals():
+        if ideal.field.char:
+            continue
+        gens = fractional_generators(ideal)
+        got = close_ideal(ideal.quiver, ideal.field, gens)
+        want = relation_closure(ideal.quiver, FractionField(), gens)
+        assert got._basis_snapshot() == want._basis_snapshot()
+        for r in got.minimal_relations():
+            for _, c in r.terms:
+                assert type(c) is int or (type(c) is Fraction
+                                          and c.denominator != 1)
+
+
+def walk_relators(h):
+    """The relators from the chord words of ``walk_of_path``."""
+    relators = []
+    for u, v in h.generating_pairs:
+        word = _free_reduce_word(
+            h.tree.chord_word(walk_of_path(u))
+            + _invert_word(h.tree.chord_word(walk_of_path(v))))
+        if word:
+            relators.append(word)
+    return tuple(relators)
+
+
+def test_relators_from_path_arrows_match_walk_relators():
+    for ideal in all_ideals():
+        h = homotopy_relation(ideal)
+        assert h.presentation.relators == walk_relators(h)
 
 
 def test_worklist_closure_matches_pairwise_closure():
