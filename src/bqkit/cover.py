@@ -308,7 +308,8 @@ class _Ball:
             if decision.status == UNKNOWN:
                 raise CoverError(
                     "homotopy query unresolved while building the cover: "
-                    "%s vs %s" % (walk.to_text(), cls.rep.to_text()))
+                    "%s vs %s (the search stopped at its %s cap)"
+                    % (walk.to_text(), cls.rep.to_text(), decision.cap))
         if create and len(walk.letters) <= self.radius:
             return self._new_class(walk, key, word)
         return None

@@ -541,6 +541,19 @@ class HomotopyRelation:
         loop-insertion search on ``Walk`` letters, so coding the letters
         changes neither the walks visited nor the chains returned.
 
+        It runs level by level, and returns what a FIFO search that
+        expands each walk in turn (``_rewrites``) returns.  Before a
+        level is expanded, its walks are scanned in queue order for the
+        first one that has the goal as a child, with the move that
+        ``_rewrites`` yields the goal by (``_move_to``).  The FIFO search
+        stops at that walk with that move, unless its cap check stops it
+        first: before each walk it expands it gives up once more than
+        ``DEFAULT_MAX_STATES`` walks are seen, and each walk ahead of the
+        hit adds at most one seen walk per (rule, visit) pair.  So a hit
+        is taken only while the walks seen plus those pairs are at most
+        the cap.  A level with no hit so taken is expanded as the FIFO
+        search would expand it.
+
         Returns ``(chain, None)``, with the elementary expansion of the
         found move sequence (``()`` when no chain is wanted), or
         ``(None, cap)`` naming the cap that ended the search:
@@ -552,33 +565,47 @@ class HomotopyRelation:
         source = start.source
         first = self._encode(start.letters)
         last = self._encode(goal.letters)
+        ends = self._alphabet[2]
+        anchored = self._rule_table[1]
         seen = {first: None}
-        queue = deque([first])
-        while queue:
-            if len(seen) > DEFAULT_MAX_STATES:
-                return None, "max_states"
-            w = queue.popleft()
-            for nxt, move in self._rewrites(source, w, cap):
-                if nxt in seen:
-                    continue
-                seen[nxt] = (w, move)
-                if nxt == last:
-                    if not want_chain:
-                        return (), None
-                    moves = []
-                    cur = nxt
-                    while seen[cur] is not None:
-                        prev, mv = seen[cur]
-                        moves.append((prev, mv))
-                        cur = prev
-                    moves.reverse()
-                    chain = []
-                    for prev, mv in moves:
-                        chain.extend(_expand_rewrite(
-                            self._decode(source, prev), *mv))
-                    return tuple(chain), None
-                queue.append(nxt)
+        level = [first]
+        while level:
+            ahead = len(seen)
+            for w in level:
+                if ahead > DEFAULT_MAX_STATES:
+                    break
+                move = self._move_to(w, last)
+                if move is not None:
+                    seen[last] = (w, move)
+                    return self._chain(source, seen, last, want_chain), None
+                ahead += anchored[source] + sum(anchored[ends[c]] for c in w)
+            queue = []
+            for w in level:
+                if len(seen) > DEFAULT_MAX_STATES:
+                    return None, "max_states"
+                for nxt, move in self._rewrites(source, w, cap):
+                    if nxt in seen:
+                        continue
+                    seen[nxt] = (w, move)
+                    if nxt == last:
+                        return self._chain(source, seen, last, want_chain), None
+                    queue.append(nxt)
+            level = queue
         return None, "walk_length"
+
+    def _chain(self, source, seen, last, want_chain):
+        """The elementary expansion of the moves by which the search
+        reached the coded walk last, or ``()`` when no chain is wanted."""
+        if not want_chain:
+            return ()
+        moves = []
+        while seen[last] is not None:
+            moves.append(seen[last])
+            last = moves[-1][0]
+        chain = []
+        for prev, move in reversed(moves):
+            chain.extend(_expand_rewrite(self._decode(source, prev), *move))
+        return tuple(chain)
 
     @cached_property
     def _alphabet(self):
@@ -649,6 +676,11 @@ class HomotopyRelation:
         joins, and once the loop is used up, across it between the
         letters of w on either side.  The cancellations are counted by
         index first, and only a result within the cap is built.
+
+        This tries every (rule, visit) pair.  Whether one given walk is
+        a child, and by which move it is first yielded, takes one loop
+        per visit instead (``_move_to``); ``_bfs`` asks that before it
+        expands a level.
         """
         ends = self._alphabet[2]
         visits = {source: [0]}
@@ -681,6 +713,52 @@ class HomotopyRelation:
                     continue
                 produced.add(new)
                 yield new, (i,) + move
+
+    @cached_property
+    def _rule_table(self):
+        """The number of each rule of ``_insertion_rules`` by its loop,
+        and the number of rules anchored at each vertex."""
+        number = {}
+        anchored = dict.fromkeys(self.quiver.vertices, 0)
+        for k, (anchor, loop, _) in enumerate(self._insertion_rules):
+            number[loop] = k
+            anchored[anchor] += 1
+        return number, anchored
+
+    def _move_to(self, w, goal):
+        """The move by which ``_rewrites`` first yields the coded walk
+        goal from the coded walk w, or None when goal is not a child of w.
+
+        Inserting the loop L at visit i and reducing gives goal exactly
+        when L is the reduction of w[:i]^-1 * goal * w[i:]^-1, which is
+        the loop goal * w^-1 at the source conjugated by w[:i].  So one
+        conjugation by a letter per visit, with cancellation at the two
+        ends only, lists every loop that would give goal.  A nonempty
+        reduced loop starts at the vertex it is a loop at, so the loop
+        alone names the rule, if any, and its anchor is the vertex of
+        the visit.  ``_rewrites`` yields by rule, then by visit, so the
+        first move is the one of the least (rule, visit).
+        """
+        number = self._rule_table[0]
+        n, m = len(w), len(goal)
+        k = 0
+        while k < n and k < m and goal[m - 1 - k] == w[n - 1 - k]:
+            k += 1
+        loop = goal[:m - k] + tuple(-c for c in reversed(w[:n - k]))
+        hits = []
+        for i in range(n + 1):
+            if i:
+                # c^-1 * loop * c, reduced
+                c = w[i - 1]
+                loop = loop[1:] if loop and loop[0] == c else (-c,) + loop
+                loop = loop[:-1] if loop and loop[-1] == -c else loop + (c,)
+            rule = number.get(loop)
+            if rule is not None:
+                hits.append((rule, i))
+        if not hits:
+            return None
+        rule, i = min(hits)
+        return (i,) + self._insertion_rules[rule][2]
 
 
 class _FingerprintView(Mapping):

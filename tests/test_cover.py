@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import TWO_BYPASS
+from conftest import TWO_BYPASS, twobypass_chain
 
 from bqkit.cover import (GALOIS, NOT_GALOIS, TRUNCATED, CoverQuiver,
                          FiniteGroup, _generated_order, check_covering,
@@ -110,6 +110,14 @@ def test_universal_cover_truncated_strip(ideal_I):
     cov9 = universal_cover(ideal_I, radius=9)
     for x in cov6.base_quiver.vertices:
         assert len(cov9.fiber(x)) > len(cov6.fiber(x))
+
+
+def test_unresolved_query_names_the_cap():
+    """On two glued I0 units pi1 = Z2 * Z2 is infinite, so the coset
+    action never completes, and the ball meets a pair that no certifier
+    decides; the error names the cap that ended the search."""
+    with pytest.raises(CoverError, match="stopped at its max_states cap"):
+        universal_cover(twobypass_chain(2))
 
 
 def test_check_covering_detects_mutation(ideal_I0):

@@ -1,3 +1,6 @@
+import hashlib
+import importlib.util
+import os
 import random
 from itertools import combinations
 
@@ -446,3 +449,26 @@ def test_insertion_cancels_across_a_used_up_loop():
                     assert h._decode(source, new) == raw.reduced()
                 cases.add("all" if k in (0, m) else "split")
     assert cases == {"all", "split"}
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# sha256 prefixes of the (status, chain, certificate, cap) of the 100
+# word-dihedral decisions of the benchmark, per run seed
+WORD_DIHEDRAL_DIGESTS = {3: "fcae5caf450d05bf", 77: "37905faaef349107"}
+
+
+def test_word_dihedral_decisions_are_pinned():
+    """The benchmark's word-dihedral decisions, chains included, at two
+    run seeds, which name the vertices and arrows differently."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(ROOT, "bench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed, digest in WORD_DIHEDRAL_DIGESTS.items():
+        workload, inputs = workloads.setup("word-dihedral", seed, False)
+        decisions, _ = workload.solve(inputs)
+        assert len(decisions) == 100
+        outcomes = [(d.status, d.chain, d.certificate, d.cap)
+                    for d in decisions]
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16] \
+            == digest, seed

@@ -15,8 +15,12 @@ produce the same fingerprint, because ``decide`` certifies the pairs it
 left apart.
 
 The homotopy search's rewrites are compared with the split enumeration
-they replaced, move for move, so the search visits the same walks in the
-same order and returns the same chains.
+they replaced, move for move, and ``_move_to``, which names the first
+move from a walk to a given child without building the others, with
+those rewrites.  The level-by-level search is compared with the FIFO
+search that expands every walk it pops, run on the split enumeration:
+the same decisions and chains, also with the state cap patched around
+the point where the FIFO search reaches its goal.
 
 ``transform.apply_automorphism`` maps basis rows in coordinates, one
 hom-set at a time; it is compared with the Relation-based version it
@@ -32,13 +36,15 @@ arrows; it is compared with the chord words of ``walk_of_path``.
 
 import random
 import re
+from collections import deque
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from conftest import make_random_bound_quiver, twobypass_chain
 
+from bqkit import homotopy
 from bqkit.disjoint_sets import DisjointSets
 from bqkit.dsl import parse_source
 from bqkit.errors import HomotopyError, UnresolvedError
@@ -46,7 +52,7 @@ from bqkit.fields import Field
 from bqkit.gamma import tau_schedule
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             UNKNOWN, Decision, HomotopyRelation,
-                            _free_reduce_word, _invert_word,
+                            _expand_rewrite, _free_reduce_word, _invert_word,
                             fingerprint_key, homotopy_relation,
                             relations_equal)
 from bqkit.ideal import (Ideal, Relation, add_relations, close_ideal,
@@ -404,71 +410,187 @@ def assert_same_rewrites(h, walks):
             assert list(coded_rewrites(h, w, cap)) == expected, (w, cap)
 
 
-def test_loop_insertion_matches_split_rewrites_on_random_quivers():
+def random_quiver_walks():
+    """Per random ideal, its relation and three random reduced walks."""
     for k, ideal in enumerate(random_ideals()):
         h = homotopy_relation(ideal)
         rng = random.Random(k)
-        walks = [random_reduced_walk(h.quiver, rng, rng.randint(0, 6))
-                 for _ in range(3)]
-        assert_same_rewrites(h, walks)
+        yield h, [random_reduced_walk(h.quiver, rng, rng.randint(0, 6))
+                  for _ in range(3)]
 
 
-def test_loop_insertion_matches_split_rewrites_on_i0_chains():
+def i0_chain_walks():
+    """Per chain of one and two I0 units, its relation and random reduced
+    walks of lengths 0 to 10."""
     rng = random.Random(4)
     for units in (1, 2):
         h = homotopy_relation(twobypass_chain(units))
         assert h._replacement_patterns()
-        walks = [random_reduced_walk(h.quiver, rng, length)
-                 for length in range(0, 11) for _ in range(2)]
+        yield h, [random_reduced_walk(h.quiver, rng, length)
+                  for length in range(0, 11) for _ in range(2)]
+
+
+def test_loop_insertion_matches_split_rewrites_on_random_quivers():
+    for h, walks in random_quiver_walks():
         assert_same_rewrites(h, walks)
 
 
-PAIRS = 6
+def test_loop_insertion_matches_split_rewrites_on_i0_chains():
+    for h, walks in i0_chain_walks():
+        assert_same_rewrites(h, walks)
 
 
-def test_loop_insertion_search_matches_split_search():
-    """Same decisions, chains included, on two-unit I0 walk pairs: u, and
-    u with two loops p * q^-1 (p != q, from one minimal relation each)
-    inserted."""
-    ideal = twobypass_chain(2)
+def test_move_to_matches_rewrites():
+    """For every child of a walk, ``_move_to`` gives the move by which
+    ``_rewrites`` first yields it; for the walk itself and for the
+    grandchildren through its first three children that are not
+    children, it gives None."""
+    for h, walks in chain(random_quiver_walks(), i0_chain_walks()):
+        longest = max((len(loop) for _, loop, _ in h._insertion_rules),
+                      default=0)
+        for walk in walks:
+            w = h._encode(walk.letters)
+            # no rewrite of w is longer than w and a loop
+            children = dict(h._rewrites(walk.source, w, len(w) + longest))
+            for g, move in children.items():
+                assert h._move_to(w, g) == move, (walk, g)
+            assert h._move_to(w, w) is None
+            for g in list(children)[:3]:
+                for gg, _ in h._rewrites(walk.source, g, len(g) + longest):
+                    if gg != w and gg not in children:
+                        assert h._move_to(w, gg) is None, (walk, gg)
+
+
+class FifoSearch:
+    """The search that ``HomotopyRelation._bfs`` replaced, on ``Walk``
+    letters with the split enumeration: a FIFO queue that expands every
+    walk it pops, checking the state cap before each pop.  Set as the
+    ``_bfs`` of a relation, it records the walks it expanded, and for a
+    goal it reached, the goal's distance from the start and the number
+    of walks seen before the pop that reached it."""
+
+    def __init__(self, h):
+        self.h = h
+        self.expanded = 0
+        self.distance = self.seen_at_hit = None
+
+    def __call__(self, start, goal, cap, want_chain):
+        self.expanded = 0
+        self.distance = self.seen_at_hit = None
+        cap = max(cap, len(start.letters), len(goal.letters))
+        seen = {start: None}
+        queue = deque([start])
+        while queue:
+            if len(seen) > homotopy.DEFAULT_MAX_STATES:
+                return None, "max_states"
+            w = queue.popleft()
+            before = len(seen)
+            self.expanded += 1
+            for nxt, move in split_rewrites(self.h, w, cap):
+                if nxt in seen:
+                    continue
+                seen[nxt] = (w, move)
+                if nxt == goal:
+                    moves = []
+                    while seen[nxt] is not None:
+                        moves.append(seen[nxt])
+                        nxt = moves[-1][0]
+                    self.distance, self.seen_at_hit = len(moves), before
+                    steps = []
+                    for prev, move in reversed(moves):
+                        steps.extend(_expand_rewrite(prev, *move))
+                    return tuple(steps) if want_chain else (), None
+                queue.append(nxt)
+        return None, "walk_length"
+
+
+def insertion_pairs(ideal, rng, count, loops_per_pair):
+    """Pairs (u, v) of walks from the first vertex: u a random reduced
+    walk, and v u with loops p * q^-1 (p != q, from one minimal relation
+    each) inserted at distinct visits."""
     loops = {}
     for rel in ideal.minimal_relations():
         loops.setdefault(rel.source, []).append(rel.support())
-    rng = random.Random(11)
     pairs = []
-    while len(pairs) < PAIRS:
+    while len(pairs) < count:
         u = random_reduced_walk(ideal.quiver, rng, rng.randint(2, 6),
                                 start=ideal.quiver.vertices[0])
         visits = [u.source] + [ideal.quiver.arrow(n).target if d == FORWARD
                                else ideal.quiver.arrow(n).source
                                for n, d in u.letters]
         spots = [i for i, x in enumerate(visits) if x in loops]
-        if not spots:
+        if len(spots) < loops_per_pair:
             continue
         letters = u.letters
-        for i in sorted(rng.sample(spots, min(2, len(spots))), reverse=True):
+        for i in sorted(rng.sample(spots, loops_per_pair), reverse=True):
             p, q = rng.sample(rng.choice(loops[visits[i]]), 2)
             loop = walk_of_path(p).letters + walk_of_path(q).inverse().letters
             letters = letters[:i] + loop + letters[i:]
         pairs.append((u, Walk(u.source, u.target, letters)))
+    return pairs
+
+
+PAIRS = 6
+
+
+def test_loop_insertion_search_matches_split_search():
+    """Same decisions, chains included, as the FIFO search on the split
+    enumeration, on two-unit I0 walk pairs with one or two loops
+    inserted, whose goals lie at distances 1 and 2."""
+    ideal = twobypass_chain(2)
+    rng = random.Random(11)
+    pairs = (insertion_pairs(ideal, rng, PAIRS, 1)
+             + insertion_pairs(ideal, rng, PAIRS, 2))
     new = HomotopyRelation(ideal)
     ref = HomotopyRelation(ideal)
-    expanded = []
-
-    def reference_rewrites(source, w, cap):
-        # the search runs on coded walks: decode each one for the split
-        # enumeration and encode what it yields
-        expanded.append(w)
-        for nxt, move in split_rewrites(ref, ref._decode(source, w), cap):
-            yield ref._encode(nxt.letters), move
-
-    ref._rewrites = reference_rewrites
+    ref._bfs = search = FifoSearch(ref)
+    distances = set()
     for u, v in pairs:
         d = new.decide(u, v, want_chain=True)
         assert d.is_homotopic and d.chain
-        expanded.clear()
         assert d == ref.decide(u, v, want_chain=True)
-        assert expanded  # the reference search ran
+        assert search.expanded  # the reference search ran
+        distances.add(search.distance)
+    assert distances == {1, 2}
+
+
+def test_search_at_the_state_cap(monkeypatch):
+    """With ``DEFAULT_MAX_STATES`` patched to 0, 1 and values around the
+    number of walks seen when the FIFO search reaches a goal at distance
+    2, every decision equals the FIFO search's: Unknown at the state
+    cap, the goal found by expanding its parent's level, or found by the
+    scan before that level is expanded."""
+    ideal = twobypass_chain(2)
+    near = insertion_pairs(ideal, random.Random(11), 1, 1)[0]
+    far = insertion_pairs(ideal, random.Random(4), 1, 2)[0]
+    new = HomotopyRelation(ideal)
+    ref = HomotopyRelation(ideal)
+    ref._bfs = search = FifoSearch(ref)
+    ref.decide(*far)
+    assert search.distance == 2
+    hit = search.seen_at_hit
+    rewrites = new._rewrites
+    expanded = []
+
+    def counted(*args):
+        expanded.append(args)
+        return rewrites(*args)
+
+    new._rewrites = counted
+    outcomes = set()
+    for (u, v), caps in ((near, (0, 1)),
+                         (far, (0, 1) + tuple(hit + k for k in
+                                              (-1, 0, 1, 2, 8, 32, 128,
+                                               512, 2048)))):
+        for cap in caps:
+            monkeypatch.setattr(homotopy, "DEFAULT_MAX_STATES", cap)
+            expanded.clear()
+            d = new.decide(u, v)
+            assert d == ref.decide(u, v), cap
+            # the start's level is expanded before a goal at distance 2
+            outcomes.add(d.cap if d.is_unknown else
+                         "expanded" if len(expanded) > 1 else "scanned")
+    assert outcomes == {"max_states", "expanded", "scanned"}
 
 
 def pairwise_fingerprint(h):
