@@ -42,6 +42,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
 
 
+def _radius(text):
+    """A ``--radius`` value: a nonnegative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            "expected a nonnegative integer, got %r" % text)
+    return int(text)
+
+
 def _emit(args, payload, human):
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -530,7 +538,7 @@ def build_parser():
     p.set_defaults(func=cmd_surjection)
 
     p = on_ideal("cover", cmd_cover, "universal cover", base=True)
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--radius", type=_radius, default=None)
     p.add_argument("--dot", default=None)
     p.add_argument("--export", default=None)
 
@@ -545,14 +553,14 @@ def build_parser():
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--transvection", help="arrow:path:tau")
     kind.add_argument("--dilatation", help="a=2,b=1")
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--radius", type=_radius, default=None)
 
     p = on_ideal("pipeline", cmd_pipeline, "factor a Galois cover through "
                                            "the privileged universal cover")
     p.add_argument("--target", default=None, help="target ideal (default: same)")
     p.add_argument("--group", default="trivial")
     p.add_argument("--degrees", default="")
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--radius", type=_radius, default=None)
 
     p = sub.add_parser("examples", help="run the bundled scenarios against "
                                         "their golden outcomes")

@@ -144,7 +144,7 @@ class CoverQuiver:
     """
 
     def __init__(self, total, base_ideal, vertex_map, arrow_map, relations,
-                 complete, radius, interior, action, kind, meta=None):
+                 complete, radius, interior, action, kind):
         self.total = total
         self.base_ideal = base_ideal
         self.base_quiver = base_ideal.quiver
@@ -163,7 +163,6 @@ class CoverQuiver:
         self.interior = frozenset(interior)
         self.action = list(action)
         self.kind = kind
-        self.meta = meta or {}
 
     def fiber(self, base_vertex):
         return [v for v in self.total.vertices
@@ -251,142 +250,118 @@ class CoverQuiver:
 
 # -- universal covers ---------------------------------------------------------
 
-class _WalkClass:
-    def __init__(self, index, rep: Walk, image, word):
-        self.index = index
-        self.rep = rep
-        self.image = image
-        self.word = word  # chord word of rep
-        self.members = {rep}
-
-
 class _Ball:
-    """Certified homotopy classes of walks from the base point."""
+    """Certified homotopy classes of reduced walks from the base point.
+
+    ``reps[i]`` represents class i and ``index`` maps each walk classified
+    so far to its class.  A walk not yet classified is compared by
+    ``decide`` with the classes of its (target, abelian image) bucket.
+    With no relators pi1 is free on the chords, and a reduced walk from
+    the base point is fixed by its target and chord word, so distinct
+    reduced walks are distinct classes (Serre, *Trees*, ch. I): such a
+    walk is a new class, and the ball computes no image for it.
+    """
 
     def __init__(self, h: HomotopyRelation, radius: int):
         self.h = h
         self.radius = radius
         self.quiver = h.quiver
         self.cap = 2 * (radius + 1) + h.default_cap
-        self._free = not h.presentation.relators
-        self.classes = []
-        self.lookup = {}
         self.transitions = {}
-        self._root = trivial_walk(self.quiver, h.base_point)
-        self._new_class(self._root, self._image_key(self._root),
-                        h.tree.chord_word(self._root))
-
-    def _image_key(self, walk: Walk):
-        return (walk.target, self.h.abelian_image(walk, self._root))
-
-    def _new_class(self, rep: Walk, image, word):
-        cls = _WalkClass(len(self.classes), rep, image, word)
-        self.classes.append(cls)
-        self.lookup.setdefault(image, []).append(cls)
-        return cls
+        root = trivial_walk(self.quiver, h.base_point)
+        self.reps = [root]
+        self.index = {root: 0}
+        self._buckets = {}  # (target, abelian image) -> class indices
+        if h.presentation.relators:
+            self._buckets[(root.target, h.abelian_image(root, root))] = [0]
 
     def classify(self, walk: Walk, create=False):
-        """The class holding the reduced walk, or None (creating it if
-        asked and the representative fits in the ball)."""
-        key = self._image_key(walk)
-        word = self.h.tree.chord_word(walk)
-        for cls in self.lookup.get(key, ()):
-            if walk in cls.members:
-                return cls
-            if word == cls.word:
-                cls.members.add(walk)
-                return cls
-            if self._free:
-                # no relators: walks with different chord words are
-                # not homotopic, as ``h.decide`` would certify
-                continue
-            decision = self.h.decide(walk, cls.rep, cap=self.cap,
-                                     want_chain=False)
-            if decision.status == HOMOTOPIC:
-                cls.members.add(walk)
-                return cls
-            if decision.status == UNKNOWN:
-                raise CoverError(
-                    "homotopy query unresolved while building the cover: "
-                    "%s vs %s (the search stopped at its %s cap)"
-                    % (walk.to_text(), cls.rep.to_text(), decision.cap))
-        if create and len(walk.letters) <= self.radius:
-            return self._new_class(walk, key, word)
-        return None
+        """The index of the class holding the reduced walk, or None
+        (creating the class if asked and the walk fits in the ball)."""
+        found = self.index.get(walk)
+        if found is not None:
+            return found
+        key = None
+        if self.h.presentation.relators:
+            key = (walk.target, self.h.abelian_image(walk, self.reps[0]))
+            for i in self._buckets.get(key, ()):
+                decision = self.h.decide(walk, self.reps[i], cap=self.cap,
+                                         want_chain=False)
+                if decision.status == HOMOTOPIC:
+                    self.index[walk] = i
+                    return i
+                if decision.status == UNKNOWN:
+                    raise CoverError(
+                        "homotopy query unresolved while building the cover: "
+                        "%s vs %s (the search stopped at its %s cap)"
+                        % (walk.to_text(), self.reps[i].to_text(),
+                           decision.cap))
+        if not create or len(walk.letters) > self.radius:
+            return None
+        i = len(self.reps)
+        self.reps.append(walk)
+        self.index[walk] = i
+        if key is not None:
+            self._buckets.setdefault(key, []).append(i)
+        return i
 
     def grow(self):
-        """Expand classes breadth-first; True when the ball closed up."""
-        closed = True
-        i = 0
-        while i < len(self.classes):
-            cls = self.classes[i]
-            i += 1
-            at = cls.rep.target
+        """Expand classes breadth-first; returns the indices of the
+        classes whose every step stays in the ball."""
+        interior = []
+        # classify appends new classes to reps, and the loop reaches them
+        for i, rep in enumerate(self.reps):
+            at = rep.target
             steps = [(a.name, FORWARD, a.target)
                      for a in self.quiver.arrows_from(at)]
             steps += [(a.name, INVERSE, a.source)
                       for a in self.quiver.arrows_into(at)]
-            letters = cls.rep.letters
+            letters = rep.letters
+            kept = True
             for name, d, end in steps:
                 # the rep is reduced, so only its last letter can cancel
                 if letters and letters[-1] == (name, -d):
-                    ext = Walk(cls.rep.source, end, letters[:-1])
+                    ext = Walk(rep.source, end, letters[:-1])
                 else:
-                    ext = Walk(cls.rep.source, end, letters + ((name, d),))
+                    ext = Walk(rep.source, end, letters + ((name, d),))
                 target = self.classify(ext, create=True)
-                self.transitions[(cls.index, name, d)] = \
-                    target.index if target is not None else None
-                if target is None:
-                    closed = False
-        return closed
+                self.transitions[(i, name, d)] = target
+                kept = kept and target is not None
+            if kept:
+                interior.append(i)
+        return interior
 
 
 def universal_cover(ideal: Ideal, x0=None, radius=None) -> CoverQuiver:
     """The cover of certified walk classes out of the base point, read
-    from the homotopy relation kept on the ideal (``homotopy_relation``)."""
+    from the homotopy relation kept on the ideal (``homotopy_relation``).
+    Vertex ``total.vertices[i]`` is the class of ``_ball.reps[i]``."""
     quiver = ideal.quiver
     if not quiver.is_connected():
         raise CoverError("universal cover needs a connected quiver")
     if radius is None:
         radius = default_radius(quiver)
-    h = homotopy_relation(ideal, x0)
-    ball = _Ball(h, radius)
-    complete = ball.grow()
+    ball = _Ball(homotopy_relation(ideal, x0), radius)
+    interior = ball.grow()
 
-    names = ["w%d" % cls.index for cls in ball.classes]
-    vertex_map = {}
-    meta_reps = {}
-    for cls, name in zip(ball.classes, names):
-        vertex_map[name] = cls.rep.target
-        meta_reps[name] = cls.rep
-
+    names = ["w%d" % i for i in range(len(ball.reps))]
+    vertex_map = {name: rep.target for name, rep in zip(names, ball.reps)}
     arrows = []
     arrow_map = {}
-    for cls in ball.classes:
-        for a in quiver.arrows_from(cls.rep.target):
-            tgt = ball.transitions.get((cls.index, a.name, FORWARD))
+    for i, rep in enumerate(ball.reps):
+        for a in quiver.arrows_from(rep.target):
+            tgt = ball.transitions[(i, a.name, FORWARD)]
             if tgt is None:
                 continue
-            name = "%s_%s" % (a.name, names[cls.index])
-            arrows.append(Arrow(name, names[cls.index], names[tgt]))
+            name = "%s_%s" % (a.name, names[i])
+            arrows.append(Arrow(name, names[i], names[tgt]))
             arrow_map[name] = a.name
 
     total = Quiver(quiver.name + "_cover", tuple(names), tuple(arrows))
-
-    interior = set()
-    for cls in ball.classes:
-        at = cls.rep.target
-        incident = [(a.name, FORWARD) for a in quiver.arrows_from(at)]
-        incident += [(a.name, INVERSE) for a in quiver.arrows_into(at)]
-        if all(ball.transitions.get((cls.index, n, d)) is not None
-               for n, d in incident):
-            interior.add(names[cls.index])
-
     cover = CoverQuiver(total, ideal, vertex_map, arrow_map, None,
-                        complete, radius, interior, [], "universal",
-                        {"reps": meta_reps})
+                        len(interior) == len(names), radius,
+                        [names[i] for i in interior], [], "universal")
     cover._ball = ball
-    cover._h = h
     cover.action = _universal_deck_generators(cover)
     return cover
 
@@ -394,18 +369,18 @@ def universal_cover(ideal: Ideal, x0=None, radius=None) -> CoverQuiver:
 def _universal_deck_generators(cover: CoverQuiver):
     """Deck maps for the chord loops; partial where the ball cuts them off."""
     ball = cover._ball
-    h = cover._h
-    names = {cls.index: "w%d" % cls.index for cls in ball.classes}
+    h = ball.h
+    names = cover.total.vertices
     generators = []
     for chord in h.tree.chords:
         gamma_inv = h.tree.chord_loop(chord).inverse()
         vmap = {}
-        for cls in ball.classes:
-            moved = Walk(h.base_point, cls.rep.target,
-                         gamma_inv.letters + cls.rep.letters).reduced()
-            hit = ball.classify(moved, create=False)
+        for name, rep in zip(names, ball.reps):
+            moved = Walk(h.base_point, rep.target,
+                         gamma_inv.letters + rep.letters).reduced()
+            hit = ball.classify(moved)
             if hit is not None:
-                vmap[names[cls.index]] = names[hit.index]
+                vmap[name] = names[hit]
         generators.append(DeckMap("g_%s" % chord, vmap))
     return generators
 
@@ -461,16 +436,19 @@ def check_covering(cover: CoverQuiver) -> CoverReport:
     interior vertex over its source and over its target, with the lifted
     paths ending together.  On a truncated cover a lift that leaves the
     ball runs off its rim and proves nothing: it is counted in
-    ``rim_lifts``.  On a complete cover a missing lift is a violation.
+    ``rim_lifts``.  Likewise an empty fiber of a truncated cover only
+    means the ball did not reach the vertex.  On a complete cover a
+    missing lift and an empty fiber are violations.
     """
     violations = []
     base = cover.base_quiver
     ideal = cover.base_ideal
     fld = cover.field
 
-    for x in base.vertices:
-        if not cover.fiber(x):
-            violations.append("empty fiber over %s" % x)
+    if cover.complete:
+        for x in base.vertices:
+            if not cover.fiber(x):
+                violations.append("empty fiber over %s" % x)
 
     # projection maps the lifted relations into the base ideal
     for rel in cover.relations:
@@ -648,13 +626,12 @@ def _match_vertices_by_reps(cov_src: CoverQuiver, cov_tgt: CoverQuiver):
     """Send each walk class of the source cover to the class of the same
     representative walk in the target cover."""
     vmap = {}
-    ball = cov_tgt._ball
-    for v, rep in cov_src.meta["reps"].items():
-        cls = ball.classify(rep, create=False)
-        if cls is None:
+    for v, rep in zip(cov_src.total.vertices, cov_src._ball.reps):
+        i = cov_tgt._ball.classify(rep)
+        if i is None:
             raise CoverError("representative %s has no class in the target "
                              "cover" % rep.to_text())
-        vmap[v] = "w%d" % cls.index
+        vmap[v] = cov_tgt.total.vertices[i]
     return vmap
 
 
@@ -698,7 +675,7 @@ def _verify_equivariance(morphism: CoverMorphism, pairs):
 def lift_dilatation(cov0: CoverQuiver, dil: Dilatation) -> CoverMorphism:
     """The isomorphism between universal covers induced by a dilatation."""
     h1 = _image_relation(cov0, dil)
-    if relations_equal(cov0._h, h1) != (EQUAL, None):
+    if relations_equal(cov0._ball.h, h1) != (EQUAL, None):
         raise CoverError("dilatation changed the homotopy relation")
     morphism = _lift_automorphism(cov0, dil, h1)
     morphism.checks["bijective"] = (
@@ -720,7 +697,7 @@ def lift_transvection(cov0: CoverQuiver, t: Transvection) -> CoverMorphism:
                          "bypass path in the image")
     morphism = _lift_automorphism(cov0, t, h1)
     morphism.checks["kernel_abelianized"] = {
-        "source_invariants": cov0._h.presentation.abelian_invariants,
+        "source_invariants": cov0._ball.h.presentation.abelian_invariants,
         "target_invariants": h1.presentation.abelian_invariants,
     }
     return morphism
@@ -731,7 +708,7 @@ def _image_relation(cov0: CoverQuiver, phi) -> HomotopyRelation:
     if cov0.kind != "universal":
         raise CoverError("lifts start from a universal cover")
     image_ideal = apply_automorphism(phi, cov0.base_ideal)
-    return homotopy_relation(image_ideal, cov0._h.base_point)
+    return homotopy_relation(image_ideal, cov0._ball.h.base_point)
 
 
 def _cover_morphism(source: CoverQuiver, target: CoverQuiver, vmap,
@@ -801,7 +778,7 @@ def factor_through_cover(univ: CoverQuiver, target: CoverQuiver) -> CoverMorphis
         raise CoverError("factorization needs a complete target cover")
     if not ideals_equal(univ.base_ideal, target.base_ideal):
         raise CoverError("covers live over different ideals")
-    h = univ._h
+    h = univ._ball.h
     anchor_fiber = target.fiber(h.base_point)
     if not anchor_fiber:
         raise CoverError("target cover has an empty fiber over the base point")
@@ -818,7 +795,7 @@ def factor_through_cover(univ: CoverQuiver, target: CoverQuiver) -> CoverMorphis
                     "%s ~ %s" % (u, v))
 
     vmap = {}
-    for v, rep in univ.meta["reps"].items():
+    for v, rep in zip(univ.total.vertices, univ._ball.reps):
         end = target.lift_walk(rep, v0)
         if end is None:
             raise CoverError("walk %s does not lift in the target" % rep.to_text())
@@ -865,7 +842,7 @@ def theorem_b_pipeline(privileged: Ideal, target_cover: CoverQuiver,
     if radius is None:
         radius = default_radius(privileged.quiver)
     cov = universal_cover(privileged, None, radius)
-    h0 = cov._h
+    h0 = cov._ball.h
     morphisms = []
     for step in chain:
         if isinstance(step, Transvection):

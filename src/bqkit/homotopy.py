@@ -811,22 +811,25 @@ def _member_pairs(first, second):
 
 
 def _reduction_steps(walk: Walk):
-    """Delete-steps taking a walk to its free reduction."""
+    """Delete-steps taking a walk to its free reduction, each deleting the
+    first cancelling pair of the walk before it.
+
+    One pass left to right: the letters read so far, less those deleted,
+    stay reduced on a stack, so the first cancelling pair of the current
+    walk is the top of the stack and the next letter, if they cancel.
+    """
+    letters = walk.letters
+    stack = []
     steps = []
-    cur = walk
-    while True:
-        letters = cur.letters
-        hit = None
-        for i in range(len(letters) - 1):
-            if letters[i][0] == letters[i + 1][0] and letters[i][1] == -letters[i + 1][1]:
-                hit = i
-                break
-        if hit is None:
-            return tuple(steps)
-        nxt = Walk(cur.source, cur.target,
-                   letters[:hit] + letters[hit + 2:])
-        steps.append(MoveStep("delete", hit, (), nxt))
-        cur = nxt
+    for k, letter in enumerate(letters):
+        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
+            stack.pop()
+            nxt = Walk(walk.source, walk.target,
+                       tuple(stack) + letters[k + 1:])
+            steps.append(MoveStep("delete", len(stack), (), nxt))
+        else:
+            stack.append(letter)
+    return tuple(steps)
 
 
 def _invert_steps(original: Walk, steps):

@@ -168,19 +168,24 @@ def test_cover_smash_lift_pipeline(capsys, tmp_path):
 
 
 def test_truncated_free_cover_exits_unknown(capsys, tmp_path):
-    # a tree cut off at the radius has relation lifts running off its rim:
+    # a tree cut off at the radius has relation lifts running off its rim,
+    # and a ball of radius 0 or 1 does not reach every vertex of the base:
     # no violation, so the verdict is "truncated", not "refuted"
     with open(f"{EXAMPLES}/twobypass.bq", encoding="utf-8") as fh:
         text = fh.read()
     src = tmp_path / "free.bq"
     src.write_text(text + "ideal F over twobypass(0) { rel d*a; rel f*e*c*b; }\n")
-    code, out, _ = run(capsys, "cover", str(src), "--ideal", "F",
-                       "--radius", "4", "--json")
-    assert code == 2
-    payload = json.loads(out)
-    assert payload["covering_ok"] is True
-    assert payload["violations"] == []
-    assert payload["rim_lifts"] > 0
+    for ideal, radius in (("F", "4"), ("I0", "0"), ("I0", "1")):
+        code, out, _ = run(capsys, "cover", str(src), "--ideal", ideal,
+                           "--radius", radius, "--json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["covering_ok"] is True
+        assert payload["violations"] == []
+        if ideal == "F":
+            assert payload["rim_lifts"] > 0
+        else:
+            assert 0 in payload["fibers"].values()
 
 
 def test_examples_golden(capsys):
@@ -207,6 +212,9 @@ def test_input_error_exit_code(capsys, tmp_path):
     ["lift", "--transvection", "a:c*b", "--radius", "6"],
     ["smash", "--group", "Zx", "--degrees", "a=1"],
     ["smash", "--group", "Z2", "--degrees", "a"],
+    ["cover", "--radius", "-1"],
+    ["lift", "--dilatation", "a=2", "--radius", "-1"],
+    ["pipeline", "--radius", "-1"],
 ])
 def test_malformed_arguments_are_input_errors(capsys, argv):
     """Malformed input exits 3 with a message, not 1 (refuted) through a

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from conftest import TWO_BYPASS, twobypass_chain
+from conftest import TWO_BYPASS, make_random_bound_quiver, twobypass_chain
 
 from bqkit.cover import (GALOIS, NOT_GALOIS, TRUNCATED, CoverQuiver,
                          FiniteGroup, _generated_order, check_covering,
@@ -10,7 +12,8 @@ from bqkit.cover import (GALOIS, NOT_GALOIS, TRUNCATED, CoverQuiver,
                          theorem_b_pipeline, universal_cover)
 from bqkit.dsl import parse_path, parse_quiver, parse_source
 from bqkit.errors import CoverError
-from bqkit.homotopy import HomotopyRelation, homotopy_relation
+from bqkit.homotopy import (HomotopyRelation, SpanningTree,
+                            homotopy_relation)
 from bqkit.ideal import close_ideal
 from bqkit.quiver import FORWARD, INVERSE, Arrow, Bypass, Quiver, Walk
 from bqkit.transform import Dilatation, Transvection, apply_automorphism
@@ -29,40 +32,53 @@ def test_universal_cover_two_bypass_complete(ideal_I0):
     assert res.group_order == 2
 
 
-def reduced_walk_count(quiver, x0, radius):
-    """Number of reduced walks of length <= radius from x0, listed one by
-    one: a reduced walk never uses the inverse of the letter before it."""
-    walks = [(x0, None)]
-    total = 1
-    for _ in range(radius):
+def reduced_walk_levels(quiver, x0):
+    """The reduced walks from x0, listed one by one, as one list per
+    length from 0 on: a reduced walk never uses the inverse of the letter
+    before it."""
+    level = [Walk(x0, x0, ())]
+    while level:
+        yield level
         longer = []
-        for at, last in walks:
+        for w in level:
+            last = w.letters[-1] if w.letters else None
             for a in quiver.arrows:
                 for letter, src, dst in (((a.name, FORWARD), a.source, a.target),
                                          ((a.name, INVERSE), a.target, a.source)):
-                    if src == at and (last is None
-                                      or letter != (last[0], -last[1])):
-                        longer.append((dst, letter))
-        walks = longer
-        total += len(walks)
-    return total
+                    if src == w.target and (last is None
+                                            or letter != (last[0], -last[1])):
+                        longer.append(Walk(x0, dst, w.letters + (letter,)))
+        level = longer
+
+
+def reduced_walk_count(quiver, x0, radius):
+    """Number of reduced walks of length <= radius from x0."""
+    levels = islice(reduced_walk_levels(quiver, x0), radius + 1)
+    return sum(len(level) for level in levels)
 
 
 def test_universal_cover_free_group_makes_no_decisions(monkeypatch):
-    """With no relators, pi1 is free and walks with different chord words
-    are different classes: the ball needs no homotopy decision."""
+    """With no relators, pi1 is free on the chords, so distinct reduced
+    walks from the base point are distinct classes: the ball asks for no
+    homotopy decision, abelian image or chord word."""
     ws = parse_source(TWO_BYPASS + "ideal F over twobypass(0) "
                                    "{ rel d*a; rel f*e*c*b; }")
     ideal = ws.ideal("F")
     h = homotopy_relation(ideal)
     assert not h.presentation.relators
 
-    def no_decisions(*args, **kwargs):
-        raise AssertionError("universal_cover asked for a homotopy decision")
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError("universal_cover asked for " + what)
+        return call
 
-    monkeypatch.setattr(HomotopyRelation, "decide", no_decisions)
+    monkeypatch.setattr(HomotopyRelation, "decide",
+                        refuse("a homotopy decision"))
+    monkeypatch.setattr(HomotopyRelation, "abelian_image",
+                        refuse("an abelian image"))
+    monkeypatch.setattr(SpanningTree, "chord_word", refuse("a chord word"))
     cov = universal_cover(ideal, radius=6)
-    assert cov._h is h
+    assert cov._ball.h is h
     expected = reduced_walk_count(ideal.quiver, ideal.quiver.vertices[0], 6)
     assert len(cov.total.vertices) == expected
     assert len(cov.total.arrows) == expected - 1
@@ -70,24 +86,46 @@ def test_universal_cover_free_group_makes_no_decisions(monkeypatch):
 
 def test_ball_classes_hold_reduced_walks(ideal_I0):
     """Each step of the ball is classified as the reduced extension of the
-    class representative, and each class keeps its rep's chord word."""
+    class representative, and the ball's index holds every classified
+    walk, reduced, with its class."""
     free = parse_source(TWO_BYPASS + "ideal F over twobypass(0) "
                                      "{ rel d*a; rel f*e*c*b; }").ideal("F")
     for ideal, radius in ((ideal_I0, 8), (free, 6)):
         ball = universal_cover(ideal, radius=radius)._ball
         for (index, name, d), target in ball.transitions.items():
-            rep = ball.classes[index].rep
+            rep = ball.reps[index]
             a = ball.quiver.arrow(name)
             ext = Walk(rep.source, a.target if d == FORWARD else a.source,
                        rep.letters + ((name, d),)).reduced()
             if target is not None:
-                assert ext in ball.classes[target].members
-        for cls in ball.classes:
-            assert cls.rep.is_reduced()
-            assert all(w.is_reduced() for w in cls.members)
-            assert cls.word == ball.h.tree.chord_word(cls.rep)
+                assert ball.index[ext] == target
+        for i, rep in enumerate(ball.reps):
+            assert ball.index[rep] == i
+        assert all(w.is_reduced() for w in ball.index)
 
 
+def test_chord_word_fixes_a_reduced_walk_with_its_target():
+    """The ball keys classes by reduced walk alone because, from a fixed
+    base point to a fixed target, distinct reduced walks have distinct
+    chord words: pi1 of a graph is free on the chords (Serre, *Trees*,
+    ch. I).  Checked on random quivers from every base point and on one
+    and two glued I0 units."""
+    quivers = [make_random_bound_quiver(random.Random(seed)).quiver
+               for seed in range(20)]
+    quivers += [twobypass_chain(units).quiver for units in (1, 2)]
+    with_chords = 0
+    for quiver in quivers:
+        for x0 in quiver.vertices:
+            tree = SpanningTree(quiver, x0)
+            with_chords += bool(tree.chords)
+            seen = {}
+            for level in reduced_walk_levels(quiver, x0):
+                for w in level:
+                    key = (w.target, tree.chord_word(w))
+                    assert seen.setdefault(key, w) == w, (w, seen[key])
+                if len(seen) > 300:
+                    break
+    assert with_chords
 def test_universal_cover_trivial_group_is_identity(ideal_J):
     cov = universal_cover(ideal_J)
     assert cov.complete
@@ -258,8 +296,10 @@ def test_lift_dilatation_identity(ideal_I):
     m = lift_dilatation(cov, d)
     assert m.checks["squares"] == len(cov.total.arrows)
     assert m.checks["bijective"]
+    reps = dict(zip(cov.total.vertices, cov._ball.reps))
+    target_reps = dict(zip(m.target.total.vertices, m.target._ball.reps))
     for v, w in m.vertex_map.items():
-        assert cov.meta["reps"][v] == m.target.meta["reps"][w]
+        assert reps[v] == target_reps[w]
 
 
 def test_lift_dilatation_rescale(exple1, ideal_I):

@@ -14,6 +14,9 @@ not only by fingerprints: a closure that misses a cancellation can still
 produce the same fingerprint, because ``decide`` certifies the pairs it
 left apart.
 
+``homotopy._reduction_steps`` frees a walk in one pass over a stack; it
+is compared with the version that rescans the walk after each deletion.
+
 The homotopy search's rewrites are compared with the split enumeration
 they replaced, move for move, and ``_move_to``, which names the first
 move from a walk to a given child without building the others, with
@@ -459,6 +462,66 @@ def test_move_to_matches_rewrites():
                 for gg, _ in h._rewrites(walk.source, g, len(g) + longest):
                     if gg != w and gg not in children:
                         assert h._move_to(w, gg) is None, (walk, gg)
+
+
+def rescanning_reduction_steps(walk: Walk):
+    """The delete-steps that ``homotopy._reduction_steps`` replaced: after
+    each deletion it scans the walk again from its start for the first
+    cancelling pair."""
+    steps = []
+    cur = walk
+    while True:
+        letters = cur.letters
+        hit = None
+        for i in range(len(letters) - 1):
+            if letters[i][0] == letters[i + 1][0] and letters[i][1] == -letters[i + 1][1]:
+                hit = i
+                break
+        if hit is None:
+            return tuple(steps)
+        nxt = Walk(cur.source, cur.target,
+                   letters[:hit] + letters[hit + 2:])
+        steps.append(homotopy.MoveStep("delete", hit, (), nxt))
+        cur = nxt
+
+
+def random_walk(quiver, rng, length):
+    """A random walk that may step back along the letter before it."""
+    at = source = rng.choice(quiver.vertices)
+    letters = []
+    for _ in range(length):
+        steps = [((a.name, FORWARD), a.target) for a in quiver.arrows_from(at)]
+        steps += [((a.name, INVERSE), a.source) for a in quiver.arrows_into(at)]
+        letter, at = rng.choice(steps)
+        letters.append(letter)
+    return Walk(source, at, tuple(letters))
+
+
+def test_stack_reduction_steps_match_rescanning():
+    """The one-pass ``_reduction_steps`` gives the steps of the rescanning
+    version on random walks and on nested cancellations w*u*u^-1*w^-1
+    and w*u*u^-1, ending at the free reduction."""
+    rng = random.Random(9)
+    quivers = [make_random_bound_quiver(random.Random(seed)).quiver
+               for seed in SEEDS]
+    quivers.append(twobypass_chain(2).quiver)
+    walks = []
+    for quiver in quivers:
+        walks += [random_walk(quiver, rng, rng.randint(0, 12))
+                  for _ in range(4)]
+        for _ in range(2):
+            w = random_reduced_walk(quiver, rng, rng.randint(1, 5))
+            u = random_reduced_walk(quiver, rng, rng.randint(1, 4),
+                                    start=w.target)
+            there = w.letters + u.letters + u.inverse().letters
+            walks.append(Walk(w.source, w.target, there))
+            walks.append(Walk(w.source, w.source,
+                              there + w.inverse().letters))
+    assert max(len(rescanning_reduction_steps(w)) for w in walks) >= 6
+    for w in walks:
+        steps = homotopy._reduction_steps(w)
+        assert steps == rescanning_reduction_steps(w), w
+        assert (steps[-1].result if steps else w) == w.reduced()
 
 
 class FifoSearch:
