@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from .cover import (TRUNCATED, FiniteGroup, check_covering, is_galois,
                     lift_dilatation, lift_transvection, make_grading,
@@ -388,6 +387,10 @@ def _jsonable(value):
 
 def compute_example_report():
     """The bundled scenario outcomes, as one JSON-able document."""
+    # imported here, not at the top: on Python 3.13 importlib.resources
+    # loads inspect, which no other command needs
+    from importlib import resources
+
     data = resources.files("bqkit") / "data" / "examples"
     ws1 = parse_source((data / "exple1.bq").read_text(encoding="utf-8"))
     ws2 = parse_source((data / "twobypass.bq").read_text(encoding="utf-8"))
@@ -459,6 +462,8 @@ def compute_example_report():
 
 
 def cmd_examples(args):
+    from importlib import resources
+
     report = compute_example_report()
     golden_file = resources.files("bqkit") / "data" / "golden" / "examples.json"
     if args.write_golden:

@@ -15,7 +15,6 @@ projection, a deck map) by ``_map_relation``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dataclass_field
 
 from .errors import CoverError
 from .gamma import check_lemma_3_3_chain
@@ -26,6 +25,7 @@ from .ideal import (Ideal, Relation, add_relations, close_ideal, ideals_equal,
                     scale_relation)
 from .quiver import (FORWARD, INVERSE, Arrow, Path, Quiver, Walk, make_path,
                      trivial_path, trivial_walk, walk_of_path)
+from .records import FrozenRecord, Record
 from .transform import (Dilatation, Transvection, apply_automorphism,
                         as_path_automorphism, identity_automorphism,
                         recompose_DT)
@@ -37,13 +37,17 @@ def default_radius(quiver: Quiver) -> int:
 
 # -- finite groups and gradings ---------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(FrozenRecord):
     """A finite group as a multiplication table over element labels."""
 
-    name: str
-    elements: tuple
-    table: tuple  # table[i][j] = index of elements[i] * elements[j]
+    _fields = ("name", "elements", "table")
+
+    def __init__(self, name: str, elements: tuple, table: tuple):
+        setattr_ = object.__setattr__
+        setattr_(self, "name", name)
+        setattr_(self, "elements", elements)
+        # table[i][j] = index of elements[i] * elements[j]
+        setattr_(self, "table", table)
 
     @classmethod
     def trivial(cls):
@@ -82,12 +86,15 @@ class FiniteGroup:
         raise CoverError("element %r has no inverse" % (g,))
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(FrozenRecord):
     """A degree map arrow -> group element; unlisted arrows get degree 1."""
 
-    group: FiniteGroup
-    degrees: tuple  # ((arrow name, element), ...)
+    _fields = ("group", "degrees")
+
+    def __init__(self, group: FiniteGroup, degrees: tuple):
+        setattr_ = object.__setattr__
+        setattr_(self, "group", group)
+        setattr_(self, "degrees", degrees)  # ((arrow name, element), ...)
 
     def degree(self, arrow_name):
         for name, g in self.degrees:
@@ -125,12 +132,14 @@ def check_homogeneous(ideal: Ideal, grading: Grading):
 
 # -- deck transformations -----------------------------------------------------
 
-@dataclass
-class DeckMap:
+class DeckMap(Record):
     """A (possibly partial) automorphism of the total quiver over the base."""
 
-    name: str
-    vertex_map: dict
+    _fields = ("name", "vertex_map")
+
+    def __init__(self, name: str, vertex_map: dict):
+        self.name = name
+        self.vertex_map = vertex_map
 
 
 # -- the cover container ------------------------------------------------------
@@ -422,11 +431,13 @@ def smash_product(ideal: Ideal, grading: Grading) -> CoverQuiver:
 
 # -- covering axioms ----------------------------------------------------------
 
-@dataclass
-class CoverReport:
-    ok: bool
-    violations: list
-    rim_lifts: int  # relation lifts that left a truncated ball
+class CoverReport(Record):
+    _fields = ("ok", "violations", "rim_lifts")
+
+    def __init__(self, ok: bool, violations: list, rim_lifts: int):
+        self.ok = ok
+        self.violations = violations
+        self.rim_lifts = rim_lifts  # relation lifts that left a truncated ball
 
 
 def check_covering(cover: CoverQuiver) -> CoverReport:
@@ -504,12 +515,15 @@ NOT_GALOIS = "not-galois"
 TRUNCATED = "truncated"
 
 
-@dataclass
-class GaloisResult:
-    status: str
-    group_order: int | None
-    automorphisms: list
-    witness: object = None
+class GaloisResult(Record):
+    _fields = ("status", "group_order", "automorphisms", "witness")
+
+    def __init__(self, status: str, group_order: int | None,
+                 automorphisms: list, witness: object = None):
+        self.status = status
+        self.group_order = group_order
+        self.automorphisms = automorphisms
+        self.witness = witness
 
 
 def is_galois(cover: CoverQuiver) -> GaloisResult:
@@ -584,17 +598,23 @@ def _map_relation(rel: Relation, quiver: Quiver, fld, vmap, amap) -> Relation:
 
 # -- cover morphisms ------------------------------------------------------------
 
-@dataclass
-class CoverMorphism:
+class CoverMorphism(Record):
     """A k-linear morphism of covers: vertices map to vertices, arrows to
     linear combinations of parallel paths of the target cover."""
 
-    source: CoverQuiver
-    target: CoverQuiver
-    vertex_map: dict
-    arrow_images: dict  # source arrow name -> Relation over target total
-    base_label: str
-    checks: dict = dataclass_field(default_factory=dict)
+    _fields = ("source", "target", "vertex_map", "arrow_images", "base_label",
+               "checks")
+
+    def __init__(self, source: CoverQuiver, target: CoverQuiver,
+                 vertex_map: dict, arrow_images: dict, base_label: str,
+                 checks: dict = None):
+        self.source = source
+        self.target = target
+        self.vertex_map = vertex_map
+        # source arrow name -> Relation over target total
+        self.arrow_images = arrow_images
+        self.base_label = base_label
+        self.checks = {} if checks is None else checks
 
     def apply_to_path(self, path: Path) -> Relation:
         fld = self.target.field
@@ -815,16 +835,21 @@ def compose_morphisms(second: CoverMorphism, first: CoverMorphism) -> CoverMorph
     return CoverMorphism(first.source, second.target, vmap, images, label)
 
 
-@dataclass
-class PipelineResult:
-    chain: list
-    morphisms: list
-    composite: CoverMorphism
-    group_order: int
-    chord_images: dict
-    surjective: bool
-    kernel_report: dict
-    commutes: bool
+class PipelineResult(Record):
+    _fields = ("chain", "morphisms", "composite", "group_order", "chord_images",
+               "surjective", "kernel_report", "commutes")
+
+    def __init__(self, chain: list, morphisms: list, composite: CoverMorphism,
+                 group_order: int, chord_images: dict, surjective: bool,
+                 kernel_report: dict, commutes: bool):
+        self.chain = chain
+        self.morphisms = morphisms
+        self.composite = composite
+        self.group_order = group_order
+        self.chord_images = chord_images
+        self.surjective = surjective
+        self.kernel_report = kernel_report
+        self.commutes = commutes
 
 
 def theorem_b_pipeline(privileged: Ideal, target_cover: CoverQuiver,

@@ -16,11 +16,11 @@ Walk syntax marks inverse letters with ``^-1``, e.g. ``d^-1*d*a``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import ParseError, QuiverError
 from .fields import Field
 from .quiver import Arrow, Quiver, Walk, FORWARD, INVERSE, make_path, make_walk, trivial_path, trivial_walk
+from .records import FrozenRecord, Record
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+|\#[^\n]*)
@@ -31,12 +31,15 @@ _TOKEN_RE = re.compile(r"""
 _INT_RE = re.compile(r"^-?[0-9]+$")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+class Token(FrozenRecord):
+    _fields = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        setattr_ = object.__setattr__
+        setattr_(self, "kind", kind)
+        setattr_(self, "text", text)
+        setattr_(self, "line", line)
+        setattr_(self, "column", column)
 
 
 def tokenize(text):
@@ -92,23 +95,29 @@ class _Parser:
         return tok
 
 
-@dataclass
-class RawTerm:
+class RawTerm(Record):
     """One summand of a relation before field/quiver resolution."""
 
-    sign: int
-    numerator: int
-    denominator: int
-    path_tokens: tuple
-    token: Token
+    _fields = ("sign", "numerator", "denominator", "path_tokens", "token")
+
+    def __init__(self, sign: int, numerator: int, denominator: int,
+                 path_tokens: tuple, token: Token):
+        self.sign = sign
+        self.numerator = numerator
+        self.denominator = denominator
+        self.path_tokens = path_tokens
+        self.token = token
 
 
-@dataclass
-class IdealDecl:
-    name: str
-    quiver_name: str
-    char: int | None
-    relations: list
+class IdealDecl(Record):
+    _fields = ("name", "quiver_name", "char", "relations")
+
+    def __init__(self, name: str, quiver_name: str, char: int | None,
+                 relations: list):
+        self.name = name
+        self.quiver_name = quiver_name
+        self.char = char
+        self.relations = relations
 
     def generators(self, quiver: Quiver, fld: Field):
         """Resolve the raw relations into Relation values over ``fld``."""
@@ -147,13 +156,17 @@ def _raw_path(quiver, raw: RawTerm):
         raise ParseError(str(exc), raw.token.line, raw.token.column) from None
 
 
-@dataclass
-class Workspace:
+class Workspace(Record):
     """All declarations of one source file, by name."""
 
-    quivers: dict = field(default_factory=dict)
-    ideal_decls: dict = field(default_factory=dict)
-    projections: dict = field(default_factory=dict)  # quiver name -> {id: id}
+    _fields = ("quivers", "ideal_decls", "projections")
+
+    def __init__(self, quivers: dict = None, ideal_decls: dict = None,
+                 projections: dict = None):
+        self.quivers = {} if quivers is None else quivers
+        self.ideal_decls = {} if ideal_decls is None else ideal_decls
+        # quiver name -> {id: id}
+        self.projections = {} if projections is None else projections
 
     def quiver(self, name: str) -> Quiver:
         if name not in self.quivers:

@@ -11,10 +11,10 @@ agree wherever scalars are compared or hashed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FieldError
+from .records import FrozenRecord
 
 
 def _is_prime(n: int) -> bool:
@@ -28,15 +28,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(FrozenRecord):
     """The rationals (``char == 0``) or the prime field F_char."""
 
-    char: int = 0
+    _fields = ("char",)
 
-    def __post_init__(self):
-        if self.char != 0 and not _is_prime(self.char):
-            raise FieldError("field characteristic must be 0 or a prime, got %r" % (self.char,))
+    def __init__(self, char: int = 0):
+        if char != 0 and not _is_prime(char):
+            raise FieldError("field characteristic must be 0 or a prime, got %r" % (char,))
+        object.__setattr__(self, "char", char)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.char == other.char
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.char,))
 
     @property
     def zero(self):

@@ -12,7 +12,6 @@ homotopy relation fixed) and probes from those too.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field as dataclass_field
 
 from .disjoint_sets import DisjointSets
 from .errors import GammaError, QuiverError, UnresolvedError
@@ -22,6 +21,7 @@ from .homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, UNKNOWN, HomotopyRelation,
 from .ideal import Ideal, ideals_equal
 from .quiver import (Arrow, Bypass, Path, Quiver, find_bypasses,
                      find_double_bypasses, longest_path_length, make_path)
+from .records import Record
 from .transform import (Transvection, apply_automorphism, as_path_automorphism,
                         match_by_dilatation)
 
@@ -114,12 +114,16 @@ def ratio_candidates(ideal: Ideal, bypass: Bypass):
     return _candidates(c for c in out if not fld.is_zero(c))
 
 
-@dataclass
-class ProbeResult:
-    hits: list = dataclass_field(default_factory=list)      # (tv, ideal, homotopy)
-    misses: list = dataclass_field(default_factory=list)    # (tv, ideal, homotopy)
-    inconclusive: list = dataclass_field(default_factory=list)  # diagnostic strings
-    notes: list = dataclass_field(default_factory=list)     # schedule-exhausted logs
+class ProbeResult(Record):
+    _fields = ("hits", "misses", "inconclusive", "notes")
+
+    def __init__(self, hits: list = None, misses: list = None,
+                 inconclusive: list = None, notes: list = None):
+        self.hits = [] if hits is None else hits        # (tv, ideal, homotopy)
+        self.misses = [] if misses is None else misses  # (tv, ideal, homotopy)
+        # diagnostic strings
+        self.inconclusive = [] if inconclusive is None else inconclusive
+        self.notes = [] if notes is None else notes     # schedule-exhausted logs
 
 
 def _probed(ideal: Ideal, h: HomotopyRelation, skip: str, res: ProbeResult):
@@ -201,34 +205,43 @@ def predecessor_probe(ideal: Ideal, h: HomotopyRelation,
     return res
 
 
-@dataclass
-class GammaVertex:
-    index: int
-    key: tuple
-    ideal: Ideal
-    homotopy: HomotopyRelation
-    representatives: list
+class GammaVertex(Record):
+    _fields = ("index", "key", "ideal", "homotopy", "representatives")
+
+    def __init__(self, index: int, key: tuple, ideal: Ideal,
+                 homotopy: HomotopyRelation, representatives: list):
+        self.index = index
+        self.key = key
+        self.ideal = ideal
+        self.homotopy = homotopy
+        self.representatives = representatives
 
     @property
     def abelian_invariants(self):
         return self.homotopy.presentation.abelian_invariants
 
 
-@dataclass
-class GammaEdge:
-    source: int
-    target: int
-    transvection: Transvection
-    source_rep: Ideal
-    target_rep: Ideal
+class GammaEdge(Record):
+    _fields = ("source", "target", "transvection", "source_rep", "target_rep")
+
+    def __init__(self, source: int, target: int, transvection: Transvection,
+                 source_rep: Ideal, target_rep: Ideal):
+        self.source = source
+        self.target = target
+        self.transvection = transvection
+        self.source_rep = source_rep
+        self.target_rep = target_rep
 
 
-@dataclass
-class GammaQuiver:
-    vertices: list
-    edges: list
-    bypass_count: int
-    diagnostics: list
+class GammaQuiver(Record):
+    _fields = ("vertices", "edges", "bypass_count", "diagnostics")
+
+    def __init__(self, vertices: list, edges: list, bypass_count: int,
+                 diagnostics: list):
+        self.vertices = vertices
+        self.edges = edges
+        self.bypass_count = bypass_count
+        self.diagnostics = diagnostics
 
     def vertex_of_key(self, key):
         for v in self.vertices:
@@ -365,12 +378,15 @@ CONFIRMED = "confirmed"
 REFUTED = "refuted"
 
 
-@dataclass
-class SurjectionResult:
-    status: str
-    witness: tuple | None
-    source_invariants: tuple
-    target_invariants: tuple
+class SurjectionResult(Record):
+    _fields = ("status", "witness", "source_invariants", "target_invariants")
+
+    def __init__(self, status: str, witness: tuple | None,
+                 source_invariants: tuple, target_invariants: tuple):
+        self.status = status
+        self.witness = witness
+        self.source_invariants = source_invariants
+        self.target_invariants = target_invariants
 
 
 def check_surjection(source_ideal: Ideal,

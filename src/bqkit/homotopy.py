@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -23,6 +22,7 @@ from .ideal import Ideal
 from .quiver import (FORWARD, INVERSE, Quiver, Walk, longest_path_length,
                      enumerate_paths, path_key, path_tables, paths_between,
                      walk_of_path)
+from .records import FrozenRecord
 from .snf import RowLattice
 
 HOMOTOPIC = "homotopic"
@@ -32,8 +32,7 @@ UNKNOWN = "unknown"
 DEFAULT_MAX_STATES = 40_000
 
 
-@dataclass(frozen=True)
-class MoveStep:
+class MoveStep(FrozenRecord):
     """One elementary move of a homotopy chain.
 
     kind "delete": remove the cancelling pair at letter index ``position``;
@@ -42,10 +41,23 @@ class MoveStep:
     ``data[0]`` at ``position``.  ``result`` is the walk after the move.
     """
 
-    kind: str
-    position: int
-    data: tuple
-    result: Walk
+    _fields = ("kind", "position", "data", "result")
+
+    def __init__(self, kind: str, position: int, data: tuple, result: Walk):
+        setattr_ = object.__setattr__
+        setattr_(self, "kind", kind)
+        setattr_(self, "position", position)
+        setattr_(self, "data", data)
+        setattr_(self, "result", result)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.position, self.data, self.result)
+                    == (other.kind, other.position, other.data, other.result))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.position, self.data, self.result))
 
     def apply_to(self, walk: Walk) -> Walk:
         letters = walk.letters
@@ -67,8 +79,7 @@ class MoveStep:
         return Walk(walk.source, walk.target, new)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(FrozenRecord):
     """Outcome of a homotopy query.
 
     For a homotopic pair, ``chain`` replays elementary moves from u to v;
@@ -78,10 +89,15 @@ class Decision:
     the cap that ended the search: "max_states" or "walk_length".
     """
 
-    status: str
-    chain: tuple | None = ()
-    certificate: dict | None = None
-    cap: str | None = None
+    _fields = ("status", "chain", "certificate", "cap")
+
+    def __init__(self, status: str, chain: tuple | None = (),
+                 certificate: dict | None = None, cap: str | None = None):
+        setattr_ = object.__setattr__
+        setattr_(self, "status", status)
+        setattr_(self, "chain", chain)
+        setattr_(self, "certificate", certificate)
+        setattr_(self, "cap", cap)
 
     @property
     def is_homotopic(self):
@@ -96,13 +112,17 @@ class Decision:
         return self.status == UNKNOWN
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(FrozenRecord):
     """Chord generators and relator words; the abelianization is read from
     the lattice of the relators' exponent rows."""
 
-    generators: tuple
-    relators: tuple  # each relator: ((generator, +-1), ...), reduced
+    _fields = ("generators", "relators")
+
+    def __init__(self, generators: tuple, relators: tuple):
+        setattr_ = object.__setattr__
+        setattr_(self, "generators", generators)
+        # each relator: ((generator, +-1), ...), reduced
+        setattr_(self, "relators", relators)
 
     def exponent_rows(self):
         index = {g: i for i, g in enumerate(self.generators)}

@@ -10,7 +10,6 @@ set for the homotopy machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
 from .disjoint_sets import DisjointSets
@@ -18,17 +17,31 @@ from .errors import IdealError
 from .fields import Field
 from .quiver import (Path, Quiver, compose_paths, enumerate_paths, path_key,
                      path_tables, paths_between)
+from .records import FrozenRecord
 
 SPLIT_ENUMERATION_BITS = 12
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(FrozenRecord):
     """An exact linear combination of parallel paths."""
 
-    source: str
-    target: str
-    terms: tuple  # ((Path, scalar), ...) sorted by canonical path order
+    _fields = ("source", "target", "terms")
+
+    def __init__(self, source: str, target: str, terms: tuple):
+        setattr_ = object.__setattr__
+        setattr_(self, "source", source)
+        setattr_(self, "target", target)
+        # ((Path, scalar), ...) sorted by canonical path order
+        setattr_(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.source, self.target, self.terms)
+                    == (other.source, other.target, other.terms))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.terms))
 
     @property
     def is_zero(self):

@@ -20,32 +20,42 @@ homotopy relation key their sparse vectors by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import QuiverError
+from .records import FrozenRecord
 
 FORWARD = 1
 INVERSE = -1
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+class Arrow(FrozenRecord):
+    _fields = ("name", "source", "target")
+
+    def __init__(self, name: str, source: str, target: str):
+        setattr_ = object.__setattr__
+        setattr_(self, "name", name)
+        setattr_(self, "source", source)
+        setattr_(self, "target", target)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.name, self.source, self.target)
+                    == (other.name, other.source, other.target))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.source, self.target))
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(FrozenRecord):
     """A finite quiver without oriented cycles."""
 
-    name: str
-    vertices: tuple
-    arrows: tuple
+    _fields = ("name", "vertices", "arrows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "arrows", tuple(self.arrows))
+    def __init__(self, name: str, vertices: tuple, arrows: tuple):
+        setattr_ = object.__setattr__
+        setattr_(self, "name", name)
+        setattr_(self, "vertices", tuple(vertices))
+        setattr_(self, "arrows", tuple(arrows))
         seen = set()
         for v in self.vertices:
             if v in seen:
@@ -65,7 +75,6 @@ class Quiver:
             outgoing[a.source].append(a)
             incoming[a.target].append(a)
         index = {a.name: i for i, a in enumerate(self.arrows)}
-        setattr_ = object.__setattr__
         setattr_(self, "_by_name", by_name)
         setattr_(self, "_index", index)
         setattr_(self, "_out", {v: tuple(arrs) for v, arrs in outgoing.items()})
@@ -79,6 +88,12 @@ class Quiver:
         setattr_(self, "_longest", None)
         setattr_(self, "_keys", {})
         self._check_acyclic()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.name, self.vertices, self.arrows)
+                    == (other.name, other.vertices, other.arrows))
+        return NotImplemented
 
     def __hash__(self):
         return self._hash
@@ -147,18 +162,24 @@ class Quiver:
         return len(seen) == len(self.vertices)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(FrozenRecord):
     """An oriented path; ``arrows`` in application order, possibly empty."""
 
-    source: str
-    target: str
-    arrows: tuple
+    _fields = ("source", "target", "arrows")
 
-    def __post_init__(self):
+    def __init__(self, source: str, target: str, arrows: tuple):
+        setattr_ = object.__setattr__
+        setattr_(self, "source", source)
+        setattr_(self, "target", target)
+        setattr_(self, "arrows", arrows)
         # paths key every hot dictionary in the ideal layer
-        object.__setattr__(self, "_hash",
-                           hash((self.source, self.target, self.arrows)))
+        setattr_(self, "_hash", hash((source, target, arrows)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.source, self.target, self.arrows)
+                    == (other.source, other.target, other.arrows))
+        return NotImplemented
 
     def __hash__(self):
         return self._hash
@@ -219,13 +240,25 @@ def path_key(quiver: Quiver, path: Path):
     return key
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(FrozenRecord):
     """An unoriented path: letters are (arrow name, FORWARD|INVERSE)."""
 
-    source: str
-    target: str
-    letters: tuple
+    _fields = ("source", "target", "letters")
+
+    def __init__(self, source: str, target: str, letters: tuple):
+        setattr_ = object.__setattr__
+        setattr_(self, "source", source)
+        setattr_(self, "target", target)
+        setattr_(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.source, self.target, self.letters)
+                    == (other.source, other.target, other.letters))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.letters))
 
     def __len__(self):
         return len(self.letters)
@@ -294,12 +327,23 @@ def walk_of_path(path: Path) -> Walk:
                 tuple((a, FORWARD) for a in path.arrows))
 
 
-@dataclass(frozen=True)
-class Bypass:
+class Bypass(FrozenRecord):
     """An arrow together with a distinct parallel path."""
 
-    arrow: str
-    path: Path
+    _fields = ("arrow", "path")
+
+    def __init__(self, arrow: str, path: Path):
+        setattr_ = object.__setattr__
+        setattr_(self, "arrow", arrow)
+        setattr_(self, "path", path)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.arrow, self.path) == (other.arrow, other.path)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.arrow, self.path))
 
 
 def enumerate_paths(quiver: Quiver):

@@ -9,22 +9,32 @@ arrows whose image is not a scalar multiple of themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import TransformError
 from .fields import Field
 from .ideal import (Ideal, Relation, _HomSpace, add_relations, ideals_equal,
                     make_relation, relation_of_path, scale_relation)
 from .quiver import Bypass, Path, Quiver, enumerate_paths, path_tables
+from .records import FrozenRecord
 from .snf import smith_normal_form
 
 
-@dataclass(frozen=True)
-class Transvection:
+class Transvection(FrozenRecord):
     """arrow -> arrow + tau * path, all other arrows fixed."""
 
-    bypass: Bypass
-    tau: object
+    _fields = ("bypass", "tau")
+
+    def __init__(self, bypass: Bypass, tau: object):
+        setattr_ = object.__setattr__
+        setattr_(self, "bypass", bypass)
+        setattr_(self, "tau", tau)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.bypass, self.tau) == (other.bypass, other.tau)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.bypass, self.tau))
 
     @property
     def arrow(self):
@@ -42,11 +52,13 @@ class Transvection:
                                     fld.format(self.tau))
 
 
-@dataclass(frozen=True)
-class Dilatation:
+class Dilatation(FrozenRecord):
     """arrow-wise rescaling by nonzero scalars (missing arrows scale by 1)."""
 
-    scales: tuple  # ((arrow name, scalar), ...)
+    _fields = ("scales",)
+
+    def __init__(self, scales: tuple):
+        object.__setattr__(self, "scales", scales)  # ((arrow name, scalar), ...)
 
     def scale(self, arrow, fld: Field):
         for name, c in self.scales:
