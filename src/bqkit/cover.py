@@ -19,7 +19,8 @@ from collections import deque
 from .errors import CoverError
 from .gamma import check_lemma_3_3_chain
 from .homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, UNKNOWN, HomotopyRelation,
-                       homotopy_relation, relations_equal, EQUAL)
+                       _cancel_join, homotopy_relation, relations_equal,
+                       EQUAL)
 from .ideal import (Ideal, Relation, add_relations, close_ideal, ideals_equal,
                     make_relation, mul_relations, relation_of_path,
                     scale_relation)
@@ -262,13 +263,16 @@ class CoverQuiver:
 class _Ball:
     """Certified homotopy classes of reduced walks from the base point.
 
-    ``reps[i]`` represents class i and ``index`` maps each walk classified
-    so far to its class.  A walk not yet classified is compared by
-    ``decide`` with the classes of its (target, abelian image) bucket.
-    With no relators pi1 is free on the chords, and a reduced walk from
-    the base point is fixed by its target and chord word, so distinct
-    reduced walks are distinct classes (Serre, *Trees*, ch. I): such a
-    walk is a new class, and the ball computes no image for it.
+    A walk is keyed by its coded word (``HomotopyRelation._alphabet``),
+    which fixes it, as every walk here starts at the base point.
+    ``reps[i]`` is the ``Walk`` of class i, ``words[i]`` its word, and
+    ``index`` maps the word of each walk classified so far to its class.
+    A word not yet classified is decoded and compared by ``decide`` with
+    the classes of its (target, abelian image) bucket.  With no relators
+    pi1 is free on the chords, and a reduced walk from the base point is
+    fixed by its target and chord word, so distinct reduced walks are
+    distinct classes (Serre, *Trees*, ch. I): such a word is a new class,
+    decoded only then, and the ball computes no image for it.
     """
 
     def __init__(self, h: HomotopyRelation, radius: int):
@@ -279,25 +283,34 @@ class _Ball:
         self.transitions = {}
         root = trivial_walk(self.quiver, h.base_point)
         self.reps = [root]
-        self.index = {root: 0}
+        self.words = [()]
+        self.index = {(): 0}
         self._buckets = {}  # (target, abelian image) -> class indices
         if h.presentation.relators:
             self._buckets[(root.target, h.abelian_image(root, root))] = [0]
 
     def classify(self, walk: Walk, create=False):
-        """The index of the class holding the reduced walk, or None
-        (creating the class if asked and the walk fits in the ball)."""
-        found = self.index.get(walk)
+        """The index of the class holding the reduced walk from the base
+        point, or None (creating the class if asked and the walk fits in
+        the ball)."""
+        return self.classify_word(self.h._encode(walk.letters), create)
+
+    def classify_word(self, word, create=False):
+        """``classify`` for the coded word of the walk."""
+        found = self.index.get(word)
         if found is not None:
             return found
+        h = self.h
         key = None
-        if self.h.presentation.relators:
-            key = (walk.target, self.h.abelian_image(walk, self.reps[0]))
+        walk = None
+        if h.presentation.relators:
+            walk = h._decode(h.base_point, word)
+            key = (walk.target, h.abelian_image(walk, self.reps[0]))
             for i in self._buckets.get(key, ()):
-                decision = self.h.decide(walk, self.reps[i], cap=self.cap,
-                                         want_chain=False)
+                decision = h.decide(walk, self.reps[i], cap=self.cap,
+                                    want_chain=False)
                 if decision.status == HOMOTOPIC:
-                    self.index[walk] = i
+                    self.index[word] = i
                     return i
                 if decision.status == UNKNOWN:
                     raise CoverError(
@@ -305,11 +318,14 @@ class _Ball:
                         "%s vs %s (the search stopped at its %s cap)"
                         % (walk.to_text(), self.reps[i].to_text(),
                            decision.cap))
-        if not create or len(walk.letters) > self.radius:
+        if not create or len(word) > self.radius:
             return None
+        if walk is None:
+            walk = h._decode(h.base_point, word)
         i = len(self.reps)
         self.reps.append(walk)
-        self.index[walk] = i
+        self.words.append(word)
+        self.index[word] = i
         if key is not None:
             self._buckets.setdefault(key, []).append(i)
         return i
@@ -317,23 +333,21 @@ class _Ball:
     def grow(self):
         """Expand classes breadth-first; returns the indices of the
         classes whose every step stays in the ball."""
+        codes = self.h._alphabet[1]
         interior = []
-        # classify appends new classes to reps, and the loop reaches them
+        # classify_word appends new classes to reps, and the loop reaches them
         for i, rep in enumerate(self.reps):
             at = rep.target
-            steps = [(a.name, FORWARD, a.target)
-                     for a in self.quiver.arrows_from(at)]
-            steps += [(a.name, INVERSE, a.source)
-                      for a in self.quiver.arrows_into(at)]
-            letters = rep.letters
+            steps = [(a.name, FORWARD) for a in self.quiver.arrows_from(at)]
+            steps += [(a.name, INVERSE) for a in self.quiver.arrows_into(at)]
+            word = self.words[i]
+            # the word is reduced, so only its last code can cancel
+            back = -word[-1] if word else 0
             kept = True
-            for name, d, end in steps:
-                # the rep is reduced, so only its last letter can cancel
-                if letters and letters[-1] == (name, -d):
-                    ext = Walk(rep.source, end, letters[:-1])
-                else:
-                    ext = Walk(rep.source, end, letters + ((name, d),))
-                target = self.classify(ext, create=True)
+            for name, d in steps:
+                code = codes[(name, d)]
+                ext = word[:-1] if code == back else word + (code,)
+                target = self.classify_word(ext, create=True)
                 self.transitions[(i, name, d)] = target
                 kept = kept and target is not None
             if kept:
@@ -376,18 +390,20 @@ def universal_cover(ideal: Ideal, x0=None, radius=None) -> CoverQuiver:
 
 
 def _universal_deck_generators(cover: CoverQuiver):
-    """Deck maps for the chord loops; partial where the ball cuts them off."""
+    """Deck maps for the chord loops; partial where the ball cuts them off.
+
+    The deck map of a chord sends the class of a reduced walk w to the
+    class of gamma^-1 * w, gamma the chord loop.  Both words are reduced,
+    so the moved word reduces by cancelling at their join alone."""
     ball = cover._ball
     h = ball.h
     names = cover.total.vertices
     generators = []
     for chord in h.tree.chords:
-        gamma_inv = h.tree.chord_loop(chord).inverse()
+        gamma_inv = h._encode(h.tree.chord_loop(chord).inverse().letters)
         vmap = {}
-        for name, rep in zip(names, ball.reps):
-            moved = Walk(h.base_point, rep.target,
-                         gamma_inv.letters + rep.letters).reduced()
-            hit = ball.classify(moved)
+        for name, word in zip(names, ball.words):
+            hit = ball.classify_word(_cancel_join(gamma_inv, word))
             if hit is not None:
                 vmap[name] = names[hit]
         generators.append(DeckMap("g_%s" % chord, vmap))

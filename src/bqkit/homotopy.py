@@ -159,6 +159,22 @@ def _invert_word(word):
     return tuple((g, -e) for g, e in reversed(word))
 
 
+def _cancel_join(u, v):
+    """The coded word u * v, reduced, for reduced coded words u and v:
+    letters cancel only at the join."""
+    n = len(u)
+    k = 0
+    while k < n and k < len(v) and u[n - 1 - k] == -v[k]:
+        k += 1
+    return u[:n - k] + v[k:]
+
+
+def _conjugate(loop, c):
+    """The coded reduced loop c^-1 * loop * c, for a reduced loop."""
+    loop = loop[1:] if loop and loop[0] == c else (-c,) + loop
+    return loop[:-1] if loop and loop[-1] == -c else loop + (c,)
+
+
 class SpanningTree:
     """BFS tree over the underlying graph, edges in declaration order."""
 
@@ -659,6 +675,12 @@ class HomotopyRelation:
         keeping the first of any repeated (vertex, loop).  The move
         ``(y, x, q)`` is kept in ``Walk`` letters for ``_expand_rewrite``.
 
+        The loop of cut 0 is q * p^-1, and moving the cut past the k-th
+        letter c of p conjugates the loop by c (``_conjugate``), so each
+        cut costs one conjugation on coded words.  The anchor of cut 0
+        is the vertex p starts at, and that of a later cut the vertex
+        the last letter of y ends at (both read from ``_alphabet``).
+
         Inserting the loop at a visit of its anchor and reducing is the
         move "insert a cyclic relator loop at a vertex, then reduce".
         Substituting y^-1 * q * x^-1 for an occurrence of an inner piece
@@ -668,22 +690,23 @@ class HomotopyRelation:
         the same walks as its first copy.  As p != q, every loop is a
         nontrivial reduced word, so no insertion gives back the walk.
         """
-        quiver = self.quiver
+        ends = self._alphabet[2]
         rules = []
         seen = set()
         for psrc, pdst in self._replacement_patterns():
-            anchor = _pattern_source(quiver, psrc)
-            for cut in range(len(psrc) + 1):
+            p = self._encode(psrc)
+            anchor = ends[-p[0]]
+            loop = _cancel_join(self._encode(pdst),
+                                tuple(-c for c in reversed(p)))
+            for cut in range(len(p) + 1):
                 if cut:
-                    name, d = psrc[cut - 1]
-                    a = quiver.arrow(name)
-                    anchor = a.target if d == FORWARD else a.source
-                y, x = psrc[:cut], psrc[cut:]
-                loop = self._encode(_free_reduce_word(
-                    _invert_word(y) + pdst + _invert_word(x)))
+                    c = p[cut - 1]
+                    anchor = ends[c]
+                    loop = _conjugate(loop, c)
                 if (anchor, loop) not in seen:
                     seen.add((anchor, loop))
-                    rules.append((anchor, loop, (y, x, pdst)))
+                    rules.append((anchor, loop,
+                                  (psrc[:cut], psrc[cut:], pdst)))
         return tuple(rules)
 
     def _rewrites(self, source, w, cap):
@@ -760,18 +783,11 @@ class HomotopyRelation:
         first move is the one of the least (rule, visit).
         """
         number = self._rule_table[0]
-        n, m = len(w), len(goal)
-        k = 0
-        while k < n and k < m and goal[m - 1 - k] == w[n - 1 - k]:
-            k += 1
-        loop = goal[:m - k] + tuple(-c for c in reversed(w[:n - k]))
+        loop = _cancel_join(goal, tuple(-c for c in reversed(w)))
         hits = []
-        for i in range(n + 1):
+        for i in range(len(w) + 1):
             if i:
-                # c^-1 * loop * c, reduced
-                c = w[i - 1]
-                loop = loop[1:] if loop and loop[0] == c else (-c,) + loop
-                loop = loop[:-1] if loop and loop[-1] == -c else loop + (c,)
+                loop = _conjugate(loop, w[i - 1])
             rule = number.get(loop)
             if rule is not None:
                 hits.append((rule, i))
@@ -864,12 +880,6 @@ def _invert_steps(original: Walk, steps):
         pair = before.letters[i:i + 2]
         out.append(MoveStep("insert", i, pair, before))
     return tuple(out)
-
-
-def _pattern_source(quiver, letters):
-    name, d = letters[0]
-    a = quiver.arrow(name)
-    return a.source if d == FORWARD else a.target
 
 
 def _expand_rewrite(before: Walk, i, y, x, pdst):

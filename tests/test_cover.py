@@ -6,7 +6,7 @@ import pytest
 from conftest import TWO_BYPASS, make_random_bound_quiver, twobypass_chain
 
 from bqkit.cover import (GALOIS, NOT_GALOIS, TRUNCATED, CoverQuiver,
-                         FiniteGroup, _generated_order, check_covering,
+                         FiniteGroup, _Ball, _generated_order, check_covering,
                          factor_through_cover, is_galois, lift_dilatation,
                          lift_transvection, make_grading, smash_product,
                          theorem_b_pipeline, universal_cover)
@@ -86,22 +86,66 @@ def test_universal_cover_free_group_makes_no_decisions(monkeypatch):
 
 def test_ball_classes_hold_reduced_walks(ideal_I0):
     """Each step of the ball is classified as the reduced extension of the
-    class representative, and the ball's index holds every classified
-    walk, reduced, with its class."""
+    class representative, and the ball's index holds the coded word of
+    every classified walk, reduced, with its class."""
     free = parse_source(TWO_BYPASS + "ideal F over twobypass(0) "
                                      "{ rel d*a; rel f*e*c*b; }").ideal("F")
     for ideal, radius in ((ideal_I0, 8), (free, 6)):
         ball = universal_cover(ideal, radius=radius)._ball
+        h = ball.h
         for (index, name, d), target in ball.transitions.items():
             rep = ball.reps[index]
             a = ball.quiver.arrow(name)
             ext = Walk(rep.source, a.target if d == FORWARD else a.source,
                        rep.letters + ((name, d),)).reduced()
             if target is not None:
-                assert ball.index[ext] == target
+                assert ball.index[h._encode(ext.letters)] == target
         for i, rep in enumerate(ball.reps):
-            assert ball.index[rep] == i
-        assert all(w.is_reduced() for w in ball.index)
+            assert ball.index[h._encode(rep.letters)] == i
+        assert all(h._decode(h.base_point, word).is_reduced()
+                   for word in ball.index)
+
+
+def reference_deck_maps(cov):
+    """(name, vertex map) of each chord's deck map, classifying with
+    ``classify`` the reduced walk gamma^-1 * rep of every class rep,
+    gamma the chord loop.  The walks are classified in a ball grown
+    afresh, so no class the deck maps stored in the cover's ball is
+    read back."""
+    ball = _Ball(cov._ball.h, cov.radius)
+    ball.grow()
+    assert ball.reps == cov._ball.reps
+    h = ball.h
+    names = cov.total.vertices
+    maps = []
+    for chord in h.tree.chords:
+        gamma_inv = h.tree.chord_loop(chord).inverse()
+        vmap = {}
+        for name, rep in zip(names, ball.reps):
+            moved = Walk(h.base_point, rep.target,
+                         gamma_inv.letters + rep.letters).reduced()
+            hit = ball.classify(moved)
+            if hit is not None:
+                vmap[name] = names[hit]
+        maps.append(("g_%s" % chord, vmap))
+    return maps
+
+
+def test_deck_maps_match_classified_moved_walks(ideal_I0):
+    """The deck maps, read by cancelling the coded chord loop against
+    each class word, agree with classifying the reduced moved walks: on
+    the free ideal truncated at radii 6 and 14, where some moved walks
+    leave the ball, and on I0, which has relators, at radius 8."""
+    free = parse_source(TWO_BYPASS + "ideal F over twobypass(0) "
+                                     "{ rel d*a; rel f*e*c*b; }").ideal("F")
+    for ideal, radius in ((free, 6), (free, 14), (ideal_I0, 8)):
+        cov = universal_cover(ideal, radius=radius)
+        assert cov.complete == (ideal is ideal_I0)
+        got = [(g.name, g.vertex_map) for g in cov.action]
+        assert got == reference_deck_maps(cov)
+        assert len(got) == 2
+        partial = any(len(vmap) < len(cov.total.vertices) for _, vmap in got)
+        assert partial == (ideal is free)
 
 
 def test_chord_word_fixes_a_reduced_walk_with_its_target():

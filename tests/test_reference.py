@@ -20,10 +20,12 @@ is compared with the version that rescans the walk after each deletion.
 The homotopy search's rewrites are compared with the split enumeration
 they replaced, move for move, and ``_move_to``, which names the first
 move from a walk to a given child without building the others, with
-those rewrites.  The level-by-level search is compared with the FIFO
-search that expands every walk it pops, run on the split enumeration:
-the same decisions and chains, also with the state cap patched around
-the point where the FIFO search reaches its goal.
+those rewrites.  The insertion rules, built by conjugating one loop
+along each pattern, are compared with the free reduction of every
+cut's loop on ``Walk`` letters.  The level-by-level search is compared
+with the FIFO search that expands every walk it pops, run on the split
+enumeration: the same decisions and chains, also with the state cap
+patched around the point where the FIFO search reaches its goal.
 
 ``transform.apply_automorphism`` maps basis rows in coordinates, one
 hom-set at a time; it is compared with the Relation-based version it
@@ -441,6 +443,47 @@ def test_loop_insertion_matches_split_rewrites_on_random_quivers():
 def test_loop_insertion_matches_split_rewrites_on_i0_chains():
     for h, walks in i0_chain_walks():
         assert_same_rewrites(h, walks)
+
+
+def reduced_cut_rules(h):
+    """The rules ``_insertion_rules`` gave before it conjugated along the
+    pattern: for each cut p = y * x, the free reduction of
+    y^-1 * q * x^-1 on ``Walk`` letters, coded, anchored at the vertex
+    between y and x read from the quiver's arrows."""
+    def end(name, d):
+        a = h.quiver.arrow(name)
+        return a.target if d == FORWARD else a.source
+
+    rules = []
+    seen = set()
+    for psrc, pdst in h._replacement_patterns():
+        for cut in range(len(psrc) + 1):
+            if cut:
+                anchor = end(*psrc[cut - 1])
+            else:
+                anchor = end(psrc[0][0], -psrc[0][1])
+            y, x = psrc[:cut], psrc[cut:]
+            loop = h._encode(_free_reduce_word(
+                _invert_word(y) + pdst + _invert_word(x)))
+            if (anchor, loop) not in seen:
+                seen.add((anchor, loop))
+                rules.append((anchor, loop, (y, x, pdst)))
+    return tuple(rules)
+
+
+def test_insertion_rules_match_reduced_cut_loops():
+    ideals = chain(all_ideals(),
+                   (twobypass_chain(units) for units in (1, 2, 3)),
+                   (make_random_bound_quiver(random.Random(seed),
+                                             max_vertices=8)
+                    for seed in range(20)))
+    with_rules = 0
+    for ideal in ideals:
+        h = homotopy_relation(ideal)
+        rules = h._insertion_rules
+        assert rules == reduced_cut_rules(h), ideal.quiver.name
+        with_rules += bool(rules)
+    assert with_rules > 20
 
 
 def test_move_to_matches_rewrites():
