@@ -19,7 +19,7 @@ from collections import deque
 from .errors import CoverError
 from .gamma import check_lemma_3_3_chain
 from .homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, UNKNOWN, HomotopyRelation,
-                       _cancel_join, homotopy_relation, relations_equal,
+                       cancel_join, homotopy_relation, relations_equal,
                        EQUAL)
 from .ideal import (Ideal, Relation, add_relations, close_ideal, ideals_equal,
                     make_relation, mul_relations, relation_of_path,
@@ -263,10 +263,11 @@ class CoverQuiver:
 class _Ball:
     """Certified homotopy classes of reduced walks from the base point.
 
-    A walk is keyed by its coded word (``HomotopyRelation._alphabet``),
+    A walk is keyed by its coded word (``HomotopyRelation.encode``),
     which fixes it, as every walk here starts at the base point.
     ``reps[i]`` is the ``Walk`` of class i, ``words[i]`` its word, and
     ``index`` maps the word of each walk classified so far to its class.
+    Steps and deck maps move words by ``homotopy.cancel_join``.
     A word not yet classified is decoded and compared by ``decide`` with
     the classes of its (target, abelian image) bucket.  With no relators
     pi1 is free on the chords, and a reduced walk from the base point is
@@ -293,7 +294,7 @@ class _Ball:
         """The index of the class holding the reduced walk from the base
         point, or None (creating the class if asked and the walk fits in
         the ball)."""
-        return self.classify_word(self.h._encode(walk.letters), create)
+        return self.classify_word(self.h.encode(walk.letters), create)
 
     def classify_word(self, word, create=False):
         """``classify`` for the coded word of the walk."""
@@ -304,7 +305,7 @@ class _Ball:
         key = None
         walk = None
         if h.presentation.relators:
-            walk = h._decode(h.base_point, word)
+            walk = h.decode(h.base_point, word)
             key = (walk.target, h.abelian_image(walk, self.reps[0]))
             for i in self._buckets.get(key, ()):
                 decision = h.decide(walk, self.reps[i], cap=self.cap,
@@ -321,7 +322,7 @@ class _Ball:
         if not create or len(word) > self.radius:
             return None
         if walk is None:
-            walk = h._decode(h.base_point, word)
+            walk = h.decode(h.base_point, word)
         i = len(self.reps)
         self.reps.append(walk)
         self.words.append(word)
@@ -333,7 +334,7 @@ class _Ball:
     def grow(self):
         """Expand classes breadth-first; returns the indices of the
         classes whose every step stays in the ball."""
-        codes = self.h._alphabet[1]
+        codes = self.h.letter_codes[1]
         interior = []
         # classify_word appends new classes to reps, and the loop reaches them
         for i, rep in enumerate(self.reps):
@@ -341,12 +342,9 @@ class _Ball:
             steps = [(a.name, FORWARD) for a in self.quiver.arrows_from(at)]
             steps += [(a.name, INVERSE) for a in self.quiver.arrows_into(at)]
             word = self.words[i]
-            # the word is reduced, so only its last code can cancel
-            back = -word[-1] if word else 0
             kept = True
             for name, d in steps:
-                code = codes[(name, d)]
-                ext = word[:-1] if code == back else word + (code,)
+                ext = cancel_join(word, (codes[(name, d)],))
                 target = self.classify_word(ext, create=True)
                 self.transitions[(i, name, d)] = target
                 kept = kept and target is not None
@@ -400,10 +398,10 @@ def _universal_deck_generators(cover: CoverQuiver):
     names = cover.total.vertices
     generators = []
     for chord in h.tree.chords:
-        gamma_inv = h._encode(h.tree.chord_loop(chord).inverse().letters)
+        gamma_inv = h.encode(h.tree.chord_loop(chord).inverse().letters)
         vmap = {}
         for name, word in zip(names, ball.words):
-            hit = ball.classify_word(_cancel_join(gamma_inv, word))
+            hit = ball.classify_word(cancel_join(gamma_inv, word))
             if hit is not None:
                 vmap[name] = names[hit]
         generators.append(DeckMap("g_%s" % chord, vmap))

@@ -84,9 +84,9 @@ class Decision(FrozenRecord):
 
     For a homotopic pair, ``chain`` replays elementary moves from u to v;
     it is None when the positive answer was certified through a completed
-    coset action instead (finite fundamental group), in which case the
-    certificate describes the table.  For an Unknown pair, ``cap`` names
-    the cap that ended the search: "max_states" or "walk_length".
+    coset action instead (finite fundamental group); the certificate gives
+    its order and the chord word of u * v^-1.  For an Unknown pair, ``cap``
+    names the cap that ended the search: "max_states" or "walk_length".
     """
 
     _fields = ("status", "chain", "certificate", "cap")
@@ -114,23 +114,26 @@ class Decision(FrozenRecord):
 
 class GroupPresentation(FrozenRecord):
     """Chord generators and relator words; the abelianization is read from
-    the lattice of the relators' exponent rows."""
+    the lattice of the relators' exponent rows.  A relator is a word
+    (``reduce_word``) on the generators, i for generator i (1-based)."""
 
     _fields = ("generators", "relators")
 
     def __init__(self, generators: tuple, relators: tuple):
         setattr_ = object.__setattr__
         setattr_(self, "generators", generators)
-        # each relator: ((generator, +-1), ...), reduced
         setattr_(self, "relators", relators)
 
     def exponent_rows(self):
-        index = {g: i for i, g in enumerate(self.generators)}
+        n = len(self.generators)
         rows = []
         for rel in self.relators:
-            row = [0] * len(self.generators)
-            for g, e in rel:
-                row[index[g]] += e
+            row = [0] * n
+            for c in rel:
+                if not isinstance(c, int) or not 0 < abs(c) <= n:
+                    raise HomotopyError("relator letter %r names none of the "
+                                        "%d generators" % (c, n))
+                row[abs(c) - 1] += 1 if c > 0 else -1
             rows.append(row)
         return rows
 
@@ -145,23 +148,25 @@ class GroupPresentation(FrozenRecord):
         return self.lattice.invariants()
 
 
-def _free_reduce_word(word):
+def reduce_word(word):
+    """The free reduction of a word: a tuple of nonzero ints, a letter's
+    inverse being its negation, as in coded walks and chord words."""
     out = []
-    for g, e in word:
-        if out and out[-1][0] == g and out[-1][1] == -e:
+    for c in word:
+        if out and out[-1] == -c:
             out.pop()
         else:
-            out.append((g, e))
+            out.append(c)
     return tuple(out)
 
 
-def _invert_word(word):
-    return tuple((g, -e) for g, e in reversed(word))
+def invert_word(word):
+    return tuple(-c for c in reversed(word))
 
 
-def _cancel_join(u, v):
-    """The coded word u * v, reduced, for reduced coded words u and v:
-    letters cancel only at the join."""
+def cancel_join(u, v):
+    """The word u * v, reduced, for reduced words u and v: letters cancel
+    only at the join."""
     n = len(u)
     k = 0
     while k < n and k < len(v) and u[n - 1 - k] == -v[k]:
@@ -169,43 +174,41 @@ def _cancel_join(u, v):
     return u[:n - k] + v[k:]
 
 
-def _conjugate(loop, c):
-    """The coded reduced loop c^-1 * loop * c, for a reduced loop."""
+def conjugate(loop, c):
+    """The reduced word c^-1 * loop * c, for a reduced word loop."""
     loop = loop[1:] if loop and loop[0] == c else (-c,) + loop
     return loop[:-1] if loop and loop[-1] == -c else loop + (c,)
 
 
 class SpanningTree:
-    """BFS tree over the underlying graph, edges in declaration order."""
+    """BFS tree over the underlying graph, edges in declaration order;
+    ``chord_index`` numbers the arrows off it, the chords, from 1."""
 
     def __init__(self, quiver: Quiver, x0):
         self.quiver = quiver
         self.x0 = x0
         parent = {x0: None}
-        order = [x0]
         queue = deque([x0])
-        tree_arrows = set()
+        in_tree = set()
         while queue:
             v = queue.popleft()
             for a in quiver.arrows:
                 if a.source == v and a.target not in parent:
                     parent[a.target] = (a.name, FORWARD)
-                    tree_arrows.add(a.name)
-                    order.append(a.target)
+                    in_tree.add(a.name)
                     queue.append(a.target)
                 elif a.target == v and a.source not in parent:
                     parent[a.source] = (a.name, INVERSE)
-                    tree_arrows.add(a.name)
-                    order.append(a.source)
+                    in_tree.add(a.name)
                     queue.append(a.source)
         if len(parent) != len(quiver.vertices):
             missing = [v for v in quiver.vertices if v not in parent]
             raise HomotopyError("quiver is not connected; unreachable: %s"
                                 % ", ".join(missing))
         self._parent = parent
-        self.tree_arrows = frozenset(tree_arrows)
         self.chords = tuple(a.name for a in quiver.arrows
-                            if a.name not in tree_arrows)
+                            if a.name not in in_tree)
+        self.chord_index = {c: i for i, c in enumerate(self.chords, 1)}
 
     def walk_from_root(self, v) -> Walk:
         letters = []
@@ -227,14 +230,16 @@ class SpanningTree:
                     + self.walk_from_root(a.target).inverse().letters).reduced()
 
     def chord_word(self, walk: Walk):
-        """Image of a walk under the retraction onto the chords.
+        """Image of a walk under the retraction onto the chords, a reduced
+        word with chord i forward i and inverse -i.
 
         Words are stored in composition order (leftmost letter applied
         last), so concatenation of walks maps to concatenation of words.
         """
-        word = [(name, d) for name, d in reversed(walk.letters)
-                if name not in self.tree_arrows]
-        return _free_reduce_word(word)
+        index = self.chord_index
+        return reduce_word([index[name] * d
+                            for name, d in reversed(walk.letters)
+                            if name in index])
 
 
 class HomotopyRelation:
@@ -261,8 +266,6 @@ class HomotopyRelation:
         self.tree = SpanningTree(self.quiver, x0)
         self.generating_pairs = self._generating_pairs()
         self.presentation = self._presentation()
-        self._generator_index = {g: i for i, g in
-                                 enumerate(self.presentation.generators)}
         self._path_classes = self._congruence_closure()
         self._homs, self._where = self._fingerprint()
         self._key = None  # see fingerprint_key
@@ -283,16 +286,17 @@ class HomotopyRelation:
         return tuple(pairs)
 
     def _presentation(self):
-        """The chord presentation of pi1: one relator per generating pair
-        whose chord words differ.  A path is a reduced walk of forward
-        letters, so its chord word is its chords, last arrow first, and
-        the inverse word of v is v's chords inverted, first arrow first."""
-        tree = self.tree.tree_arrows
+        """The chord presentation of pi1: one relator, the chord word of
+        u * v^-1, per generating pair whose chord words differ.  A path
+        is a reduced walk of forward letters, so its chord word is its
+        chords, last arrow first, all positive, and cancels v's inverted
+        word at the join only."""
+        index = self.tree.chord_index
         relators = []
         for u, v in self.generating_pairs:
-            word = _free_reduce_word(
-                tuple((a, FORWARD) for a in reversed(u.arrows) if a not in tree)
-                + tuple((a, INVERSE) for a in v.arrows if a not in tree))
+            word = cancel_join(
+                tuple(index[a] for a in reversed(u.arrows) if a in index),
+                tuple(-index[a] for a in v.arrows if a in index))
             if word:
                 relators.append(word)
         return GroupPresentation(self.tree.chords, tuple(relators))
@@ -452,13 +456,13 @@ class HomotopyRelation:
         """Net chord exponents of the loop u * v^-1 (order irrelevant
         in the abelianization, so no conjugation is needed)."""
         vec = [0] * len(self.presentation.generators)
-        index = self._generator_index
+        index = self.tree.chord_index
         for name, d in u.letters:
             if name in index:
-                vec[index[name]] += d
+                vec[index[name] - 1] += d
         for name, d in v.letters:
             if name in index:
-                vec[index[name]] -= d
+                vec[index[name] - 1] -= d
         return vec
 
     def abelian_image(self, u: Walk, v: Walk):
@@ -531,19 +535,13 @@ class HomotopyRelation:
         table = self._cosets
         if table is None:
             return None
-        word = _free_reduce_word(
-            self.tree.chord_word(u_red)
-            + _invert_word(self.tree.chord_word(v_red)))
-        signed = self._signed_word(word)
-        if table.is_nontrivial(signed):
-            cert = {"kind": "coset-action", "order": table.order, "word": signed}
+        chord_word = self.tree.chord_word
+        word = cancel_join(chord_word(u_red), invert_word(chord_word(v_red)))
+        if table.is_nontrivial(word):
+            cert = {"kind": "coset-action", "order": table.order, "word": word}
             return Decision(NOT_HOMOTOPIC, (), cert)
-        cert = {"kind": "coset-trivial", "order": table.order, "word": signed}
+        cert = {"kind": "coset-trivial", "order": table.order, "word": word}
         return Decision(HOMOTOPIC, None, cert)
-
-    def _signed_word(self, word):
-        index = self._generator_index
-        return tuple((index[g] + 1) * e for g, e in word)
 
     @cached_property
     def _cosets(self):
@@ -551,12 +549,11 @@ class HomotopyRelation:
         enumerated on first use.  A completed table means pi1 is finite,
         so when the abelianization has free rank > 0 the enumeration is
         skipped and the answer is None."""
-        if self.presentation.abelian_invariants[0]:
+        gp = self.presentation
+        if gp.abelian_invariants[0]:
             return None
-        relators = [self._signed_word(r) for r in self.presentation.relators]
-        table = coset.enumerate_cosets(len(self.presentation.generators),
-                                       relators)
-        if table is not None and not table.verify(relators):
+        table = coset.enumerate_cosets(len(gp.generators), gp.relators)
+        if table is not None and not table.verify(gp.relators):
             raise HomotopyError("coset table failed its consistency check")
         return table
 
@@ -569,8 +566,8 @@ class HomotopyRelation:
         (Lyndon and Schupp 1977, ch. IV), so these moves reach every
         homotopic walk and the search is complete up to the caps.
 
-        The search runs on coded letters (see ``_alphabet``): a walk is
-        the tuple of its letter codes, arrow k (1-based, in declaration
+        The search runs on coded words (see ``letter_codes``): a walk is
+        the word of its letter codes, arrow k (1-based, in declaration
         order) being k forward and -k inverse, and only the walks on the
         found path are decoded.  The moves, their order (rules in order,
         then visits in order) and the per-walk dedup are those of the
@@ -599,9 +596,9 @@ class HomotopyRelation:
         if len(start.letters) > cap or len(goal.letters) > cap:
             cap = max(cap, len(start.letters), len(goal.letters))
         source = start.source
-        first = self._encode(start.letters)
-        last = self._encode(goal.letters)
-        ends = self._alphabet[2]
+        first = self.encode(start.letters)
+        last = self.encode(goal.letters)
+        ends = self.letter_codes[2]
         anchored = self._rule_table[1]
         seen = {first: None}
         level = [first]
@@ -640,15 +637,15 @@ class HomotopyRelation:
             last = moves[-1][0]
         chain = []
         for prev, move in reversed(moves):
-            chain.extend(_expand_rewrite(self._decode(source, prev), *move))
+            chain.extend(_expand_rewrite(self.decode(source, prev), *move))
         return tuple(chain)
 
     @cached_property
-    def _alphabet(self):
-        """The letter codes of the search: arrow k (1-based, in
-        declaration order) forward is k and inverse is -k.  Returns the
-        maps code -> letter, letter -> code and code -> the vertex the
-        letter ends at."""
+    def letter_codes(self):
+        """The letter codes of coded walks, in application order: arrow k
+        (1-based, in declaration order) forward is k and inverse is -k.
+        Returns the maps code -> letter, letter -> code and code -> the
+        vertex the letter ends at."""
         letters = {}
         ends = {}
         for k, a in enumerate(self.quiver.arrows, 1):
@@ -657,12 +654,14 @@ class HomotopyRelation:
         codes = {letter: c for c, letter in letters.items()}
         return letters, codes, ends
 
-    def _encode(self, letters):
-        codes = self._alphabet[1]
+    def encode(self, letters):
+        """The coded word of the ``Walk`` letters."""
+        codes = self.letter_codes[1]
         return tuple(codes[letter] for letter in letters)
 
-    def _decode(self, source, word) -> Walk:
-        letters, _, ends = self._alphabet
+    def decode(self, source, word) -> Walk:
+        """The walk from source with the coded word."""
+        letters, _, ends = self.letter_codes
         return Walk(source, ends[word[-1]] if word else source,
                     tuple(letters[c] for c in word))
 
@@ -675,11 +674,11 @@ class HomotopyRelation:
         keeping the first of any repeated (vertex, loop).  The move
         ``(y, x, q)`` is kept in ``Walk`` letters for ``_expand_rewrite``.
 
-        The loop of cut 0 is q * p^-1, and moving the cut past the k-th
-        letter c of p conjugates the loop by c (``_conjugate``), so each
-        cut costs one conjugation on coded words.  The anchor of cut 0
-        is the vertex p starts at, and that of a later cut the vertex
-        the last letter of y ends at (both read from ``_alphabet``).
+        The loop of cut 0 is q * p^-1 (``cancel_join``), and moving the
+        cut past the k-th letter c of p conjugates the loop by c
+        (``conjugate``), so each cut costs one conjugation of words.  The
+        anchor of cut 0 is the vertex p starts at, and that of a later cut
+        the vertex the last letter of y ends at (``letter_codes``).
 
         Inserting the loop at a visit of its anchor and reducing is the
         move "insert a cyclic relator loop at a vertex, then reduce".
@@ -690,19 +689,18 @@ class HomotopyRelation:
         the same walks as its first copy.  As p != q, every loop is a
         nontrivial reduced word, so no insertion gives back the walk.
         """
-        ends = self._alphabet[2]
+        ends = self.letter_codes[2]
         rules = []
         seen = set()
         for psrc, pdst in self._replacement_patterns():
-            p = self._encode(psrc)
+            p = self.encode(psrc)
             anchor = ends[-p[0]]
-            loop = _cancel_join(self._encode(pdst),
-                                tuple(-c for c in reversed(p)))
+            loop = cancel_join(self.encode(pdst), invert_word(p))
             for cut in range(len(p) + 1):
                 if cut:
                     c = p[cut - 1]
                     anchor = ends[c]
-                    loop = _conjugate(loop, c)
+                    loop = conjugate(loop, c)
                 if (anchor, loop) not in seen:
                     seen.add((anchor, loop))
                     rules.append((anchor, loop,
@@ -725,7 +723,7 @@ class HomotopyRelation:
         per visit instead (``_move_to``); ``_bfs`` asks that before it
         expands a level.
         """
-        ends = self._alphabet[2]
+        ends = self.letter_codes[2]
         visits = {source: [0]}
         for i, c in enumerate(w, 1):
             visits.setdefault(ends[c], []).append(i)
@@ -783,11 +781,11 @@ class HomotopyRelation:
         first move is the one of the least (rule, visit).
         """
         number = self._rule_table[0]
-        loop = _cancel_join(goal, tuple(-c for c in reversed(w)))
+        loop = cancel_join(goal, invert_word(w))
         hits = []
         for i in range(len(w) + 1):
             if i:
-                loop = _conjugate(loop, w[i - 1])
+                loop = conjugate(loop, w[i - 1])
             rule = number.get(loop)
             if rule is not None:
                 hits.append((rule, i))

@@ -51,7 +51,8 @@ def test_criterion_01_exple1_fundamental_groups(ws4, exple1, ideal_I, ideal_J):
     ok = gp_I.abelian_invariants == (1, ())
     # trivial presentation: the single relator kills the single chord
     ok = ok and len(gp_J.generators) == 1 and len(gp_J.relators) == 1
-    ok = ok and {g for g, _ in gp_J.relators[0]} == {gp_J.generators[0]}
+    ok = ok and ({gp_J.generators[abs(c) - 1] for c in gp_J.relators[0]}
+                 == {gp_J.generators[0]})
     ok = ok and gp_J.abelian_invariants == (0, ())
 
     a = walk_of_path(parse_path(exple1, "a"))

@@ -1,4 +1,4 @@
-from bqkit.coset import CosetTable, enumerate_cosets
+from bqkit.coset import enumerate_cosets
 
 
 def test_cyclic_group():

@@ -99,10 +99,10 @@ def test_ball_classes_hold_reduced_walks(ideal_I0):
             ext = Walk(rep.source, a.target if d == FORWARD else a.source,
                        rep.letters + ((name, d),)).reduced()
             if target is not None:
-                assert ball.index[h._encode(ext.letters)] == target
+                assert ball.index[h.encode(ext.letters)] == target
         for i, rep in enumerate(ball.reps):
-            assert ball.index[h._encode(rep.letters)] == i
-        assert all(h._decode(h.base_point, word).is_reduced()
+            assert ball.index[h.encode(rep.letters)] == i
+        assert all(h.decode(h.base_point, word).is_reduced()
                    for word in ball.index)
 
 

@@ -16,7 +16,7 @@ from bqkit.homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, HomotopyRelation,
                             homotopy_relation, fingerprint_key,
                             relations_equal, EQUAL)
 from bqkit.ideal import close_ideal, ideals_equal, relation_of_path
-from bqkit.quiver import Bypass, find_bypasses
+from bqkit.quiver import find_bypasses
 from bqkit.transform import (Dilatation, PathAutomorphism, Transvection,
                              apply_automorphism)
 

@@ -5,16 +5,18 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import decide_unknown, twobypass_chain
+from conftest import decide_unknown, make_random_bound_quiver, twobypass_chain
 
 from bqkit import homotopy
 from bqkit.dsl import parse_path, parse_quiver, parse_source, parse_walk
 from bqkit.errors import HomotopyError, UnresolvedError
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
-                            GroupPresentation, fingerprint_key,
-                            homotopy_relation, relations_equal)
+                            GroupPresentation, cancel_join, conjugate,
+                            fingerprint_key, homotopy_relation, invert_word,
+                            reduce_word, relations_equal)
 from bqkit.ideal import close_ideal
-from bqkit.quiver import FORWARD, make_walk, paths_between, walk_of_path
+from bqkit.quiver import (FORWARD, INVERSE, Walk, make_walk, paths_between,
+                          walk_of_path)
 from bqkit.snf import RowLattice
 
 
@@ -43,6 +45,64 @@ def test_walk_reduce(exple1):
     assert w2.reduced() == parse_walk(exple1, "d*c*b")
     assert w2.reduced().reduced() == w2.reduced()
 
+
+def random_walk(quiver, rng, length, start, reduced):
+    """A random walk from start; when reduced, it never steps back along
+    the letter before it."""
+    at = start
+    letters = []
+    for _ in range(length):
+        steps = [((a.name, FORWARD), a.target) for a in quiver.arrows_from(at)]
+        steps += [((a.name, INVERSE), a.source) for a in quiver.arrows_into(at)]
+        if reduced and letters:
+            back = (letters[-1][0], -letters[-1][1])
+            steps = [st for st in steps if st[0] != back]
+        if not steps:
+            break
+        letter, at = rng.choice(steps)
+        letters.append(letter)
+    return Walk(start, at, tuple(letters))
+
+
+def test_word_operations_match_walk_operations():
+    """On coded walks, ``reduce_word`` and ``invert_word`` are
+    ``Walk.reduced`` and ``Walk.inverse``, ``cancel_join`` and
+    ``conjugate`` give the free reduction of the raw concatenation, and
+    ``decode`` inverts ``encode``; ``chord_word`` maps walks into reduced
+    chord words, concatenation to concatenation in composition order.
+    Checked on random walks, reduced or not, of random quivers and of two
+    glued I0 units."""
+    rng = random.Random(11)
+    ideals = [make_random_bound_quiver(random.Random(s)) for s in range(20)]
+    ideals.append(twobypass_chain(2))
+    cancelled = 0
+    for ideal in ideals:
+        h = homotopy_relation(ideal)
+        quiver = ideal.quiver
+        chord_word = h.tree.chord_word
+        codes = list(h.letter_codes[0])
+        for _ in range(20):
+            u = random_walk(quiver, rng, rng.randint(0, 8),
+                            rng.choice(quiver.vertices), rng.random() < 0.5)
+            v = random_walk(quiver, rng, rng.randint(0, 8), u.target,
+                            rng.random() < 0.5)
+            uv = Walk(u.source, v.target, u.letters + v.letters)
+            cu, cv = h.encode(u.letters), h.encode(v.letters)
+            assert h.decode(u.source, cu) == u
+            assert reduce_word(cu) == h.encode(u.reduced().letters)
+            assert invert_word(cu) == h.encode(u.inverse().letters)
+            ru, rv = reduce_word(cu), reduce_word(cv)
+            assert cancel_join(ru, rv) == reduce_word(cu + cv)
+            assert reduce_word(cu + cv) == h.encode(uv.reduced().letters)
+            cancelled += len(ru) + len(rv) > len(cancel_join(ru, rv))
+            for c in codes:
+                assert conjugate(ru, c) == reduce_word((-c,) + ru + (c,))
+            wu, wv = chord_word(u), chord_word(v)
+            assert reduce_word(wu) == wu
+            assert chord_word(u.reduced()) == wu
+            assert chord_word(u.inverse()) == invert_word(wu)
+            assert chord_word(uv) == cancel_join(wv, wu)
+    assert cancelled
 
 def test_generating_pairs(h_I, h_J, exple1):
     assert h_I.generating_pairs == ()
@@ -163,7 +223,7 @@ def test_pi1_exple1(h_I, h_J):
     assert gp_J.abelian_invariants == (0, ())
     # the single relator kills the single chord
     (rel,) = gp_J.relators
-    assert [g for g, _ in rel] == ["c"]
+    assert [gp_J.generators[abs(c) - 1] for c in rel] == ["c"]
 
 
 def test_pi1_two_bypass_I0(ideal_I0):
@@ -189,12 +249,24 @@ def test_pi1_two_bypass_char2(ws5):
 
 def test_abelianization_cases():
     """A presentation built by hand reads its own abelian invariants."""
-    gp = GroupPresentation(("g",), ((("g", 1), ("g", 1)),))
+    gp = GroupPresentation(("g",), ((1, 1),))
     assert gp.abelian_invariants == (0, (2,))
     assert gp.lattice.contains([2]) and not gp.lattice.contains([1])
     assert GroupPresentation(("g",), ()).abelian_invariants == (1, ())
-    gp = GroupPresentation(("g1", "g2"), ((("g1", 1), ("g2", -1)),))
+    gp = GroupPresentation(("g1", "g2"), ((1, -2),))
     assert gp.abelian_invariants == (1, ())
+
+
+@pytest.mark.parametrize("letter", [0, 3, ("g1", 1)])
+def test_malformed_relator_letter_is_rejected(letter):
+    """A hand-made relator letter that names no generator raises when the
+    exponent rows read it, not an IndexError and not a count against the
+    last generator."""
+    gp = GroupPresentation(("g1", "g2"), ((1, -2), (2, letter)))
+    with pytest.raises(HomotopyError, match="names none of the 2 generators"):
+        gp.exponent_rows()
+    with pytest.raises(HomotopyError):
+        gp.abelian_invariants
 
 
 def test_abelian_invariants_independent_of_base_point(ideal_I0):
@@ -425,7 +497,7 @@ def test_insertion_cancels_across_a_used_up_loop():
     x against x^-1 across it.  Every result of the rule equals the free
     reduction of the raw concatenation."""
     h = homotopy.HomotopyRelation(twobypass_chain(2))
-    letters, _, ends = h._alphabet
+    letters, _, ends = h.letter_codes
     cases = set()
     for anchor, loop, move in h._insertion_rules:
         h.__dict__["_insertion_rules"] = ((anchor, loop, move),)
@@ -436,7 +508,7 @@ def test_insertion_cancels_across_a_used_up_loop():
             for x in letters:
                 w = (x,) + middle + (-x,)
                 source = ends[-x]
-                walk = h._decode(source, w)
+                walk = h.decode(source, w)
                 starts = [ends[-c] for c in w]
                 if (starts[1:] != [ends[c] for c in w[:-1]]
                         or not walk.is_reduced()):
@@ -445,8 +517,8 @@ def test_insertion_cancels_across_a_used_up_loop():
                 # inserted at 1 + k, or at an earlier visit of the anchor
                 assert () in [new for new, _ in results]
                 for new, (i, *_) in results:
-                    raw = h._decode(source, w[:i] + loop + w[i:])
-                    assert h._decode(source, new) == raw.reduced()
+                    raw = h.decode(source, w[:i] + loop + w[i:])
+                    assert h.decode(source, new) == raw.reduced()
                 cases.add("all" if k in (0, m) else "split")
     assert cases == {"all", "split"}
 

@@ -262,7 +262,7 @@ CASES = [
     (homotopy.Decision, Decision, ("homotopic",),
      ("unknown", None, None, "max_states")),
     (homotopy.GroupPresentation, GroupPresentation,
-     (("g",), ((("g", 1), ("g", 1)),)), (("g",), ())),
+     (("g",), ((1, 1),)), (("g",), ())),
     (dsl.Token, Token, ("name", "a", 1, 1), ("sym", "*", 1, 2)),
     (dsl.RawTerm, RawTerm, (1, 1, 1, ("a",), TOKEN), (-1, 1, 2, ("a",), TOKEN)),
     (dsl.IdealDecl, IdealDecl, ("I", "Q", None, []), ("I", "Q", 2, [[]])),

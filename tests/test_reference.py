@@ -37,6 +37,12 @@ generators with fractional coefficients is compared with the dense
 closure run in ``FractionField``, the all-``Fraction`` arithmetic it
 replaced.  The presentation reads each path's chord word from its
 arrows; it is compared with the chord words of ``walk_of_path``.
+
+Chord words, relators and coset words are tuples of chord numbers.  The
+relators and the words of the coset certificates are compared with
+those built on (chord name, +-1) letters, reduced and inverted there
+and numbered only at the end, as they were built before the formats
+were merged.
 """
 
 import random
@@ -50,6 +56,7 @@ import pytest
 from conftest import make_random_bound_quiver, twobypass_chain
 
 from bqkit import homotopy
+from bqkit.coset import enumerate_cosets
 from bqkit.disjoint_sets import DisjointSets
 from bqkit.dsl import parse_source
 from bqkit.errors import HomotopyError, UnresolvedError
@@ -57,9 +64,8 @@ from bqkit.fields import Field
 from bqkit.gamma import tau_schedule
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             UNKNOWN, Decision, HomotopyRelation,
-                            _expand_rewrite, _free_reduce_word, _invert_word,
-                            fingerprint_key, homotopy_relation,
-                            relations_equal)
+                            _expand_rewrite, fingerprint_key,
+                            homotopy_relation, relations_equal)
 from bqkit.ideal import (Ideal, Relation, add_relations, close_ideal,
                          mul_relations, relation_of_path, scale_relation)
 from bqkit.quiver import (FORWARD, INVERSE, Path, Walk, enumerate_paths,
@@ -313,22 +319,89 @@ def test_int_scalars_close_like_fractions():
                                           and c.denominator != 1)
 
 
+def free_reduce_word(word):
+    """Free reduction of a word of (name, +-1) letters."""
+    out = []
+    for g, e in word:
+        if out and out[-1][0] == g and out[-1][1] == -e:
+            out.pop()
+        else:
+            out.append((g, e))
+    return tuple(out)
+
+
+def invert_word(word):
+    return tuple((g, -e) for g, e in reversed(word))
+
+
+def named_chord_word(tree, walk):
+    """The chord word of a walk on (chord name, +-1) letters, in
+    composition order."""
+    return free_reduce_word([(name, d) for name, d in reversed(walk.letters)
+                             if name in tree.chords])
+
+
+def loop_word(tree, u, v):
+    """The chord word of u * v^-1, reduced on (chord name, +-1) letters,
+    then chord i of ``tree.chords`` numbered i."""
+    word = free_reduce_word(named_chord_word(tree, u)
+                            + invert_word(named_chord_word(tree, v)))
+    return tuple((tree.chords.index(g) + 1) * e for g, e in word)
+
+
 def walk_relators(h):
     """The relators from the chord words of ``walk_of_path``."""
-    relators = []
-    for u, v in h.generating_pairs:
-        word = _free_reduce_word(
-            h.tree.chord_word(walk_of_path(u))
-            + _invert_word(h.tree.chord_word(walk_of_path(v))))
-        if word:
-            relators.append(word)
-    return tuple(relators)
+    words = (loop_word(h.tree, walk_of_path(u), walk_of_path(v))
+             for u, v in h.generating_pairs)
+    return tuple(word for word in words if word)
 
 
 def test_relators_from_path_arrows_match_walk_relators():
     for ideal in all_ideals():
         h = homotopy_relation(ideal)
         assert h.presentation.relators == walk_relators(h)
+
+
+def coset_pairs(h, rng):
+    """Parallel walk pairs: every pair of parallel paths, and random
+    reduced walks from the base point against the tree walk to their
+    target."""
+    for u, v in h.fingerprint:
+        yield walk_of_path(u), walk_of_path(v)
+    for length in range(1, 13):
+        for _ in range(3):
+            u = random_reduced_walk(h.quiver, rng, length, h.base_point)
+            yield u, h.tree.walk_from_root(u.target)
+
+
+def test_coset_certificates_match_named_chord_words():
+    """Every coset decision, with no chain wanted, on one I0 unit and on
+    the random ideals whose pi1 is finite with relators: its certificate
+    has the order of the table enumerated from ``walk_relators`` and the
+    word ``loop_word`` of the reduced walks, and it acts on that table
+    as the verdict says."""
+    decided = {"I0": 0, "random": 0}
+    ideals = [("I0", twobypass_chain(1))]
+    ideals += [("random", ideal) for ideal in random_ideals()]
+    for k, (where, ideal) in enumerate(ideals):
+        h = homotopy_relation(ideal)
+        gp = h.presentation
+        if not gp.relators or gp.abelian_invariants[0]:
+            continue
+        relators = walk_relators(h)
+        table = enumerate_cosets(len(gp.generators), relators)
+        for u, v in coset_pairs(h, random.Random(k)):
+            d = h.decide(u, v, want_chain=False)
+            if d.certificate is None or d.certificate["kind"] not in (
+                    "coset-action", "coset-trivial"):
+                continue
+            word = loop_word(h.tree, u.reduced(), v.reduced())
+            kind = ("coset-action" if table.is_nontrivial(word)
+                    else "coset-trivial")
+            assert d.certificate == {"kind": kind, "order": table.order,
+                                     "word": word}, (u, v)
+            decided[where] += 1
+    assert decided["I0"] and decided["random"], decided
 
 
 def test_worklist_closure_matches_pairwise_closure():
@@ -403,8 +476,8 @@ def random_reduced_walk(quiver, rng, length, start=None):
 
 def coded_rewrites(h, w, cap):
     """``h._rewrites`` on the coded walk w, its results decoded."""
-    for nxt, move in h._rewrites(w.source, h._encode(w.letters), cap):
-        yield h._decode(w.source, nxt), move
+    for nxt, move in h._rewrites(w.source, h.encode(w.letters), cap):
+        yield h.decode(w.source, nxt), move
 
 
 def assert_same_rewrites(h, walks):
@@ -463,8 +536,8 @@ def reduced_cut_rules(h):
             else:
                 anchor = end(psrc[0][0], -psrc[0][1])
             y, x = psrc[:cut], psrc[cut:]
-            loop = h._encode(_free_reduce_word(
-                _invert_word(y) + pdst + _invert_word(x)))
+            loop = h.encode(free_reduce_word(
+                invert_word(y) + pdst + invert_word(x)))
             if (anchor, loop) not in seen:
                 seen.add((anchor, loop))
                 rules.append((anchor, loop, (y, x, pdst)))
@@ -495,7 +568,7 @@ def test_move_to_matches_rewrites():
         longest = max((len(loop) for _, loop, _ in h._insertion_rules),
                       default=0)
         for walk in walks:
-            w = h._encode(walk.letters)
+            w = h.encode(walk.letters)
             # no rewrite of w is longer than w and a loop
             children = dict(h._rewrites(walk.source, w, len(w) + longest))
             for g, move in children.items():
