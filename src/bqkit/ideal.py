@@ -316,16 +316,21 @@ class Ideal:
 def close_ideal(quiver: Quiver, fld: Field, generators) -> Ideal:
     """Two-sided closure plus echelonization of the given relations.
 
-    Worklist saturation: every vector whose insertion grows a span is
-    extended by single arrows on both sides.  Extension is linear, so
-    saturating these witnesses closes the whole span; the work is bounded
-    by the dimension of the result rather than by the path count squared.
+    The canonical order is admissible, so the ideal has a reduced
+    Gröbner basis G (``_groebner_basis``), and its tips, the leading
+    paths of its elements, are the paths with a tip of G as a subpath.
+    The reduced echelon row of a tip p is p - NF(p), NF(p) being the
+    normal form of p modulo G: a combination of smaller paths that are
+    no tips (Farkas, Feustel and Green, Canad. J. Math. 45, 1993).
 
-    The worklist holds ``(hom-space, vector)`` pairs in coordinates.
-    Composing with an arrow sends distinct paths to distinct paths with
-    coefficient 1, so it only relabels coordinates: the extension of a
-    vector by arrow a is ``{m[i]: c for i, c in vec.items()}`` for m the
-    table ``after[a]`` or ``before[a]`` of ``quiver.path_tables``.
+    One pass over the paths in canonical order builds the rows, each
+    from rows already built.  A tip p of G starts from its element of
+    G.  Any other p is a tip exactly when p without its last or its
+    first arrow a is a tip t, and starts from the row of t extended by
+    a, which only renumbers its paths through the table ``after[a]`` or
+    ``before[a]`` of ``quiver.path_tables``.  Clearing the other tips of
+    that element by their rows, each once, leaves p - NF(p); no row
+    already built changes.
     """
     gens = []
     for g in generators:
@@ -338,32 +343,111 @@ def close_ideal(quiver: Quiver, fld: Field, generators) -> Ideal:
                     % (g.to_text(fld), p, len(p)))
         gens.append(g)
 
-    _, after, before, _, _ = path_tables(quiver)
+    index, after, before, head, tail = path_tables(quiver)
+    basis = _groebner_basis(quiver, fld, [
+        {index[p]: c for p, c in g.terms if not fld.is_zero(c)} for g in gens])
+    paths = enumerate_paths(quiver)
     spaces = {}
-
-    def space(x, y):
-        s = spaces.get((x, y))
+    rows = {}  # tip -> its row
+    # no path below the least tip of G is a tip
+    for i in range(min(basis, default=len(paths)), len(paths)):
+        p = paths[i]
+        # an element of the ideal led by path i, if i is a tip
+        row = basis.get(i)
+        if row is None:
+            if head[i] in rows:
+                row, m = rows[head[i]], after[p.arrows[-1]]
+            elif tail[i] in rows:
+                row, m = rows[tail[i]], before[p.arrows[0]]
+            else:
+                continue
+            row = {m[j]: c for j, c in row.items()}
+        key = (p.source, p.target)
+        s = spaces.get(key)
         if s is None:
-            s = spaces[(x, y)] = _HomSpace(quiver, fld, x, y)
-        return s
-
-    todo = []
-    for g in gens:
-        s = space(g.source, g.target)
-        vec = s.vector(g)
-        if s.insert(vec):
-            todo.append((s, vec))
-    while todo:
-        s, vec = todo.pop()
-        steps = [(space(s.x, a.target), after[a.name])
-                 for a in quiver.arrows_from(s.y)]
-        steps += [(space(a.source, s.y), before[a.name])
-                  for a in quiver.arrows_into(s.x)]
-        for dst, m in steps:
-            grown = {m[i]: c for i, c in vec.items()}
-            if dst.insert(grown):
-                todo.append((dst, grown))
+            s = spaces[key] = _HomSpace(quiver, fld, *key)
+        rows[i] = s.rows[i] = s.reduce(row)
     return Ideal(quiver, fld, gens, spaces)
+
+
+def _groebner_basis(quiver: Quiver, fld: Field, vectors):
+    """The reduced Gröbner basis of the ideal that the sparse vectors
+    generate, as ``{tip: monic row}``; no tip is a subpath of another.
+    The vectors are reduced in place.
+
+    Buchberger's algorithm on tip overlaps (Mora, LNCS 229, 1986): when a
+    proper suffix of one tip, in application order, is a proper prefix
+    of another, their two multiples with the overlap word as tip differ
+    by an element of the ideal, whose reduction joins the basis unless
+    it is zero.  A tip that contains a new tip sends its element back to
+    be reduced again.  Reduction works on tips only; the tails are left
+    to the normal-form pass of ``close_ideal``.
+    """
+    paths = enumerate_paths(quiver)
+    after, before = path_tables(quiver)[1:3]
+    basis = {}
+    by_arrow = {}  # arrow -> tips through it, some no longer in the basis
+
+    def multiple(t, arrows, s):
+        """The element of tip t times the arrows around the tip in
+        ``arrows``, where the tip starts at position s."""
+        pre, post = arrows[:s], arrows[s + len(paths[t]):]
+        out = {}
+        for j, c in basis[t].items():
+            for a in post:
+                j = after[a][j]
+            for a in reversed(pre):
+                j = before[a][j]
+            out[j] = c
+        return out
+
+    todo = list(vectors)
+    while todo:
+        vec = todo.pop()
+        while vec:
+            lead = max(vec)
+            arrows = paths[lead].arrows
+            # a tip inside the lead, or one that overlaps or contains it,
+            # shares an arrow with it
+            near = {t for a in arrows for t in by_arrow.get(a, ()) if t in basis}
+            inside = [(t, s) for t in near
+                      for s in [_position(paths[t].arrows, arrows)] if s is not None]
+            if not inside:
+                break
+            t, s = inside[0]
+            _subtract_multiple(fld, vec, vec[lead], multiple(t, arrows, s), None)
+        if not vec:
+            continue
+        if vec[lead] != 1:
+            inv = fld.inv(vec[lead])
+            vec = {k: fld.mul(inv, c) for k, c in vec.items()}
+        basis[lead] = vec
+        for a in arrows:
+            by_arrow.setdefault(a, []).append(lead)
+        for t in near:
+            other = paths[t].arrows
+            if _position(arrows, other) is not None:
+                todo.append(basis.pop(t))
+                continue
+            for x, y in ((lead, t), (t, lead)):
+                u, w = paths[x].arrows, paths[y].arrows
+                for m in range(1, min(len(u), len(w))):
+                    if u[-m:] == w[:m]:  # the S-element of the overlap
+                        word = u + w[m:]
+                        vec = multiple(x, word, 0)
+                        shifted = multiple(y, word, len(u) - m)
+                        _subtract_multiple(fld, vec, 1, shifted, None)
+                        todo.append(vec)
+    return basis
+
+
+def _position(part, whole):
+    """Where the tuple ``part`` first occurs inside ``whole``, or None."""
+    n = len(part)
+    for s in range(len(whole) - n + 1):
+        if whole[s:s + n] == part:
+            return s
+    return None
 
 
 def decompose_minimal(ideal: Ideal, r: Relation):
@@ -401,16 +485,16 @@ def decompose_minimal(ideal: Ideal, r: Relation):
 
 
 def _split_off_minimal(ideal: Ideal, r: Relation):
-    """Brute-force refinement of one overlap component.
-
-    Supports larger than SPLIT_ENUMERATION_BITS are returned unsplit; at
-    that size we fall back on the structural fact that echelon basis
-    elements are minimal, which covers every component the closure
-    machinery produces at desk scale.
-    """
+    """Brute-force refinement of one overlap component, over the subsets
+    of its support; a support larger than SPLIT_ENUMERATION_BITS paths
+    raises rather than pass unsplit for minimal."""
     supp = r.support()
     n = len(supp)
-    if n <= 1 or n > SPLIT_ENUMERATION_BITS:
+    if n > SPLIT_ENUMERATION_BITS:
+        raise IdealError("cannot split %s: its support has %d paths, over the "
+                         "SPLIT_ENUMERATION_BITS cap of %d"
+                         % (r.to_text(ideal.field), n, SPLIT_ENUMERATION_BITS))
+    if n <= 1:
         return [r]
     fld = ideal.field
     quiver = ideal.quiver

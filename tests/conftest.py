@@ -98,6 +98,26 @@ def twobypass_chain(units, unit="I0", char=0):
     return parse_source(twobypass_chain_text(units, unit, char)).ideal("I")
 
 
+def grid_text(n, char=0):
+    """Source text of the commutative n x n grid as quiver ``grid`` and
+    ideal ``I``: vertex v{i}_{j} has arrows r{i}_{j} to the right and
+    d{i}_{j} down, and every square gives d*r - r*d."""
+    lines = ["quiver grid {",
+             "  vertices: %s;" % " ".join("v%d_%d" % (i, j)
+                                          for i in range(n) for j in range(n))]
+    for i in range(n):
+        for j in range(n):
+            if j + 1 < n:
+                lines.append("  arrow r%d_%d: v%d_%d -> v%d_%d;" % (i, j, i, j, i, j + 1))
+            if i + 1 < n:
+                lines.append("  arrow d%d_%d: v%d_%d -> v%d_%d;" % (i, j, i, j, i + 1, j))
+    lines.append("}")
+    rels = ["rel d%d_%d*r%d_%d - r%d_%d*d%d_%d;" % (i, j + 1, i, j, i + 1, j, i, j)
+            for i in range(n - 1) for j in range(n - 1)]
+    lines.append("ideal I over grid(%d) { %s }" % (char, " ".join(rels)))
+    return "\n".join(lines)
+
+
 FOUR_VERTEX = """
 quiver exple1 {
   vertices: 1 2 3 4;

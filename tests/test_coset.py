@@ -1,4 +1,7 @@
+from types import SimpleNamespace
+
 from bqkit.coset import enumerate_cosets
+from bqkit.homotopy import NOT_HOMOTOPIC, GroupPresentation, HomotopyRelation
 
 
 def test_cyclic_group():
@@ -11,6 +14,9 @@ def test_cyclic_group():
 
 
 def test_symmetric_group_s3():
+    """S3 = <a, b | a^2, b^3, (ab)^2>: its abelianization is Z2, where b
+    and the commutator a b a^-1 b^-1 vanish, but the coset action of
+    the table shows both nontrivial."""
     rels = [(1, 1), (2, 2, 2), (1, 2, 1, 2)]
     table = enumerate_cosets(2, rels)
     assert table is not None
@@ -18,6 +24,18 @@ def test_symmetric_group_s3():
     assert table.verify(rels)
     assert table.is_nontrivial((1, 2))
     assert not table.is_nontrivial((1, 2, 1, 2))
+    lattice = GroupPresentation(("a", "b"), tuple(rels)).lattice
+    assert lattice.invariants() == (0, (2,))
+    assert lattice.contains([0, 1])  # b vanishes in Z2
+    assert table.is_nontrivial((2,))
+    assert table.is_nontrivial((1, 2, -1, -2))
+    # the refuting branch of the coset verdict, on words given as chord words
+    stub = SimpleNamespace(_cosets=table,
+                           tree=SimpleNamespace(chord_word=lambda w: w))
+    d = HomotopyRelation._coset_verdict(stub, (1, 2), (2, 1))
+    assert d.status == NOT_HOMOTOPIC
+    assert d.certificate == {"kind": "coset-action", "order": 6,
+                             "word": (1, 2, -1, -2)}
 
 
 def test_quaternion_group():

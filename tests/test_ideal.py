@@ -1,14 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from conftest import grid_text
 
 from bqkit.dsl import parse_path, parse_source
 from bqkit.errors import FieldError, IdealError
 from bqkit.fields import Field
-from bqkit.ideal import (close_ideal, decompose_minimal, ideals_equal,
-                         is_constricted, make_relation, relation_of_path,
-                         support_equivalence)
-from bqkit.quiver import paths_between
+from bqkit.ideal import (SPLIT_ENUMERATION_BITS, close_ideal,
+                         decompose_minimal, ideals_equal, is_constricted,
+                         make_relation, relation_of_path, support_equivalence)
+from bqkit.quiver import enumerate_paths, paths_between
 
 
 def brute_rank(vectors):
@@ -180,6 +181,38 @@ def test_decompose_minimal_rejects_outsiders(twobypass, ideal_I0, rationals):
     outsider = relation_of_path(twobypass, rationals, parse_path(twobypass, "d*a"))
     with pytest.raises(IdealError):
         decompose_minimal(ideal_I0, outsider)
+
+
+def test_decompose_minimal_names_its_cap():
+    """A relation between corner-to-corner paths of the commutative 4 x 4
+    grid with coefficients summing to 0.  Its 12-path version splits into
+    6 differences of two paths.  The 13-path version raises at the cap
+    instead of passing unsplit for minimal."""
+    ideal = parse_source(grid_text(4)).ideal("I")
+    fld = ideal.field
+    corner = paths_between(ideal.quiver, "v0_0", "v3_3")
+    assert len(corner) == 20
+    twelve = make_relation(ideal.quiver, fld, "v0_0", "v3_3",
+                           [(p, (-1) ** k) for k, p in enumerate(corner[:12])])
+    parts = decompose_minimal(ideal, twelve)
+    assert len(parts) == 6 and all(len(r.terms) == 2 for r in parts)
+    thirteen = make_relation(ideal.quiver, fld, "v0_0", "v3_3",
+                             [(p, c) for p, c in zip(corner[7:], [2, -1, -1] + [1, -1] * 5)])
+    assert len(thirteen.terms) == 13 == SPLIT_ENUMERATION_BITS + 1
+    with pytest.raises(IdealError, match="SPLIT_ENUMERATION_BITS cap of 12"):
+        decompose_minimal(ideal, thirteen)
+
+
+def test_close_grid7_keeps_one_path_per_hom_set():
+    """The commutative 7 x 7 grid: each nonempty hom-set keeps one path
+    modulo the ideal, so the ideal has one dimension per path less one
+    per comparable vertex pair."""
+    ideal = parse_source(grid_text(7)).ideal("I")
+    assert len(enumerate_paths(ideal.quiver)) == 12805
+    cells = [(i, j) for i in range(7) for j in range(7)]
+    comparable = sum(1 for i, j in cells for k, m in cells if i <= k and j <= m)
+    assert comparable == 784
+    assert ideal.total_dim() == 12805 - comparable
 
 
 def test_support_equivalence(exple1, ideal_I, ideal_J, rationals):

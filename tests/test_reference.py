@@ -9,6 +9,13 @@ with the pair dict it replaced, built from ``combinations`` and sorted
 into ``fingerprint_key``, through ``fingerprint_key``, ``pair_status``
 and ``relations_equal``.
 
+``close_ideal`` builds its rows from a reduced Gröbner basis in one
+normal-form pass.  Besides the dense comparison, on grids, glued units
+and cover ideals as well, the basis itself is checked with a reducer on
+path arrows kept here: reduced, inside the ideal, every tip overlap's
+S-element reducing to 0, and its tips dividing exactly the leading
+paths of the rows.
+
 The congruence closures are compared by their partitions of the paths,
 not only by fingerprints: a closure that misses a cancellation can still
 produce the same fingerprint, because ``decide`` certifies the pairs it
@@ -53,10 +60,12 @@ from importlib import resources
 from itertools import chain, combinations
 
 import pytest
-from conftest import make_random_bound_quiver, twobypass_chain
+from conftest import (TWO_BYPASS, grid_text, make_random_bound_quiver,
+                      twobypass_chain)
 
 from bqkit import homotopy
 from bqkit.coset import enumerate_cosets
+from bqkit.cover import universal_cover
 from bqkit.disjoint_sets import DisjointSets
 from bqkit.dsl import parse_source
 from bqkit.errors import HomotopyError, UnresolvedError
@@ -66,11 +75,12 @@ from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             UNKNOWN, Decision, HomotopyRelation,
                             _expand_rewrite, fingerprint_key,
                             homotopy_relation, relations_equal)
-from bqkit.ideal import (Ideal, Relation, add_relations, close_ideal,
-                         mul_relations, relation_of_path, scale_relation)
+from bqkit.ideal import (Ideal, Relation, _groebner_basis, add_relations,
+                         close_ideal, make_relation, mul_relations,
+                         relation_of_path, scale_relation)
 from bqkit.quiver import (FORWARD, INVERSE, Path, Walk, enumerate_paths,
-                          find_bypasses, path_key, paths_between,
-                          trivial_path, walk_of_path)
+                          find_bypasses, make_path, path_key, path_tables,
+                          paths_between, trivial_path, walk_of_path)
 from bqkit.transform import (Dilatation, Transvection, apply_automorphism,
                              as_path_automorphism)
 
@@ -258,10 +268,109 @@ def all_ideals():
     yield from example_ideals()
 
 
+def closure_inputs():
+    """``all_ideals()``, the grids 3 to 5, one to three glued ``I0`` and
+    ``I2`` units in each characteristic of ``CHARS``, and the total ideals
+    of the universal covers of a free unit and of one ``I0`` unit."""
+    yield from all_ideals()
+    for n in (3, 4, 5):
+        yield parse_source(grid_text(n)).ideal("I")
+    for unit in ("I0", "I2"):
+        for units in (1, 2, 3):
+            for char in CHARS:
+                yield twobypass_chain(units, unit, char)
+    free = parse_source(TWO_BYPASS + "ideal F over twobypass(0) "
+                                     "{ rel d*a; rel f*e*c*b; }").ideal("F")
+    for ideal, radius in ((free, 6), (twobypass_chain(1), 8)):
+        yield universal_cover(ideal, radius=radius).total_ideal
+
+
 def test_sparse_rows_match_dense_rows():
-    for ideal in all_ideals():
+    for ideal in closure_inputs():
         dense = relation_closure(ideal.quiver, ideal.field, ideal.generators)
         assert dense._basis_snapshot() == ideal._basis_snapshot()
+
+
+# b*a and c*b overlap in b, and their S-element c*b2*a2 - c2*b2*a has a
+# tip that neither generator has: the generators are no Gröbner basis
+OVERLAP = """
+quiver line {
+  vertices: 1 2 3 4;
+  arrow a2: 1 -> 2; arrow b2: 2 -> 3; arrow c2: 3 -> 4;
+  arrow a: 1 -> 2; arrow b: 2 -> 3; arrow c: 3 -> 4;
+}
+ideal I over line(0) { rel b*a - b2*a2; rel c*b - c2*b2; }
+"""
+
+
+def _inside(tip, arrows):
+    """The positions of the arrows ``tip`` inside ``arrows``."""
+    n = len(tip)
+    return [s for s in range(len(arrows) - n + 1) if arrows[s:s + n] == tip]
+
+
+def _top_reduce(quiver, fld, f, elements):
+    """Reduce the leading path of {path: coeff} by {tip arrows: element}
+    until it has no tip inside; the remainder."""
+    f = dict(f)
+    while f:
+        lead = max(f, key=lambda p: path_key(quiver, p))
+        hits = [(tip, s) for tip in elements for s in _inside(tip, lead.arrows)]
+        if not hits:
+            return f
+        tip, s = hits[0]
+        c = f[lead]
+        for q, d in elements[tip].items():
+            moved = make_path(quiver, lead.arrows[:s] + q.arrows
+                              + lead.arrows[s + len(tip):])
+            x = fld.sub(f.get(moved, fld.zero), fld.mul(c, d))
+            if fld.is_zero(x):
+                f.pop(moved, None)
+            else:
+                f[moved] = x
+    return f
+
+
+def test_groebner_basis_is_reduced_and_complete():
+    """The basis that ``close_ideal`` closes from: monic, in the ideal, no
+    tip inside another, every tip overlap's S-element reduces to 0, and
+    the paths with a tip inside are the leading paths of the echelon
+    rows.  On ``OVERLAP`` an S-element adds a tip."""
+    overlaps = 0
+    for ideal in chain(all_ideals(), [parse_source(OVERLAP).ideal("I")]):
+        quiver, fld = ideal.quiver, ideal.field
+        paths = enumerate_paths(quiver)
+        index = path_tables(quiver)[0]
+        basis = _groebner_basis(quiver, fld, [
+            {index[p]: c for p, c in g.terms} for g in ideal.generators])
+        elements = {}
+        for t, row in basis.items():
+            assert t == max(row) and row[t] == 1
+            g = {paths[j]: c for j, c in row.items()}
+            assert ideal.contains(make_relation(
+                quiver, fld, paths[t].source, paths[t].target, g))
+            elements[paths[t].arrows] = g
+        for u, w in combinations(elements, 2):
+            assert not _inside(u, w) and not _inside(w, u)
+        for u, w in ((u, w) for u in elements for w in elements):
+            for m in range(1, min(len(u), len(w))):
+                if u[-m:] != w[:m]:
+                    continue
+                overlaps += 1
+                s = {}
+                for q, c in elements[u].items():
+                    s[make_path(quiver, q.arrows + w[m:])] = c
+                for q, c in elements[w].items():
+                    p = make_path(quiver, u[:-m] + q.arrows)
+                    s[p] = fld.sub(s.get(p, fld.zero), c)
+                s = {p: c for p, c in s.items() if not fld.is_zero(c)}
+                assert _top_reduce(quiver, fld, s, elements) == {}
+        leads = {r.support()[-1] for r in ideal.minimal_relations()}
+        assert leads == {p for p in paths
+                         if any(_inside(tip, p.arrows) for tip in elements)}
+    assert overlaps > 0
+    tips = {r.support()[-1].arrows for r in parse_source(OVERLAP).ideal("I").generators}
+    assert set(elements) - tips == {("a2", "b2", "c")}
 
 
 class FractionField:
