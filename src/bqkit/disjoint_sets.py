@@ -1,7 +1,9 @@
 """Disjoint sets (union-find) over hashable items, with path halving.
 
-Shared by the congruence closure and the fingerprint of the homotopy
-relation and by the support splittings of ideals.  Coset enumeration
+Shared by the homotopy relation, whose congruence closure runs on path
+numbers and whose fingerprint closes Homotopic pairs of classes on class
+numbers within a hom-set, by the support splittings of ideals and by
+the connectivity check of Gamma.  Coset enumeration
 keeps its own, because its coincidence processing must keep the smaller
 label and merge table rows as it unites.
 """

@@ -26,14 +26,16 @@ from .transform import (Transvection, apply_automorphism, as_path_automorphism,
                         match_by_dilatation)
 
 DEFAULT_MAX_REPRESENTATIVES = 16
+TAU_CAP = 32
 
 
 def tau_schedule(fld: Field):
-    """Probe values for transvection coefficients."""
+    """Probe values for transvection coefficients: five over Q, the
+    nonzero elements of F_p up to ``TAU_CAP`` of them."""
     if fld.char == 0:
         return (fld.scalar(1), fld.scalar(-1), fld.scalar(2), fld.scalar(1, 2),
                 fld.scalar(3))
-    return tuple(fld.nonzero_elements(limit=32))
+    return tuple(fld.nonzero_elements(limit=TAU_CAP))
 
 
 class _HomotopyCache:
@@ -286,7 +288,8 @@ def explore_gamma(ideal: Ideal) -> GammaQuiver:
     predecessors, with fingerprint dedup; raises on Unknown contamination.
 
     A vertex keeps at most ``DEFAULT_MAX_REPRESENTATIVES`` representatives;
-    a vertex that drops a new one past the cap gets one diagnostic.  Every
+    a vertex that drops a new one past the cap gets one diagnostic, and
+    so does a tau schedule cut at ``TAU_CAP`` in characteristic p.  Every
     representative is interned by the exploration's cache, so equal ideals
     are one object and ``kept`` answers "seen before?" in one lookup."""
     fld = ideal.field
@@ -298,6 +301,11 @@ def explore_gamma(ideal: Ideal) -> GammaQuiver:
     kept = {ideal}  # the representatives of every vertex
     edges = {}
     diagnostics = []
+    if fld.char - 1 > TAU_CAP:
+        diagnostics.append("tau schedule: the cap of %d left %d of the %d "
+                           "nonzero elements of F_%d untried"
+                           % (TAU_CAP, fld.char - 1 - TAU_CAP, fld.char - 1,
+                              fld.char))
     capped = set()
     queue = deque([(key0, ideal, h0)])
 

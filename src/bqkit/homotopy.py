@@ -20,7 +20,7 @@ from .disjoint_sets import DisjointSets
 from .errors import HomotopyError, UnresolvedError
 from .ideal import Ideal
 from .quiver import (FORWARD, INVERSE, Quiver, Walk, longest_path_length,
-                     enumerate_paths, path_key, path_tables, paths_between,
+                     enumerate_paths, hom_layout, path_key, path_tables,
                      walk_of_path)
 from .records import FrozenRecord
 from .snf import RowLattice
@@ -267,7 +267,8 @@ class HomotopyRelation:
         self.generating_pairs = self._generating_pairs()
         self.presentation = self._presentation()
         self._path_classes = self._congruence_closure()
-        self._homs, self._where = self._fingerprint()
+        self._homs = self._fingerprint()
+        self._where = hom_layout(self.quiver)[1]
         self._key = None  # see fingerprint_key
 
     @property
@@ -333,7 +334,7 @@ class HomotopyRelation:
         queued; within each class they are already equivalent.
 
         It runs on path numbers, through ``quiver.path_tables``.
-        Returns the class root of every path.
+        Returns the root number of the class of each path number.
         """
         quiver = self.quiver
         paths = enumerate_paths(quiver)
@@ -364,78 +365,73 @@ class HomotopyRelation:
                     if w != u:
                         pending.append((cancel[u], cancel[w]))
                 table[rp] = None
-        return {p: paths[sets.find(i)] for i, p in enumerate(paths)}
+        return [sets.find(i) for i in range(len(paths))]
 
     def _fingerprint(self):
         """The status of every pair of parallel paths, decided once per
         pair of congruence classes of a hom-set and kept as a partition.
 
-        Paths of one class are Homotopic.  The abelian image of u * v^-1
-        is linear and vanishes on pairs inside a class, so it is the
-        difference of the images of the two classes, taken against the
-        first path of the hom-set: classes in different image buckets are
+        It runs on the path numbers of ``quiver.hom_layout``, classes
+        keyed by root number.  Paths of one class are Homotopic.  The
+        abelian image of u * v^-1 is the difference of the
+        ``class_image`` of u and of v, computed only on a hom-set with
+        two or more classes: classes with different images are
         Not-homotopic, the verdict an abelianization certificate gives
         any of their member pairs.  For classes with equal images,
         ``decide`` runs on member pairs in (u, v) order until one answer
         is not Unknown, and that answer holds for the pair of classes.
-        Then the Homotopic pairs of classes are closed transitively: a
-        pair inside a Homotopic root becomes Homotopic, or raises if it
-        was certified Not-homotopic.
+        If any is Homotopic, the Homotopic pairs of classes of the
+        hom-set are closed transitively: a pair inside a Homotopic root
+        becomes Homotopic, or raises if it was certified Not-homotopic.
 
-        Returns ``(homs, where)``.  ``homs`` has one entry per (x, y) in
-        vertex order: the paths of the hom-set in canonical order, the
-        class number of each path (classes numbered by first member, a
-        restricted-growth string; Knuth, TAOCP 4A, 7.2.1.5) and the
-        symmetric table of statuses between classes.  ``where`` maps
-        each path to (hom index, position).
+        Returns one ``(paths, labels, table)`` per (x, y) in vertex order:
+        the paths of the hom-set in canonical order, the class number of
+        each path (classes numbered by first member, a restricted-growth
+        string; Knuth, TAOCP 4A, 7.2.1.5) and the symmetric table of
+        statuses between classes.
         """
-        classes = self._path_classes
-        homs = []  # (paths, class number of each path, class roots)
-        where = {}
-        verdicts = {}  # (root, root) of two classes of a hom-set -> status
-        for x in self.quiver.vertices:
-            for y in self.quiver.vertices:
-                paths = paths_between(self.quiver, x, y)
-                members = {}  # class root -> path indices, by first member
-                for i, p in enumerate(paths):
-                    where[p] = (len(homs), i)
-                    members.setdefault(classes[p], []).append(i)
-                roots = list(members)
-                number = {r: k for k, r in enumerate(roots)}
-                homs.append((paths, tuple(number[classes[p]] for p in paths),
-                             roots))
-                if len(roots) < 2:
-                    continue
-                walks = [walk_of_path(p) for p in paths]
-                images = [self.abelian_image(walks[members[r][0]], walks[0])
-                          for r in roots]
-                for a, b in combinations(range(len(roots)), 2):
-                    status = UNKNOWN if images[a] == images[b] else NOT_HOMOTOPIC
-                    for i, j in _member_pairs(members[roots[a]],
-                                              members[roots[b]]):
+        roots = self._path_classes
+        homs = []
+        for paths, numbers in hom_layout(self.quiver)[0]:
+            members = {}  # class root -> positions, by first member
+            for i, n in enumerate(numbers):
+                members.setdefault(roots[n], []).append(i)
+            if len(members) < 2:
+                homs.append((paths, (0,) * len(paths),
+                             ((HOMOTOPIC,),) * len(members)))
+                continue
+            label = {r: k for k, r in enumerate(members)}
+            classes = list(members.values())
+            images = [self.class_image(numbers[c[0]]) for c in classes]
+            table = [[HOMOTOPIC] * len(classes) for _ in classes]
+            joined = []
+            for a, b in combinations(range(len(classes)), 2):
+                status = NOT_HOMOTOPIC
+                if images[a] == images[b]:  # decided on one pair at least
+                    for i, j in _member_pairs(classes[a], classes[b]):
+                        status = self.decide(walk_of_path(paths[i]),
+                                             walk_of_path(paths[j]),
+                                             want_chain=False).status
                         if status != UNKNOWN:
                             break
-                        status = self.decide(walks[i], walks[j],
-                                             want_chain=False).status
-                    verdicts[(roots[a], roots[b])] = status
-        # consistency: transitively close the Homotopic pairs of classes
-        sets = DisjointSets(r for pair in verdicts for r in pair)
-        for (ra, rb), status in verdicts.items():
-            if status == HOMOTOPIC:
-                sets.union(ra, rb)
-        for (ra, rb), status in verdicts.items():
-            if sets.find(ra) == sets.find(rb):
-                if status == NOT_HOMOTOPIC:
-                    raise HomotopyError(
-                        "inconsistent homotopy certificates for the classes "
-                        "of %s and %s" % (ra, rb))
-                verdicts[(ra, rb)] = HOMOTOPIC
-        return [(paths, labels,
-                 tuple(tuple(HOMOTOPIC if a == b else
-                             verdicts[(ra, rb) if a < b else (rb, ra)]
-                             for b, rb in enumerate(roots))
-                       for a, ra in enumerate(roots)))
-                for paths, labels, roots in homs], where
+                table[a][b] = table[b][a] = status
+                if status == HOMOTOPIC:
+                    joined.append((a, b))
+            if joined:
+                sets = DisjointSets(range(len(classes)))
+                for a, b in joined:
+                    sets.union(a, b)
+                for a, b in combinations(range(len(classes)), 2):
+                    if sets.find(a) == sets.find(b):
+                        if table[a][b] == NOT_HOMOTOPIC:
+                            raise HomotopyError(
+                                "inconsistent homotopy certificates for the "
+                                "classes of %s and %s"
+                                % (paths[classes[a][0]], paths[classes[b][0]]))
+                        table[a][b] = table[b][a] = HOMOTOPIC
+            homs.append((paths, tuple(label[roots[n]] for n in numbers),
+                         tuple(map(tuple, table))))
+        return homs
 
     # -- queries -----------------------------------------------------------
 
@@ -467,6 +463,16 @@ class HomotopyRelation:
 
     def abelian_image(self, u: Walk, v: Walk):
         return self.presentation.lattice.image(self.loop_exponents(u, v))
+
+    def class_image(self, n):
+        """The abelian image of the path numbered n, one per class: the
+        rows of the lattice's V summed over the path's chords, reduced
+        modulo its diagonal (``RowLattice.reduce``)."""
+        lattice = self.presentation.lattice
+        index = self.tree.chord_index
+        rows = [lattice.v[index[a] - 1]
+                for a in enumerate_paths(self.quiver)[n].arrows if a in index]
+        return lattice.reduce([sum(col) for col in zip([0] * lattice.n, *rows)])
 
     def decide(self, u: Walk, v: Walk, cap=None, want_chain=True) -> Decision:
         """Tri-state decision for parallel walks u, v.

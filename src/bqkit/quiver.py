@@ -10,12 +10,13 @@ any result.
 Each ``Quiver`` indexes itself once, at construction: names, arrow
 positions and in/out adjacency.  It also owns the caches of the
 functions below that depend on it alone (``enumerate_paths``, the
-hom-sets of ``paths_between``, the composition tables of
-``path_tables``, ``longest_path_length`` and a memo of ``path_key``),
-filled on first use.  The caches live and die with the quiver, so a
-cover quiver that is dropped takes its paths with it.  A path's number
-is its position in ``enumerate_paths``; ideals, automorphisms and the
-homotopy relation key their sparse vectors by it.
+hom-sets of ``paths_between`` and their layout in ``hom_layout``, the
+composition tables of ``path_tables``, ``longest_path_length`` and a
+memo of ``path_key``), filled on first use.  The caches live and die
+with the quiver, so a cover quiver that is dropped takes its paths
+with it.  A path's number is its position in ``enumerate_paths``;
+ideals, automorphisms and the homotopy relation key their sparse
+vectors by it.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ class Quiver(FrozenRecord):
         setattr_(self, "_in", {v: tuple(arrs) for v, arrs in incoming.items()})
         setattr_(self, "_hash", hash((self.name, self.vertices, self.arrows)))
         # filled on first use by enumerate_paths (for paths_between and
-        # path_tables too), longest_path_length and path_key
+        # path_tables too), hom_layout, longest_path_length and path_key
         setattr_(self, "_paths", None)
         setattr_(self, "_homs", None)
+        setattr_(self, "_layout", None)
         setattr_(self, "_tables", None)
         setattr_(self, "_longest", None)
         setattr_(self, "_keys", {})
@@ -408,6 +410,25 @@ def paths_between(quiver: Quiver, x, y):
     if quiver._homs is None:
         enumerate_paths(quiver)
     return quiver._homs.get((x, y), ())
+
+
+def hom_layout(quiver: Quiver):
+    """``(homs, where)``: one ``(paths, numbers)`` per (x, y) in vertex
+    order, the paths of ``paths_between`` and their path numbers, and
+    ``where[p]``, the (hom index, position) of path p.  Computed once
+    per quiver; the homotopy relations of its ideals all read it."""
+    if quiver._layout is None:
+        index = path_tables(quiver)[0]
+        homs = []
+        where = {}
+        for x in quiver.vertices:
+            for y in quiver.vertices:
+                paths = paths_between(quiver, x, y)
+                for i, p in enumerate(paths):
+                    where[p] = (len(homs), i)
+                homs.append((paths, tuple(index[p] for p in paths)))
+        object.__setattr__(quiver, "_layout", (tuple(homs), where))
+    return quiver._layout
 
 
 def longest_path_length(quiver: Quiver) -> int:

@@ -148,11 +148,12 @@ class RowLattice:
         then the free coordinates; the all-zero tuple means x lies in
         the lattice.
         """
-        w = self.transform(x)
-        torsion = tuple(w[j] % self.diag[j]
-                        for j in range(len(self.diag)) if self.diag[j] > 1)
-        free = tuple(w[j] for j in range(len(self.diag), self.n))
-        return torsion + free
+        return self.reduce(self.transform(x))
+
+    def reduce(self, w):
+        """``image`` of the x with x * V = w: w modulo the diagonal."""
+        torsion = [c % d for c, d in zip(w, self.diag) if d > 1]
+        return tuple(torsion) + tuple(w[len(self.diag):])
 
     def invariants(self):
         """(free rank, torsion factors d > 1) of Z^n / lattice."""

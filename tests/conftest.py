@@ -58,10 +58,10 @@ def make_random_bound_quiver(rng, char=0, max_vertices=6):
 
 
 def decide_unknown(monkeypatch):
-    """Make every pair of classes have the same abelian image and
-    ``decide`` answer Unknown, so a relation built afterwards has an
-    Unknown pair wherever a hom-set has two congruence classes."""
-    monkeypatch.setattr(HomotopyRelation, "abelian_image", lambda self, u, v: ())
+    """Make every class have the same class image and ``decide`` answer
+    Unknown, so a relation built afterwards has an Unknown pair wherever
+    a hom-set has two congruence classes."""
+    monkeypatch.setattr(HomotopyRelation, "class_image", lambda self, n: ())
     monkeypatch.setattr(HomotopyRelation, "decide",
                         lambda self, u, v, cap=None, want_chain=True:
                         Decision(UNKNOWN))

@@ -308,6 +308,20 @@ def test_representative_cap_is_reported(ws5):
     assert not [d for d in gamma.diagnostics if "cap" in d]
 
 
+def test_tau_cap_is_reported():
+    # over F_37 the schedule tries 32 of the 36 nonzero elements; over
+    # F_2 and F_3 it tries them all, and the explorations report nothing
+    gamma = explore_gamma(twobypass_chain(1, "I2", char=37))
+    assert len(tau_schedule(gamma.vertices[0].ideal.field)) == gamma_mod.TAU_CAP
+    assert gamma.diagnostics == [
+        "tau schedule: the cap of 32 left 4 of the 36 nonzero elements of "
+        "F_37 untried",
+        "vertex 0: representatives past the cap of %d were not probed"
+        % gamma_mod.DEFAULT_MAX_REPRESENTATIVES]
+    for units, char in ((2, 2), (1, 3)):
+        assert explore_gamma(twobypass_chain(units, "I2", char)).diagnostics == []
+
+
 def test_representatives_are_kept_without_comparing_ideals(monkeypatch, ws5):
     # the cache interns equal ideals to one object, so a new representative
     # is found among the kept ones by one lookup, not by ideals_equal

@@ -5,7 +5,8 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import decide_unknown, make_random_bound_quiver, twobypass_chain
+from conftest import (decide_unknown, grid_text, make_random_bound_quiver,
+                      twobypass_chain)
 
 from bqkit import homotopy
 from bqkit.dsl import parse_path, parse_quiver, parse_source, parse_walk
@@ -15,8 +16,8 @@ from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             fingerprint_key, homotopy_relation, invert_word,
                             reduce_word, relations_equal)
 from bqkit.ideal import close_ideal
-from bqkit.quiver import (FORWARD, INVERSE, Walk, make_walk, paths_between,
-                          walk_of_path)
+from bqkit.quiver import (FORWARD, INVERSE, Walk, hom_layout, make_walk,
+                          paths_between, walk_of_path)
 from bqkit.snf import RowLattice
 
 
@@ -308,6 +309,40 @@ def test_homotopy_relation_is_kept_per_base_point(ideal_I0):
     assert homotopy_relation(ideal_I0, x1) is not h
     assert homotopy_relation(ideal_I0, x1).base_point == x1
     assert homotopy.HomotopyRelation(ideal_I0) is not h
+
+
+def test_relations_share_the_hom_layout_of_their_quiver():
+    """Equal ideals of one quiver object read one hom-set layout, and
+    neither relation writes into it."""
+    ideal = twobypass_chain(2)
+    twin = close_ideal(ideal.quiver, ideal.field, ideal.generators)
+    assert twin == ideal and twin is not ideal
+    homs, where = hom_layout(ideal.quiver)
+    snapshot = (homs, dict(where))
+    relations = [homotopy.HomotopyRelation(ideal),
+                 homotopy.HomotopyRelation(twin)]
+    for h in relations:
+        assert h._where is where
+        assert all(built[0] is paths for built, (paths, _) in zip(h._homs, homs))
+        assert any(len(table) > 1 for _, _, table in h._homs)
+    for h in relations:
+        for paths, _ in homs:
+            for u, v in combinations(paths, 2):
+                h.pair_status(u, v)
+        fingerprint_key(h)
+    assert hom_layout(ideal.quiver)[0] is homs
+    assert (homs, where) == snapshot
+
+
+def test_lattice_is_built_only_for_hom_sets_with_two_classes():
+    """The grid has one class per hom-set, so its relation needs no Smith
+    normal form; one I0 unit has hom-sets with two classes."""
+    h = homotopy.HomotopyRelation(parse_source(grid_text(4)).ideal("I"))
+    assert all(len(table) < 2 for _, _, table in h._homs)
+    assert "lattice" not in h.presentation.__dict__
+    h = homotopy.HomotopyRelation(twobypass_chain(1))
+    assert any(len(table) > 1 for _, _, table in h._homs)
+    assert "lattice" in h.presentation.__dict__
 
 
 def test_unknown_fingerprint_raises_on_every_call(monkeypatch, ideal_I):

@@ -70,7 +70,7 @@ from bqkit.disjoint_sets import DisjointSets
 from bqkit.dsl import parse_source
 from bqkit.errors import HomotopyError, UnresolvedError
 from bqkit.fields import Field
-from bqkit.gamma import tau_schedule
+from bqkit.gamma import explore_gamma, tau_schedule
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             UNKNOWN, Decision, HomotopyRelation,
                             _expand_rewrite, fingerprint_key,
@@ -246,6 +246,12 @@ def partition(classes):
     for p, root in classes.items():
         groups.setdefault(root, set()).add(p)
     return {frozenset(g) for g in groups.values()}
+
+
+def path_classes(h):
+    """The {path: class root number} map of the relation's congruence
+    closure, which keeps the root number of each path number."""
+    return dict(zip(enumerate_paths(h.quiver), h._path_classes))
 
 
 def random_ideals():
@@ -517,7 +523,7 @@ def test_worklist_closure_matches_pairwise_closure():
     for ideal in all_ideals():
         h = homotopy_relation(ideal)
         reference = pairwise_closure(h.quiver, h.generating_pairs)
-        assert partition(h._path_classes) == partition(reference)
+        assert partition(path_classes(h)) == partition(reference)
 
 
 def split_rewrites(h, w, cap):
@@ -884,7 +890,7 @@ def test_search_at_the_state_cap(monkeypatch):
 def pairwise_fingerprint(h):
     """Decide every parallel pair in different congruence classes, then
     close the Homotopic pairs transitively over class roots."""
-    classes = h._path_classes
+    classes = path_classes(h)
     tags = {}
     decided = []
     for x in h.quiver.vertices:
@@ -913,12 +919,75 @@ def pairwise_fingerprint(h):
     return tags
 
 
-def test_class_fingerprint_matches_pairwise_fingerprint():
-    ideals = list(all_ideals()) + [twobypass_chain(units) for units in (1, 2, 3)]
-    for ideal in ideals:
-        h = HomotopyRelation(ideal)
+def built_while_exploring(monkeypatch, ideal):
+    """Every relation that ``explore_gamma`` builds from the ideal."""
+    built = []
+    init = HomotopyRelation.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(HomotopyRelation, "__init__", record)
+        explore_gamma(ideal)
+    return built
+
+
+# pi1 is free on the chords b and d (e and g are words in them), so the
+# classes of f*c*b and g*c*a have one abelian image though their loop,
+# a commutator, is nontrivial; ``decide`` answers Unknown on them
+COMMUTATOR = """
+quiver twist {
+  vertices: 1 2 3 4;
+  arrow a: 1 -> 2; arrow b: 1 -> 2;
+  arrow c: 2 -> 3; arrow d: 2 -> 3; arrow e: 2 -> 3;
+  arrow f: 3 -> 4; arrow g: 3 -> 4;
+}
+ideal I over twist(0) { rel d*b - e*a; rel f*e - g*d; }
+"""
+
+
+def class_inputs():
+    """``all_ideals()``, one to three ``I0`` units and ``COMMUTATOR``."""
+    yield from all_ideals()
+    for units in (1, 2, 3):
+        yield twobypass_chain(units)
+    yield parse_source(COMMUTATOR).ideal("I")
+
+
+def test_class_fingerprint_matches_pairwise_fingerprint(monkeypatch):
+    relations = [HomotopyRelation(ideal) for ideal in class_inputs()]
+    for ideal in (twobypass_chain(2, "I2", 2), twobypass_chain(1, "I2", 0)):
+        explored = built_while_exploring(monkeypatch, ideal)
+        assert len(explored) > 1
+        relations += explored
+    for h in relations:
         expected = list(pairwise_fingerprint(h).items())
         assert list(h.fingerprint.items()) == expected
+
+
+def test_class_images_match_abelian_images():
+    """On every hom-set with two or more classes, each member of a class
+    has the class's image, and two classes have equal images exactly
+    when the abelian image of their first paths' loop is zero."""
+    outcomes = set()
+    for ideal in class_inputs():
+        h = homotopy_relation(ideal)
+        index = path_tables(h.quiver)[0]
+        for paths, labels, table in h._homs:
+            if len(table) < 2:
+                continue
+            firsts = [paths[labels.index(k)] for k in range(len(table))]
+            images = [h.class_image(index[p]) for p in firsts]
+            for p, k in zip(paths, labels):
+                assert h.class_image(index[p]) == images[k], p
+            for (u, a), (v, b) in combinations(zip(firsts, images), 2):
+                zero = not any(h.abelian_image(walk_of_path(u),
+                                               walk_of_path(v)))
+                assert (a == b) == zero, (u, v)
+                outcomes.add(zero)
+    assert outcomes == {True, False}
 
 
 SQUARE = """
@@ -936,8 +1005,8 @@ quiver three {
 
 
 def scripted_relation(monkeypatch, ideal, script):
-    """The relation built when every pair of classes has the same abelian
-    image and ``decide`` answers from ``script`` (written paths to
+    """The relation built when every class has the same class image and
+    ``decide`` answers from ``script`` (written paths to
     status, Unknown if absent); returns it and the decided pairs.  The
     patches stay until ``monkeypatch`` is undone."""
     calls = []
@@ -947,7 +1016,7 @@ def scripted_relation(monkeypatch, ideal, script):
         calls.append(pair)
         return Decision(script.get(pair, UNKNOWN))
 
-    monkeypatch.setattr(HomotopyRelation, "abelian_image", lambda self, u, v: ())
+    monkeypatch.setattr(HomotopyRelation, "class_image", lambda self, n: ())
     monkeypatch.setattr(HomotopyRelation, "decide", decide)
     return HomotopyRelation(ideal), calls
 
