@@ -135,6 +135,9 @@ def cmd_homotopic(args):
         print("NotHomotopic (certificate: %s)" % d.certificate["kind"])
         return EXIT_REFUTED
     print("Unknown (the %s cap ended the search)" % d.cap)
+    if d.coset_cap is not None:
+        print("  the coset enumeration stopped at its cap of %d cosets"
+              % d.coset_cap)
     return EXIT_UNKNOWN
 
 

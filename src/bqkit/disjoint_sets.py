@@ -6,6 +6,10 @@ numbers within a hom-set, by the support splittings of ideals and by
 the connectivity check of Gamma.  Coset enumeration
 keeps its own, because its coincidence processing must keep the smaller
 label and merge table rows as it unites.
+
+``union`` halves the paths of both items inline, as ``find`` would: the
+congruence closure calls it once per pending pair, about 14,000 times
+on the 3382 paths of the commutative 6 x 6 grid.
 """
 
 from __future__ import annotations
@@ -31,11 +35,16 @@ class DisjointSets:
         Returns (absorbed root, surviving root), or None when x and y
         were in one class already.
         """
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
+        parent = self.parent
+        # the two finds of ``find``, inline
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
             return None
-        self.parent[rx] = ry
-        return rx, ry
+        parent[x] = y
+        return x, y
 
     def classes(self):
         """The classes as lists in item order, ordered by first member."""

@@ -13,15 +13,14 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 
 from . import coset
 from .disjoint_sets import DisjointSets
 from .errors import HomotopyError, UnresolvedError
 from .ideal import Ideal
 from .quiver import (FORWARD, INVERSE, Quiver, Walk, longest_path_length,
-                     enumerate_paths, hom_layout, path_key, path_tables,
-                     walk_of_path)
+                     enumerate_paths, hom_layout, path_tables, walk_of_path)
 from .records import FrozenRecord
 from .snf import RowLattice
 
@@ -86,18 +85,22 @@ class Decision(FrozenRecord):
     it is None when the positive answer was certified through a completed
     coset action instead (finite fundamental group); the certificate gives
     its order and the chord word of u * v^-1.  For an Unknown pair, ``cap``
-    names the cap that ended the search: "max_states" or "walk_length".
+    names the cap that ended the search: "max_states" or "walk_length";
+    ``coset_cap`` is the coset cap (``coset.DEFAULT_MAX_COSETS``) when the
+    coset enumeration was tried and stopped there, else None.
     """
 
-    _fields = ("status", "chain", "certificate", "cap")
+    _fields = ("status", "chain", "certificate", "cap", "coset_cap")
 
     def __init__(self, status: str, chain: tuple | None = (),
-                 certificate: dict | None = None, cap: str | None = None):
+                 certificate: dict | None = None, cap: str | None = None,
+                 coset_cap: int | None = None):
         setattr_ = object.__setattr__
         setattr_(self, "status", status)
         setattr_(self, "chain", chain)
         setattr_(self, "certificate", certificate)
         setattr_(self, "cap", cap)
+        setattr_(self, "coset_cap", coset_cap)
 
     @property
     def is_homotopic(self):
@@ -264,7 +267,7 @@ class HomotopyRelation:
         self.default_cap = 2 * longest_path_length(self.quiver) + 4
 
         self.tree = SpanningTree(self.quiver, x0)
-        self.generating_pairs = self._generating_pairs()
+        self._pairs = ideal.support_pairs()  # see generating_pairs
         self.presentation = self._presentation()
         self._path_classes = self._congruence_closure()
         self._homs = self._fingerprint()
@@ -277,27 +280,31 @@ class HomotopyRelation:
 
     # -- construction ------------------------------------------------------
 
-    def _generating_pairs(self):
-        pairs = []
-        for rel in self.ideal.minimal_relations():
-            supp = rel.support()
-            for i in range(len(supp)):
-                for j in range(i + 1, len(supp)):
-                    pairs.append((supp[i], supp[j]))
-        return tuple(pairs)
+    @cached_property
+    def generating_pairs(self):
+        """``Ideal.support_pairs`` as ``Path`` pairs, made on first read;
+        the relation is built on the pairs of path numbers."""
+        paths = enumerate_paths(self.quiver)
+        return tuple((paths[i], paths[j]) for i, j in self._pairs)
 
     def _presentation(self):
         """The chord presentation of pi1: one relator, the chord word of
         u * v^-1, per generating pair whose chord words differ.  A path
         is a reduced walk of forward letters, so its chord word is its
         chords, last arrow first, all positive, and cancels v's inverted
-        word at the join only."""
+        word at the join only.  The words come from one table on the
+        path numbers: a path's word is the word of its ``head``, with the
+        chord of its last arrow in front when that arrow is a chord."""
         index = self.tree.chord_index
+        paths = enumerate_paths(self.quiver)
+        head = path_tables(self.quiver)[3]
+        words = [()] * len(self.quiver.vertices)  # e_x, numbered first
+        for n in range(len(words), len(paths)):
+            c, word = index.get(paths[n].arrows[-1]), words[head[n]]
+            words.append(word if c is None else (c,) + word)
         relators = []
-        for u, v in self.generating_pairs:
-            word = cancel_join(
-                tuple(index[a] for a in reversed(u.arrows) if a in index),
-                tuple(-index[a] for a in v.arrows if a in index))
+        for i, j in self._pairs:
+            word = cancel_join(words[i], invert_word(words[j]))
             if word:
                 relators.append(word)
         return GroupPresentation(self.tree.chords, tuple(relators))
@@ -333,12 +340,17 @@ class HomotopyRelation:
         arrow, and the heads of those with the same last arrow, are
         queued; within each class they are already equivalent.
 
-        It runs on path numbers, through ``quiver.path_tables``.
-        Returns the root number of the class of each path number.
+        It runs on path numbers, through the tables of ``path_tables``,
+        listed per vertex: ``after`` of the arrows out of it, ``before``
+        of those into it.  Returns the root number of each path number.
         """
         quiver = self.quiver
         paths = enumerate_paths(quiver)
-        index, after, before, head, tail = path_tables(quiver)
+        _, after, before, head, tail = path_tables(quiver)
+        outs = {x: [after[a.name] for a in quiver.arrows_from(x)]
+                for x in quiver.vertices}
+        ins = {x: [before[b.name] for b in quiver.arrows_into(x)]
+               for x in quiver.vertices}
         sets = DisjointSets(range(len(paths)))
         union = sets.union
         by_first = [{p.arrows[0]: i} if p.arrows else {}
@@ -346,7 +358,7 @@ class HomotopyRelation:
         by_last = [{p.arrows[-1]: i} if p.arrows else {}
                    for i, p in enumerate(paths)]
 
-        pending = [(index[u], index[v]) for u, v in self.generating_pairs]
+        pending = list(self._pairs)
         while pending:
             i, j = pending.pop()
             merged = union(i, j)
@@ -354,10 +366,10 @@ class HomotopyRelation:
                 continue
             rp, rq = merged
             p = paths[i]
-            for a in quiver.arrows_from(p.target):
-                pending.append((after[a.name][i], after[a.name][j]))
-            for b in quiver.arrows_into(p.source):
-                pending.append((before[b.name][i], before[b.name][j]))
+            for m in outs[p.target]:
+                pending.append((m[i], m[j]))
+            for m in ins[p.source]:
+                pending.append((m[i], m[j]))
             for table, cancel in ((by_first, tail), (by_last, head)):
                 kept = table[rq]
                 for a, u in table[rp].items():
@@ -392,7 +404,7 @@ class HomotopyRelation:
         """
         roots = self._path_classes
         homs = []
-        for paths, numbers in hom_layout(self.quiver)[0]:
+        for paths, numbers, _ in hom_layout(self.quiver)[0]:
             members = {}  # class root -> positions, by first member
             for i, n in enumerate(numbers):
                 members.setdefault(roots[n], []).append(i)
@@ -534,7 +546,9 @@ class HomotopyRelation:
             found, stop = self._bfs(u_red, v_red, cap, False)
             if found is not None:
                 return Decision(HOMOTOPIC, ())
-        return Decision(UNKNOWN, cap=stop)
+        tried = not self.presentation.abelian_invariants[0]  # see _cosets
+        return Decision(UNKNOWN, cap=stop,
+                        coset_cap=coset.DEFAULT_MAX_COSETS if tried else None)
 
     def _coset_verdict(self, u_red, v_red):
         """Full decision through the regular coset action, if it completed."""
@@ -980,7 +994,9 @@ def fingerprint_key(h: HomotopyRelation):
     ``enumerate_paths``, the later paths v of its hom-set.  Every u of a
     pair is nontrivial, since an acyclic quiver has only e_x from x to
     x, and nontrivial paths have distinct keys, so the pairs sort by u
-    first and then by v within u's hom-set, which is canonical.
+    first and then by v within u's hom-set, which is canonical.  Keys
+    and places are read by path number from ``quiver.hom_layout``, and
+    each u's pairs are zipped in C, one status repeated for one class.
     """
     if h._key is None:
         for hom in h._homs:
@@ -990,15 +1006,15 @@ def fingerprint_key(h: HomotopyRelation):
                         raise UnresolvedError(
                             "fingerprint contains an Unknown pair (%s, %s)"
                             % (u, v))
-        quiver = h.quiver
-        keys = [[path_key(quiver, p) for p in paths] for paths, _, _ in h._homs]
+        homs, _, at = hom_layout(h.quiver)
         items = []
-        for u in enumerate_paths(quiver):
-            k, i = h._where[u]
+        for k, i in at:
+            keys = homs[k][2]
             _, labels, table = h._homs[k]
-            row = table[labels[i]]
-            ku = keys[k][i]
-            items.extend(((ku, kv), row[b])
-                         for kv, b in zip(keys[k][i + 1:], labels[i + 1:]))
+            if len(table) == 1:
+                tags = repeat(table[0][0])
+            else:
+                tags = map(table[labels[i]].__getitem__, labels[i + 1:])
+            items.extend(zip(zip(repeat(keys[i]), keys[i + 1:]), tags))
         h._key = tuple(items)
     return h._key

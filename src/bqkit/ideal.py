@@ -5,12 +5,12 @@ basis with respect to the canonical path order: each basis element has
 leading coefficient 1 on its largest path, leading paths strictly
 increase, and no leading path occurs in any other basis element.  The
 basis elements are minimal relations, so they double as the generating
-set for the homotopy machinery.
+set for the homotopy machinery (see ``Ideal.minimal_relations``).
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import combinations, groupby
 
 from .disjoint_sets import DisjointSets
 from .errors import IdealError
@@ -249,10 +249,35 @@ class Ideal:
         return keys
 
     def minimal_relations(self):
+        """Every reduced echelon basis row of every hom-set, as relations,
+        hom-pairs in vertex order and pivots ascending.
+
+        Each row is a minimal relation, but together they are not a
+        minimal generating set of the ideal: on the commutative 6 x 6
+        grid, 25 squares generate the ideal and it has 2941 rows.  The
+        homotopy relation needs every row.  Within one hom-set, the rows
+        are the fundamental circuits of the paths with respect to the
+        paths that lead no row, and the relation their supports generate
+        is the connectivity of that matroid (Oxley, *Matroid Theory*,
+        ch. 4); a relation that is minimal in a product hom-set need not
+        be a product of minimal generators.
+        """
         if self._minimal is None:  # the basis never changes once built
             self._minimal = tuple(r for x, y in self.hom_pairs()
                                   for r in self.groebner_basis(x, y))
         return self._minimal
+
+    def support_pairs(self):
+        """The pairs (i, j), i < j, of path numbers (``quiver.path_tables``)
+        in the support of one row of ``minimal_relations``, rows in its
+        order; the generating pairs of the homotopy relation, read from
+        the rows without building a ``Relation``."""
+        pairs = []
+        for key in self.hom_pairs():
+            rows = self._spaces[key].rows
+            for p in sorted(rows):
+                pairs.extend(combinations(sorted(rows[p]), 2))
+        return pairs
 
     def contains(self, r: Relation) -> bool:
         if r.is_zero:

@@ -231,8 +231,8 @@ def compose_paths(quiver: Quiver, later: Path, earlier: Path) -> Path:
 def path_key(quiver: Quiver, path: Path):
     """Canonical total order: length, then lex on the written form.
 
-    Memoised on the quiver: a caller that keeps many keys (such as
-    ``fingerprint_key``) then shares one tuple per path.
+    Memoised on the quiver, so a caller that keeps many keys shares one
+    tuple per path; ``hom_layout`` holds the same keys by path number.
     """
     key = quiver._keys.get(path)
     if key is None:
@@ -413,21 +413,34 @@ def paths_between(quiver: Quiver, x, y):
 
 
 def hom_layout(quiver: Quiver):
-    """``(homs, where)``: one ``(paths, numbers)`` per (x, y) in vertex
-    order, the paths of ``paths_between`` and their path numbers, and
-    ``where[p]``, the (hom index, position) of path p.  Computed once
-    per quiver; the homotopy relations of its ideals all read it."""
+    """``(homs, where, at)``: one ``(paths, numbers, keys)`` per (x, y) in
+    vertex order, the paths of ``paths_between``, their path numbers and
+    their ``path_key`` values; ``where[p]`` and ``at[n]``, the (hom
+    index, position) of path p and of the path numbered n.  Computed
+    once per quiver; the homotopy relations of its ideals all read it.
+
+    The keys are built on the path numbers: the key word of path n is
+    the arrow index of its last arrow followed by the key word of
+    ``head[n]`` (``path_tables``), so no key is looked up by path."""
     if quiver._layout is None:
-        index = path_tables(quiver)[0]
+        paths = enumerate_paths(quiver)
+        index, _, _, head, _ = path_tables(quiver)
+        arrow = quiver._index
+        words = []
+        for p, h in zip(paths, head):
+            words.append(() if h is None else (arrow[p.arrows[-1]],) + words[h])
         homs = []
         where = {}
+        at = [None] * len(paths)
         for x in quiver.vertices:
             for y in quiver.vertices:
-                paths = paths_between(quiver, x, y)
-                for i, p in enumerate(paths):
-                    where[p] = (len(homs), i)
-                homs.append((paths, tuple(index[p] for p in paths)))
-        object.__setattr__(quiver, "_layout", (tuple(homs), where))
+                hom = paths_between(quiver, x, y)
+                numbers = tuple(index[p] for p in hom)
+                for i, (p, n) in enumerate(zip(hom, numbers)):
+                    where[p] = at[n] = (len(homs), i)
+                homs.append((hom, numbers, tuple(
+                    (len(words[n]), words[n]) for n in numbers)))
+        object.__setattr__(quiver, "_layout", (tuple(homs), where, tuple(at)))
     return quiver._layout
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 from conftest import twobypass_chain_text
 
+from bqkit import homotopy
 from bqkit.cli import compute_example_report, cover_to_text, main
 from bqkit.cover import universal_cover
 from bqkit.dsl import parse_source
@@ -49,16 +50,27 @@ def test_homotopic_exit_codes(capsys):
     assert "NotHomotopic" in out
 
 
-def test_homotopic_unknown_names_the_cap(capsys, tmp_path):
+def test_homotopic_unknown_names_the_cap(capsys, tmp_path, monkeypatch):
     # pi1 of two glued I0 units is Z2 * Z2: no certifier decides this
-    # pair, and the search runs out of walks within the length cap
+    # pair, the search runs out of walks within the length cap, and the
+    # group is infinite, so the coset enumeration stops at its cap
     src = tmp_path / "chain.bq"
     src.write_text(twobypass_chain_text(2))
     code, out, _ = run(capsys, "homotopic", str(src), "--ideal", "I",
                        "--cap", "1", "d0^-1*b1^-1*c1^-1*a1*f0*e0*a0",
                        "e0^-1*f0^-1*b1^-1*c1^-1*a1*d0*a0")
     assert code == 2
-    assert out == "Unknown (the walk_length cap ended the search)\n"
+    assert out == ("Unknown (the walk_length cap ended the search)\n"
+                   "  the coset enumeration stopped at its cap of 10000 "
+                   "cosets\n")
+    monkeypatch.setattr(homotopy, "DEFAULT_MAX_STATES", 0)
+    code, out, _ = run(capsys, "homotopic", str(src), "--ideal", "I",
+                       "d0^-1*b1^-1*c1^-1*a1*f0*e0*a0",
+                       "e0^-1*f0^-1*b1^-1*c1^-1*a1*d0*a0")
+    assert code == 2
+    assert out == ("Unknown (the max_states cap ended the search)\n"
+                   "  the coset enumeration stopped at its cap of 10000 "
+                   "cosets\n")
 
 
 def test_gamma_and_source(capsys, tmp_path):

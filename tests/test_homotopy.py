@@ -317,21 +317,23 @@ def test_relations_share_the_hom_layout_of_their_quiver():
     ideal = twobypass_chain(2)
     twin = close_ideal(ideal.quiver, ideal.field, ideal.generators)
     assert twin == ideal and twin is not ideal
-    homs, where = hom_layout(ideal.quiver)
-    snapshot = (homs, dict(where))
+    homs, where, at = hom_layout(ideal.quiver)
+    snapshot = (homs, dict(where), at)
     relations = [homotopy.HomotopyRelation(ideal),
                  homotopy.HomotopyRelation(twin)]
     for h in relations:
         assert h._where is where
-        assert all(built[0] is paths for built, (paths, _) in zip(h._homs, homs))
+        assert all(built[0] is paths
+                   for built, (paths, _, _) in zip(h._homs, homs))
         assert any(len(table) > 1 for _, _, table in h._homs)
     for h in relations:
-        for paths, _ in homs:
+        for paths, _, _ in homs:
             for u, v in combinations(paths, 2):
                 h.pair_status(u, v)
         fingerprint_key(h)
     assert hom_layout(ideal.quiver)[0] is homs
-    assert (homs, where) == snapshot
+    assert hom_layout(ideal.quiver)[2] is at
+    assert (homs, where, at) == snapshot
 
 
 def test_lattice_is_built_only_for_hom_sets_with_two_classes():
@@ -501,6 +503,30 @@ quiver ext {
 }
 ideal J over ext(0) { rel d*a - d*c*b; }
 """
+
+
+def test_unknown_names_the_coset_cap(monkeypatch):
+    """Two glued I0 units: pi1 = Z2 * Z2 has free rank 0 and is infinite,
+    so the coset enumeration runs and stops at its cap, and an Unknown
+    says so next to the search's cap.  With free rank 1 the enumeration
+    is skipped and an Unknown names no coset cap."""
+    monkeypatch.setattr(homotopy, "DEFAULT_MAX_STATES", 0)
+    chain2 = twobypass_chain(2)
+    u, v = (parse_walk(chain2.quiver, text) for text in DIHEDRAL_PAIR)
+    for want_chain in (False, True):
+        h = homotopy.HomotopyRelation(chain2)
+        d = h.decide(u, v, want_chain=want_chain)
+        assert d.is_unknown and d.cap == "max_states"
+        assert d.coset_cap == homotopy.coset.DEFAULT_MAX_COSETS
+        assert h._cosets is None
+    assert homotopy.HomotopyRelation(chain2).decide(u, u).coset_cap is None
+    ideal = parse_source(FREE_RANK_ONE).ideal("J")
+    a, cb = (parse_walk(ideal.quiver, text) for text in ("a", "c*b"))
+    for want_chain in (False, True):
+        d = homotopy.HomotopyRelation(ideal).decide(a, cb,
+                                                    want_chain=want_chain)
+        assert d.is_unknown and d.cap == "max_states"
+        assert d.coset_cap is None
 
 
 def test_coset_enumeration_skipped_on_an_infinite_group(monkeypatch):

@@ -98,6 +98,7 @@ class Decision:
     chain: tuple = ()
     certificate: dict = None
     cap: str = None
+    coset_cap: int = None
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,7 @@ CASES = [
     (homotopy.MoveStep, MoveStep, ("delete", 0, (), WALK),
      ("insert", 1, (("a", 1), ("a", -1)), WALK)),
     (homotopy.Decision, Decision, ("homotopic",),
-     ("unknown", None, None, "max_states")),
+     ("unknown", None, None, "max_states", 10_000)),
     (homotopy.GroupPresentation, GroupPresentation,
      (("g",), ((1, 1),)), (("g",), ())),
     (dsl.Token, Token, ("name", "a", 1, 1), ("sym", "*", 1, 2)),

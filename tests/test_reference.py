@@ -50,6 +50,16 @@ relators and the words of the coset certificates are compared with
 those built on (chord name, +-1) letters, reduced and inverted there
 and numbered only at the end, as they were built before the formats
 were merged.
+
+``HomotopyRelation`` is built on path numbers from the echelon rows
+(``Ideal.support_pairs``).  Its generating pairs, relators, congruence
+closure and ``fingerprint_key`` are compared with the build it replaced:
+pairs from the supports of the ``Relation`` objects of
+``minimal_relations``, relators from the arrows of ``Path`` pairs, the
+closure extending through ``arrows_from`` and tables looked up by arrow
+name, and the key looking up each ``Path`` in the ``path_key`` memo and
+in ``h._where``.  ``DisjointSets.union``, which halves both paths
+inline, is compared with two ``find`` calls and a link.
 """
 
 import random
@@ -1245,3 +1255,155 @@ def test_coordinate_images_match_closure_of_relation_images():
                 assert auto.apply_to_relation(r) == relation_image(auto, r)
             checked += 1
     assert checked > 1000
+
+
+def row_generating_pairs(ideal):
+    """The generating pairs as they were taken from ``minimal_relations``:
+    every pair of support paths of each basis ``Relation``."""
+    pairs = []
+    for rel in ideal.minimal_relations():
+        supp = rel.support()
+        for i in range(len(supp)):
+            for j in range(i + 1, len(supp)):
+                pairs.append((supp[i], supp[j]))
+    return tuple(pairs)
+
+
+def path_relators(h, pairs):
+    """The relators from the arrows of each generating ``Path`` pair."""
+    index = h.tree.chord_index
+    relators = []
+    for u, v in pairs:
+        word = homotopy.cancel_join(
+            tuple(index[a] for a in reversed(u.arrows) if a in index),
+            tuple(-index[a] for a in v.arrows if a in index))
+        if word:
+            relators.append(word)
+    return tuple(relators)
+
+
+def path_pair_closure(quiver, pairs):
+    """The pending-list closure pushed from ``Path`` pairs looked up by
+    their index, extending a merged pair through ``arrows_from`` and
+    ``arrows_into`` and the tables of each arrow looked up by name, with
+    union by find-then-link; the root number of each path number."""
+    paths = enumerate_paths(quiver)
+    index, after, before, head, tail = path_tables(quiver)
+    sets = FindThenLink(range(len(paths)))
+    by_first = [{p.arrows[0]: i} if p.arrows else {}
+                for i, p in enumerate(paths)]
+    by_last = [{p.arrows[-1]: i} if p.arrows else {}
+               for i, p in enumerate(paths)]
+    pending = [(index[u], index[v]) for u, v in pairs]
+    while pending:
+        i, j = pending.pop()
+        merged = sets.union(i, j)
+        if merged is None:
+            continue
+        rp, rq = merged
+        p = paths[i]
+        for a in quiver.arrows_from(p.target):
+            pending.append((after[a.name][i], after[a.name][j]))
+        for b in quiver.arrows_into(p.source):
+            pending.append((before[b.name][i], before[b.name][j]))
+        for table, cancel in ((by_first, tail), (by_last, head)):
+            kept = table[rq]
+            for a, u in table[rp].items():
+                w = kept.setdefault(a, u)
+                if w != u:
+                    pending.append((cancel[u], cancel[w]))
+            table[rp] = None
+    return [sets.find(i) for i in range(len(paths))]
+
+
+def path_lookup_key(h):
+    """``fingerprint_key`` with each path looked up by ``Path``: its key in
+    the ``path_key`` memo and its (hom index, position) in ``h._where``."""
+    quiver = h.quiver
+    keys = [[path_key(quiver, p) for p in paths] for paths, _, _ in h._homs]
+    items = []
+    for u in enumerate_paths(quiver):
+        k, i = h._where[u]
+        _, labels, table = h._homs[k]
+        row = table[labels[i]]
+        items.extend(((keys[k][i], kv), row[b])
+                     for kv, b in zip(keys[k][i + 1:], labels[i + 1:]))
+    return tuple(items)
+
+
+class FindThenLink(DisjointSets):
+    """``DisjointSets`` whose union calls ``find`` twice, then links."""
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return None
+        self.parent[rx] = ry
+        return rx, ry
+
+
+def number_build_inputs():
+    """``closure_inputs()`` and 20 random quivers of up to 8 vertices."""
+    yield from closure_inputs()
+    for k in range(20):
+        yield make_random_bound_quiver(random.Random(1000 + k),
+                                       char=CHARS[k % 3], max_vertices=8)
+
+
+def test_number_build_matches_path_build():
+    """The relation built on path numbers from the echelon rows against
+    the build from ``Relation`` supports and ``Path`` pairs: the same
+    generating pairs, relators (in order), root number of every path
+    number and fingerprint key."""
+    keyed = 0
+    for ideal in number_build_inputs():
+        h = HomotopyRelation(ideal)
+        pairs = row_generating_pairs(ideal)
+        assert h.generating_pairs == pairs
+        assert h.presentation.relators == path_relators(h, pairs)
+        assert h._path_classes == path_pair_closure(h.quiver, pairs)
+        if any(tag == UNKNOWN for tag in h.fingerprint.values()):
+            with pytest.raises(UnresolvedError):
+                fingerprint_key(h)
+            continue
+        assert fingerprint_key(h) == path_lookup_key(h)
+        keyed += 1
+    assert keyed > 200
+
+
+def test_building_a_relation_reads_no_relation_objects(monkeypatch):
+    """Building a relation and its key calls ``minimal_relations`` zero
+    times; the spy counts the call of ``describe``."""
+    ideals = [grid_ideal(5), twobypass_chain(2), twobypass_chain(2, "I2", 2)]
+    ideals += list(example_ideals())
+    calls = []
+    minimal = Ideal.minimal_relations
+
+    def spy(self):
+        calls.append(self)
+        return minimal(self)
+
+    monkeypatch.setattr(Ideal, "minimal_relations", spy)
+    for ideal in ideals:
+        fingerprint_key(HomotopyRelation(ideal))
+    assert calls == []
+    ideals[0].describe()
+    assert calls == [ideals[0]]
+
+
+def test_inline_union_matches_find_then_link():
+    """``DisjointSets.union`` halves both paths inline: the same results,
+    parent maps and classes as two ``find`` calls and a link, over random
+    unions and finds."""
+    rng = random.Random(11)
+    for n in (1, 2, 3, 8, 40, 300):
+        items = [str(x) for x in range(n)] if n == 8 else list(range(n))
+        new, old = DisjointSets(items), FindThenLink(items)
+        for _ in range(4 * n):
+            x, y = rng.choice(items), rng.choice(items)
+            if rng.random() < 0.2:
+                assert new.find(x) == old.find(x)
+            else:
+                assert new.union(x, y) == old.union(x, y)
+            assert new.parent == old.parent
+        assert new.classes() == old.classes()
