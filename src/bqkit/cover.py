@@ -314,11 +314,14 @@ class _Ball:
                     self.index[word] = i
                     return i
                 if decision.status == UNKNOWN:
+                    caps = "the search stopped at its %s cap" % decision.cap
+                    if decision.coset_cap is not None:
+                        caps += ("; the coset enumeration stopped at its cap "
+                                 "of %d cosets" % decision.coset_cap)
                     raise CoverError(
                         "homotopy query unresolved while building the cover: "
-                        "%s vs %s (the search stopped at its %s cap)"
-                        % (walk.to_text(), self.reps[i].to_text(),
-                           decision.cap))
+                        "%s vs %s (%s)"
+                        % (walk.to_text(), self.reps[i].to_text(), caps))
         if not create or len(word) > self.radius:
             return None
         if walk is None:

@@ -129,8 +129,8 @@ class _HomSpace:
     and ``relation`` convert a Relation to one and back; ``rows`` maps
     each pivot to its basis row.  Restricted to a hom-set the numbering
     is the canonical order, so ``max(vec)`` is the leading path.  The
-    basis is kept fully reduced, so a row has coefficient 1 at its own
-    pivot and no entry at any other pivot.
+    rows are filled by ``close_ideal`` and fully reduced: a row has
+    coefficient 1 at its own pivot and no entry at any other pivot.
     """
 
     def __init__(self, quiver, fld, x, y):
@@ -158,24 +158,6 @@ class _HomSpace:
         for i in [i for i in vec if i in self.rows]:
             _subtract_multiple(fld, vec, vec.pop(i), self.rows[i], i)
         return vec
-
-    def insert(self, vec) -> bool:
-        """Reduce and add to the basis; True if the span grew."""
-        fld = self.fld
-        vec = self.reduce(vec)
-        if not vec:
-            return False
-        lead = max(vec)
-        if vec[lead] != 1:  # a row led by 1 is normalized already
-            inv = fld.inv(vec[lead])
-            vec = {k: fld.mul(inv, c) for k, c in vec.items()}
-        # keep the basis reduced: clear this pivot from existing rows
-        for row in self.rows.values():
-            c = row.pop(lead, None)
-            if c is not None:
-                _subtract_multiple(fld, row, c, vec, lead)
-        self.rows[lead] = vec
-        return True
 
     def basis_relations(self):
         return tuple(self.relation(self.rows[p]) for p in sorted(self.rows))
@@ -206,10 +188,8 @@ def _subtract_multiple(fld, vec, c, row, skip):
 class Ideal:
     """An admissible ideal with per-hom-pair echelon bases.
 
-    ``generators`` holds the relations the ideal was closed from; for an
-    image ideal of ``transform.apply_automorphism``, which closes
-    nothing, it holds the basis rows (``minimal_relations()``).  Either
-    way their two-sided closure is the ideal.
+    ``generators`` holds the relations the ideal was closed from by
+    ``close_ideal``; their two-sided closure is the ideal.
     """
 
     def __init__(self, quiver, fld, generators, spaces):
@@ -283,26 +263,6 @@ class Ideal:
         if r.is_zero:
             return True
         return self._space(r.source, r.target).contains(r)
-
-    def image(self, row_image) -> "Ideal":
-        """The spans, per hom-set (x, y), of ``row_image(row)`` over the
-        basis rows of I(x, y), as an ideal.
-
-        Rows are sparse ``{path number: coeff}`` vectors (see
-        ``_HomSpace``), and ``row_image`` must return one over the same
-        hom-set.  No closure runs: the caller vouches that the spans form
-        an ideal, as the images under a vertex-fixing algebra
-        automorphism do.
-        """
-        spaces = {}
-        for (x, y), src in self._spaces.items():
-            if src.dim:
-                dst = spaces[(x, y)] = _HomSpace(self.quiver, self.field, x, y)
-                for row in src.rows.values():
-                    dst.insert(row_image(row))
-        image = Ideal(self.quiver, self.field, (), spaces)
-        image.generators = image.minimal_relations()
-        return image
 
     def dim_ideal(self, x, y) -> int:
         return self._space(x, y).dim

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import TransformError
 from .fields import Field
-from .ideal import (Ideal, Relation, _HomSpace, add_relations, ideals_equal,
+from .ideal import (Ideal, Relation, add_relations, close_ideal, ideals_equal,
                     make_relation, relation_of_path, scale_relation)
 from .quiver import Bypass, Path, Quiver, enumerate_paths, path_tables
 from .records import FrozenRecord
@@ -100,12 +100,11 @@ def make_dilatation(quiver: Quiver, fld: Field, scales) -> Dilatation:
 class PathAutomorphism:
     """A vertex-fixing automorphism, stored by its arrow images.
 
-    Paths and relations are mapped in coordinates, on the path numbering
-    of ``quiver.path_tables``: the image of path number i is a sparse
-    ``{path number: coeff}`` vector over the same hom-set, the
-    coordinates of the rows of ``Ideal.image``.  Each path image is
-    built once, on first use, by a DP over heads (phi(a * p) =
-    phi(a) * phi(p)), and kept in one table for every vector and ideal
+    Relations are mapped path by path, on the path numbering of
+    ``quiver.path_tables``: the image of path number i is a sparse
+    ``{path number: coeff}`` vector over the same hom-set.  Each path
+    image is built once, on first use, by a DP over heads (phi(a * p) =
+    phi(a) * phi(p)), and kept in one table for every relation and ideal
     the automorphism maps later.
     """
 
@@ -196,13 +195,14 @@ class PathAutomorphism:
         self._path_images[i] = vec
         return vec
 
-    def apply_to_vector(self, vec):
-        """phi of a sparse vector over one hom-set; the result has no zero
-        entries."""
+    def apply_to_relation(self, rel: Relation) -> Relation:
+        """phi of a relation, summed from the images of its paths."""
         fld = self.field
+        index = path_tables(self.quiver)[0]
         images = self._path_images
         out = {}
-        for i, c in vec.items():
+        for p, c in rel.terms:
+            i = index[p]
             img = images.get(i)
             if img is None:
                 img = self._path_image(i)
@@ -210,11 +210,9 @@ class PathAutomorphism:
                 # the image of a path phi fixes is that path with coeff 1
                 v = c if d == 1 else fld.mul(c, d)
                 out[k] = fld.add(out[k], v) if k in out else v
-        return {k: v for k, v in out.items() if not fld.is_zero(v)}
-
-    def apply_to_relation(self, rel: Relation) -> Relation:
-        space = _HomSpace(self.quiver, self.field, rel.source, rel.target)
-        return space.relation(self.apply_to_vector(space.vector(rel)))
+        paths = enumerate_paths(self.quiver)
+        return Relation(rel.source, rel.target, tuple(
+            (paths[k], out[k]) for k in sorted(out) if not fld.is_zero(out[k])))
 
     def __eq__(self, other):
         if not isinstance(other, PathAutomorphism):
@@ -287,18 +285,18 @@ def compose(f, g) -> PathAutomorphism:
 
 
 def apply_automorphism(phi, ideal: Ideal) -> Ideal:
-    """The image ideal phi(I), one hom-set at a time.
+    """The image ideal phi(I), closed from the images of its generators.
 
-    phi fixes the vertices, so it maps each hom-space kQ(x, y) onto
-    itself, and phi(I)(x, y) = phi(I(x, y)).  The basis of phi(I)(x, y)
-    is therefore the row reduction of the images of the basis rows of
-    I(x, y).  phi(I) is an ideal because phi is an algebra automorphism,
-    so these spans are already closed under composition with arrows and
-    no closure runs.  phi is invertible, so a hom-set whose rank drops
-    means a broken automorphism and raises.
+    phi is an algebra automorphism, so phi(I) is the two-sided ideal
+    generated by phi(g) for the generators g of I, and ``close_ideal``
+    builds it like any other ideal; its generators are those images.
+    phi fixes the vertices and is invertible, so phi(I)(x, y) has the
+    dimension of I(x, y); a hom-set whose rank differs means a broken
+    automorphism and raises.
     """
     auto = as_path_automorphism(phi, ideal.quiver, ideal.field)
-    image = ideal.image(auto.apply_to_vector)
+    image = close_ideal(ideal.quiver, ideal.field,
+                        [auto.apply_to_relation(g) for g in ideal.generators])
     for x, y in ideal.hom_pairs():
         if image.dim_ideal(x, y) != ideal.dim_ideal(x, y):
             raise TransformError(

@@ -5,6 +5,7 @@ from itertools import islice
 import pytest
 from conftest import TWO_BYPASS, make_random_bound_quiver, twobypass_chain
 
+from bqkit.coset import DEFAULT_MAX_COSETS
 from bqkit.cover import (GALOIS, NOT_GALOIS, TRUNCATED, CoverQuiver,
                          FiniteGroup, _Ball, _generated_order, check_covering,
                          factor_through_cover, is_galois, lift_dilatation,
@@ -197,9 +198,13 @@ def test_universal_cover_truncated_strip(ideal_I):
 def test_unresolved_query_names_the_cap():
     """On two glued I0 units pi1 = Z2 * Z2 is infinite, so the coset
     action never completes, and the ball meets a pair that no certifier
-    decides; the error names the cap that ended the search."""
-    with pytest.raises(CoverError, match="stopped at its max_states cap"):
+    decides; the error names the cap that ended the search and the coset
+    cap that ended the enumeration."""
+    with pytest.raises(CoverError) as info:
         universal_cover(twobypass_chain(2))
+    assert "the search stopped at its max_states cap" in str(info.value)
+    assert ("the coset enumeration stopped at its cap of %d cosets"
+            % DEFAULT_MAX_COSETS) in str(info.value)
 
 
 def test_check_covering_detects_mutation(ideal_I0):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -306,6 +307,21 @@ def test_representative_cap_is_reported(ws5):
                       "not probed" % gamma_mod.DEFAULT_MAX_REPRESENTATIVES]
     gamma = explore_gamma(twobypass_chain(2, "I2", char=2))
     assert not [d for d in gamma.diagnostics if "cap" in d]
+
+
+def test_explore_two_units_over_q():
+    """Two I2 units over Q: the exploration that maps the most images with
+    rational coefficients.  The sorted fingerprint keys are pinned by a
+    sha256 prefix."""
+    gamma = explore_gamma(twobypass_chain(2, "I2", char=0))
+    assert (len(gamma.vertices), len(gamma.edges), len(gamma.sources())) \
+        == (4, 4, 1)
+    assert gamma.diagnostics == [
+        "vertex %d: representatives past the cap of %d were not probed"
+        % (i, gamma_mod.DEFAULT_MAX_REPRESENTATIVES) for i in range(3)]
+    keys = sorted(v.key for v in gamma.vertices)
+    assert hashlib.sha256(repr(keys).encode()).hexdigest()[:16] \
+        == "6cc0a4dac830b602"
 
 
 def test_tau_cap_is_reported():

@@ -1,9 +1,11 @@
-"""Every name a module imports is read in that module.
+"""Every name a module imports is read in that module, and no module of
+``src/bqkit`` imports another's private names.
 
-Checked on the modules of ``src/bqkit``, except ``__init__.py``, whose
-imports are the package's exports, and on the test modules.  A name is
-read when it occurs as a loaded name, which includes the head of an
-attribute chain and annotations.
+The first is checked on the modules of ``src/bqkit``, except
+``__init__.py``, whose imports are the package's exports, and on the
+test modules.  A name is read when it occurs as a loaded name, which
+includes the head of an attribute chain and annotations.  A private
+name is one that starts with ``_``.
 """
 
 import ast
@@ -12,9 +14,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "bqkit").glob("*.py")
+PACKAGE = sorted(p for p in (ROOT / "src" / "bqkit").glob("*.py")
                  if p.name != "__init__.py")
-MODULES += sorted((ROOT / "tests").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -45,3 +47,25 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.parent.name + "/" + p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source):
+    """The ``_``-prefixed names that the module source imports from a
+    module of its own package (a relative import or one from ``bqkit``),
+    each with the line of its import."""
+    return sorted(
+        (node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "bqkit")
+        for alias in node.names if alias.name.startswith("_"))
+
+
+def test_private_imports_are_found():
+    source = ("from .ideal import Ideal, _HomSpace\nfrom bqkit.quiver import _x\n"
+              "from os import _exit\nfrom . import _private\n")
+    assert private_imports(source) == [(1, "_HomSpace"), (2, "_x"), (4, "_private")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.parent.name + "/" + p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

@@ -1246,11 +1246,13 @@ def test_coordinate_images_match_closure_of_relation_images():
             image = apply_automorphism(phi, ideal)
             expected = closure_apply_automorphism(phi, ideal)
             assert image._basis_snapshot() == expected._basis_snapshot(), phi
-            # an image ideal's generators are its basis rows, which
-            # close to it
+            # an image ideal's generators are the images of the source's
+            # generators, in order, and they close to it
+            auto = as_path_automorphism(phi, quiver, fld)
+            assert list(image.generators) == [
+                auto.apply_to_relation(g) for g in ideal.generators], phi
             rebuilt = relation_closure(quiver, fld, image.generators)
             assert rebuilt._basis_snapshot() == image._basis_snapshot()
-            auto = as_path_automorphism(phi, quiver, fld)
             for r in ideal.minimal_relations():
                 assert auto.apply_to_relation(r) == relation_image(auto, r)
             checked += 1
