@@ -478,13 +478,13 @@ class HomotopyRelation:
 
     def class_image(self, n):
         """The abelian image of the path numbered n, one per class: the
-        rows of the lattice's V summed over the path's chords, reduced
-        modulo its diagonal (``RowLattice.reduce``)."""
-        lattice = self.presentation.lattice
+        lattice image of the path's chord exponents."""
         index = self.tree.chord_index
-        rows = [lattice.v[index[a] - 1]
-                for a in enumerate_paths(self.quiver)[n].arrows if a in index]
-        return lattice.reduce([sum(col) for col in zip([0] * lattice.n, *rows)])
+        exponents = [0] * len(self.presentation.generators)
+        for a in enumerate_paths(self.quiver)[n].arrows:
+            if a in index:
+                exponents[index[a] - 1] += 1
+        return self.presentation.lattice.image(exponents)
 
     def decide(self, u: Walk, v: Walk, cap=None, want_chain=True) -> Decision:
         """Tri-state decision for parallel walks u, v.
@@ -523,11 +523,12 @@ class HomotopyRelation:
             cert = {"kind": "free", "reduced": (u_red, v_red)}
             return Decision(NOT_HOMOTOPIC, (), cert)
 
-        image = self.abelian_image(u_red, v_red)
+        exponents = self.loop_exponents(u_red, v_red)
+        image = self.presentation.lattice.image(exponents)
         if any(image):
             cert = {
                 "kind": "abelianization",
-                "loop_exponents": tuple(self.loop_exponents(u_red, v_red)),
+                "loop_exponents": tuple(exponents),
                 "image": tuple(image),
                 "moduli": tuple(self.presentation.lattice.diag),
                 "generators": self.presentation.generators,

@@ -113,7 +113,8 @@ class RowLattice:
     Zero rows and repeats of a row span nothing new, so only the first
     copy of each nonzero row goes into the Smith normal form, in order.
     The lattice, hence ``diag``, is the same; ``V`` may be another valid
-    column transform than that of the full matrix.
+    column transform than that of the full matrix.  ``image`` is the one
+    place that multiplies by ``V``; membership is a zero image.
     """
 
     def __init__(self, rows, n):
@@ -126,32 +127,22 @@ class RowLattice:
             self.diag = []
             self.v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def transform(self, x):
-        """x * V for a length-n integer vector x."""
-        return [sum(x[i] * self.v[i][j] for i in range(self.n))
-                for j in range(self.n)]
-
     def contains(self, x) -> bool:
-        w = self.transform(x)
-        for j in range(self.n):
-            if j < len(self.diag):
-                if w[j] % self.diag[j] != 0:
-                    return False
-            elif w[j] != 0:
-                return False
-        return True
+        return not any(self.image(x))
 
     def image(self, x):
         """Normal-form coordinates of x in Z^n / lattice.
 
-        Torsion coordinates come first (mod the invariant factors > 1),
-        then the free coordinates; the all-zero tuple means x lies in
-        the lattice.
+        x * V is the sum of c times row i of V over the nonzero entries
+        c = x[i], so a sparse x costs a few rows.  Its torsion
+        coordinates come first (mod the invariant factors > 1; a factor
+        1 leaves only 0), then the free coordinates; the all-zero tuple
+        means x lies in the lattice.
         """
-        return self.reduce(self.transform(x))
-
-    def reduce(self, w):
-        """``image`` of the x with x * V = w: w modulo the diagonal."""
+        w = [0] * self.n
+        for c, row in zip(x, self.v):
+            if c:
+                w = [a + c * e for a, e in zip(w, row)]
         torsion = [c % d for c, d in zip(w, self.diag) if d > 1]
         return tuple(torsion) + tuple(w[len(self.diag):])
 

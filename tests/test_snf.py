@@ -125,3 +125,69 @@ def test_repeated_and_zero_rows_span_the_same_lattice():
             x = [rng.randint(-6, 6) for _ in range(n)]
             assert full.contains(x) == lean.contains(x)
             assert any(full.image(x)) == any(lean.image(x))
+
+
+def dense_transform(lattice, x):
+    """x * V as the dense product over every (i, j): the reference for
+    the sparse row sum of ``RowLattice.image``."""
+    return [sum(x[i] * lattice.v[i][j] for i in range(lattice.n))
+            for j in range(lattice.n)]
+
+
+def dense_contains(lattice, x):
+    """Membership as the divisibility of each coordinate of x * V by its
+    invariant factor, a free coordinate by nothing but 0."""
+    w = dense_transform(lattice, x)
+    for j in range(lattice.n):
+        if j < len(lattice.diag):
+            if w[j] % lattice.diag[j] != 0:
+                return False
+        elif w[j] != 0:
+            return False
+    return True
+
+
+def test_image_is_the_dense_product_modulo_the_diagonal():
+    rng = random.Random(26)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            pick = rng.random()
+            if pick < 0.15:
+                rows.append([0] * n)
+            elif pick < 0.3 and rows:
+                rows.append(list(rng.choice(rows)))
+            else:
+                rows.append([rng.choice([0, 0, 0, rng.randint(-4, 4)])
+                             for _ in range(n)])
+        lattice = RowLattice(rows, n)
+        for _ in range(15):
+            x = [rng.choice([0, 0, rng.randint(-7, 7)]) for _ in range(n)]
+            w = dense_transform(lattice, x)
+            want = (tuple(c % d for c, d in zip(w, lattice.diag) if d > 1)
+                    + tuple(w[len(lattice.diag):]))
+            assert lattice.image(x) == want
+            assert lattice.contains(x) == dense_contains(lattice, x)
+        inverse = _inverse(lattice.v)
+        for k, d in enumerate(lattice.diag):
+            # x = e_k * V^-1 has x * V = e_k: it lies in the lattice
+            # exactly when d_k = 1, and d_k * x always does
+            assert lattice.contains(inverse[k]) == (d == 1)
+            assert lattice.contains([d * c for c in inverse[k]])
+
+
+def _inverse(v):
+    """V^-1 of the unimodular V, by Gauss-Jordan elimination over Q."""
+    n = len(v)
+    m = [[Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(v)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [c / m[col][col] for c in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [[int(c) for c in row[n:]] for row in m]
