@@ -19,8 +19,9 @@ from .fields import Field
 from .homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, UNKNOWN, HomotopyRelation,
                        fingerprint_key, homotopy_relation)
 from .ideal import Ideal, ideals_equal
-from .quiver import (Arrow, Bypass, Path, Quiver, find_bypasses,
-                     find_double_bypasses, longest_path_length, make_path)
+from .quiver import (Arrow, Bypass, Quiver, enumerate_paths, find_bypasses,
+                     find_double_bypasses, longest_path_length, make_path,
+                     path_tables)
 from .records import Record
 from .transform import (Transvection, apply_automorphism, as_path_automorphism,
                         match_by_dilatation)
@@ -48,18 +49,40 @@ class _HomotopyCache:
     are not kept: an exploration maps each (ideal, transvection) pair at
     most once, since each distinct ideal is probed once with distinct
     taus, and the successor and predecessor probes take disjoint
-    bypasses."""
+    bypasses.
+
+    Ideals are interned by their echelon rows (``Ideal.__hash__``), and
+    each relation's fingerprint gets a small id (``key_id``), the index
+    of its ``fingerprint_key`` in ``keys``, so the exploration keys its
+    vertices, hits and edges by ints and hashes each key tuple once."""
 
     def __init__(self, x0=None):
         self.x0 = x0
         self._ideals = {}
         self._automorphisms = {}
+        self.keys = []       # id -> fingerprint_key
+        self._ids = {}       # fingerprint_key -> id
+        self._id_of = {}     # relation -> the id of its key
 
     def intern(self, ideal: Ideal) -> Ideal:
         return self._ideals.setdefault(ideal, ideal)
 
     def get(self, ideal: Ideal) -> HomotopyRelation:
         return homotopy_relation(self.intern(ideal), self.x0)
+
+    def key_id(self, h: HomotopyRelation, what: str) -> int:
+        """The id of h's ``fingerprint_key``, equal ids for equal keys; an
+        Unknown pair is a ``GammaError`` saying what could not be done."""
+        i = self._id_of.get(h)
+        if i is None:
+            try:
+                key = fingerprint_key(h)
+            except UnresolvedError as exc:
+                raise GammaError("cannot %s: %s" % (what, exc)) from exc
+            i = self._id_of[h] = self._ids.setdefault(key, len(self.keys))
+            if i == len(self.keys):
+                self.keys.append(key)
+        return i
 
     def image(self, ideal: Ideal, t: Transvection) -> Ideal:
         auto = self._automorphisms.get(t)
@@ -88,31 +111,32 @@ def _images(ideal: Ideal, bypass: Bypass, taus, cache: _HomotopyCache):
         yield t, image, h_image, _bypass_status(h_image, bypass)
 
 
-def _key(h: HomotopyRelation, what: str):
-    """``fingerprint_key`` of h; an Unknown pair is a ``GammaError``."""
-    try:
-        return fingerprint_key(h)
-    except UnresolvedError as exc:
-        raise GammaError("cannot %s: %s" % (what, exc)) from exc
-
-
 def ratio_candidates(ideal: Ideal, bypass: Bypass):
     """Coefficients -mu/lambda cancelling the u-terms of basis elements.
 
     For every basis element containing a path v*alpha*w whose companion
     v*u*w also appears, the transvection with this coefficient kills the
     companion term, which is how a predecessor presentation can look.
+    The rows are read by path number (``Ideal.rows``), and the companion
+    is numbered from u's number through the tables of ``path_tables``.
     """
     fld = ideal.field
+    paths = enumerate_paths(ideal.quiver)
+    index, after, before = path_tables(ideal.quiver)[:3]
+    u = index[bypass.path]
     out = []
-    for rel in ideal.minimal_relations():
-        for p, lam in rel.terms:
-            if bypass.arrow not in p.arrows:
+    for row in ideal.rows():
+        for n, lam in sorted(row.items()):
+            arrows = paths[n].arrows
+            if bypass.arrow not in arrows:
                 continue
-            i = p.arrows.index(bypass.arrow)
-            partner = Path(p.source, p.target,
-                           p.arrows[:i] + bypass.path.arrows + p.arrows[i + 1:])
-            out.append(fld.neg(fld.div(rel.coefficient(partner, fld), lam)))
+            i = arrows.index(bypass.arrow)
+            partner = u
+            for a in arrows[i + 1:]:
+                partner = after[a][partner]
+            for a in reversed(arrows[:i]):
+                partner = before[a][partner]
+            out.append(fld.neg(fld.div(row.get(partner, fld.zero), lam)))
     return _candidates(c for c in out if not fld.is_zero(c))
 
 
@@ -153,7 +177,7 @@ def successor_probe(ideal: Ideal, h: HomotopyRelation,
         unresolved = False
         for t, image, h_image, st in _images(ideal, bypass, schedule, cache):
             if st == HOMOTOPIC:
-                hits.setdefault(_key(h_image, "dedup a successor"),
+                hits.setdefault(cache.key_id(h_image, "dedup a successor"),
                                 (t, image, h_image))
                 break
             if st == NOT_HOMOTOPIC:
@@ -194,7 +218,7 @@ def predecessor_probe(ideal: Ideal, h: HomotopyRelation,
         taus = _candidates(ratio_candidates(ideal, bypass), schedule)
         for t, image, h_image, st in _images(ideal, bypass, taus, cache):
             if st == NOT_HOMOTOPIC:
-                hits.setdefault(_key(h_image, "dedup a predecessor"),
+                hits.setdefault(cache.key_id(h_image, "dedup a predecessor"),
                                 (t, image, h_image))
             elif st == HOMOTOPIC:
                 if not ideals_equal(ideal, image):
@@ -295,9 +319,10 @@ def explore_gamma(ideal: Ideal) -> GammaQuiver:
     fld = ideal.field
     cache = _HomotopyCache()
     h0 = cache.get(ideal)
-    key0 = _key(h0, "explore")
+    id0 = cache.key_id(h0, "explore")
 
-    vertices = {key0: GammaVertex(0, key0, ideal, h0, [ideal])}
+    # vertices, and the ends of edges, keyed by fingerprint id
+    vertices = {id0: GammaVertex(0, cache.keys[id0], ideal, h0, [ideal])}
     kept = {ideal}  # the representatives of every vertex
     edges = {}
     diagnostics = []
@@ -307,23 +332,24 @@ def explore_gamma(ideal: Ideal) -> GammaQuiver:
                            % (TAU_CAP, fld.char - 1 - TAU_CAP, fld.char - 1,
                               fld.char))
     capped = set()
-    queue = deque([(key0, ideal, h0)])
+    queue = deque([(id0, ideal, h0)])
 
-    def vertex_for(key, rep, h_rep):
-        if key not in vertices:
-            vertices[key] = GammaVertex(len(vertices), key, rep, h_rep, [rep])
+    def vertex_for(i, rep, h_rep):
+        if i not in vertices:
+            vertices[i] = GammaVertex(len(vertices), cache.keys[i], rep,
+                                      h_rep, [rep])
             kept.add(rep)
-            queue.append((key, rep, h_rep))
-        return vertices[key]
+            queue.append((i, rep, h_rep))
+        return vertices[i]
 
-    def add_representative(key, rep, h_rep):
-        vertex = vertices[key]
+    def add_representative(i, rep, h_rep):
+        vertex = vertices[i]
         if rep in kept:
             return
         if len(vertex.representatives) < DEFAULT_MAX_REPRESENTATIVES:
             vertex.representatives.append(rep)
             kept.add(rep)
-            queue.append((key, rep, h_rep))
+            queue.append((i, rep, h_rep))
         elif vertex.index not in capped:
             capped.add(vertex.index)
             diagnostics.append(
@@ -331,28 +357,28 @@ def explore_gamma(ideal: Ideal) -> GammaQuiver:
                 "probed" % (vertex.index, DEFAULT_MAX_REPRESENTATIVES))
 
     while queue:
-        key, rep, h_rep = queue.popleft()
+        i, rep, h_rep = queue.popleft()
+        v = vertices[i]
         succ = successor_probe(rep, h_rep, cache)
         diagnostics.extend(succ.inconclusive)
         for t, image, h_image in succ.hits:
-            k_image = fingerprint_key(h_image)
-            if k_image == key:
+            j = cache.key_id(h_image, "dedup a successor")
+            if j == i:
                 raise GammaError("successor did not change the homotopy relation")
-            w = vertex_for(k_image, image, h_image)
-            edges.setdefault((key, w.key),
-                             GammaEdge(vertices[key].index, w.index, t, rep, image))
+            w = vertex_for(j, image, h_image)
+            edges.setdefault((i, j), GammaEdge(v.index, w.index, t, rep, image))
         pred = predecessor_probe(rep, h_rep, cache)
         diagnostics.extend(pred.inconclusive)
         for t, image, h_image in pred.hits:
-            w = vertex_for(fingerprint_key(h_image), image, h_image)
-            edges.setdefault((w.key, key),
-                             GammaEdge(w.index, vertices[key].index,
-                                       t.inverse(fld), image, rep))
+            j = cache.key_id(h_image, "dedup a predecessor")
+            w = vertex_for(j, image, h_image)
+            edges.setdefault((j, i), GammaEdge(w.index, v.index,
+                                               t.inverse(fld), image, rep))
         for t, image, h_image in pred.misses:
-            if _key(h_image, "dedup an alternate representative") != key:
+            if cache.key_id(h_image, "dedup an alternate representative") != i:
                 raise GammaError("a homotopy-preserving transvection changed "
                                  "the fingerprint")
-            add_representative(key, image, h_image)
+            add_representative(i, image, h_image)
 
     gamma = GammaQuiver(list(vertices.values()), list(edges.values()),
                         len(find_bypasses(ideal.quiver)), diagnostics)
@@ -406,7 +432,8 @@ def check_surjection(source_ideal: Ideal,
     induced morphism is then onto because both groups are generated by
     the same chord loops), plus the abelianized cokernel check.  Both
     relations come from ``homotopy_relation``, so on the representatives
-    of an explored graph none is built.
+    of an explored graph none is built.  The pairs are read by path
+    number, and a ``Path`` pair is made only for a witness.
     """
     if source_ideal.quiver != target_ideal.quiver:
         raise GammaError("ideals live on different quivers")
@@ -417,13 +444,15 @@ def check_surjection(source_ideal: Ideal,
     src_inv = h_source.presentation.abelian_invariants
     tgt_inv = h_target.presentation.abelian_invariants
 
+    paths = enumerate_paths(source_ideal.quiver)
     unknown_witness = None
-    for u, v in h_source.generating_pairs:
-        status = h_target.pair_status(u, v)
+    for i, j in h_source.pair_numbers:
+        status = h_target.number_status(i, j)
         if status == NOT_HOMOTOPIC:
-            return SurjectionResult(REFUTED, (u, v), src_inv, tgt_inv)
+            return SurjectionResult(REFUTED, (paths[i], paths[j]),
+                                    src_inv, tgt_inv)
         if status == UNKNOWN and unknown_witness is None:
-            unknown_witness = (u, v)
+            unknown_witness = (paths[i], paths[j])
     if unknown_witness is not None:
         return SurjectionResult(UNKNOWN, unknown_witness, src_inv, tgt_inv)
 

@@ -185,7 +185,12 @@ def conjugate(loop, c):
 
 class SpanningTree:
     """BFS tree over the underlying graph, edges in declaration order;
-    ``chord_index`` numbers the arrows off it, the chords, from 1."""
+    ``chord_index`` numbers the arrows off it, the chords, from 1.
+
+    ``spanning_tree`` builds one per (quiver, base point), and every
+    relation on that quiver and base point reads it with its tables on
+    the path numbers, ``path_words`` and ``extensions``, each made on
+    first read."""
 
     def __init__(self, quiver: Quiver, x0):
         self.quiver = quiver
@@ -212,6 +217,35 @@ class SpanningTree:
         self.chords = tuple(a.name for a in quiver.arrows
                             if a.name not in in_tree)
         self.chord_index = {c: i for i, c in enumerate(self.chords, 1)}
+
+    @cached_property
+    def path_words(self):
+        """The chord word of each path number (``quiver.path_tables``).  A
+        path is a reduced walk of forward letters, so its word is its
+        chords, last arrow first, all positive: the word of its ``head``,
+        with the chord of its last arrow in front when that arrow is a
+        chord."""
+        index = self.chord_index
+        paths = enumerate_paths(self.quiver)
+        head = path_tables(self.quiver)[3]
+        words = [()] * len(self.quiver.vertices)  # e_x, numbered first
+        for n in range(len(words), len(paths)):
+            c, word = index.get(paths[n].arrows[-1]), words[head[n]]
+            words.append(word if c is None else (c,) + word)
+        return tuple(words)
+
+    @cached_property
+    def extensions(self):
+        """``(outs, ins)`` for the congruence closure: per vertex x, the
+        ``after`` tables of ``path_tables`` of the arrows out of x and the
+        ``before`` tables of the arrows into x."""
+        quiver = self.quiver
+        _, after, before = path_tables(quiver)[:3]
+        outs = {x: [after[a.name] for a in quiver.arrows_from(x)]
+                for x in quiver.vertices}
+        ins = {x: [before[b.name] for b in quiver.arrows_into(x)]
+               for x in quiver.vertices}
+        return outs, ins
 
     def walk_from_root(self, v) -> Walk:
         letters = []
@@ -266,12 +300,12 @@ class HomotopyRelation:
         self.base_point = x0
         self.default_cap = 2 * longest_path_length(self.quiver) + 4
 
-        self.tree = SpanningTree(self.quiver, x0)
-        self._pairs = ideal.support_pairs()  # see generating_pairs
+        self.tree = spanning_tree(self.quiver, x0)
+        self.pair_numbers = ideal.support_pairs()  # see generating_pairs
         self.presentation = self._presentation()
         self._path_classes = self._congruence_closure()
         self._homs = self._fingerprint()
-        self._where = hom_layout(self.quiver)[1]
+        _, self._where, self._at = hom_layout(self.quiver)
         self._key = None  # see fingerprint_key
 
     @property
@@ -282,28 +316,20 @@ class HomotopyRelation:
 
     @cached_property
     def generating_pairs(self):
-        """``Ideal.support_pairs`` as ``Path`` pairs, made on first read;
-        the relation is built on the pairs of path numbers."""
+        """``pair_numbers``, the pairs of path numbers of
+        ``Ideal.support_pairs`` that the relation is built on, as ``Path``
+        pairs, made on first read."""
         paths = enumerate_paths(self.quiver)
-        return tuple((paths[i], paths[j]) for i, j in self._pairs)
+        return tuple((paths[i], paths[j]) for i, j in self.pair_numbers)
 
     def _presentation(self):
         """The chord presentation of pi1: one relator, the chord word of
-        u * v^-1, per generating pair whose chord words differ.  A path
-        is a reduced walk of forward letters, so its chord word is its
-        chords, last arrow first, all positive, and cancels v's inverted
-        word at the join only.  The words come from one table on the
-        path numbers: a path's word is the word of its ``head``, with the
-        chord of its last arrow in front when that arrow is a chord."""
-        index = self.tree.chord_index
-        paths = enumerate_paths(self.quiver)
-        head = path_tables(self.quiver)[3]
-        words = [()] * len(self.quiver.vertices)  # e_x, numbered first
-        for n in range(len(words), len(paths)):
-            c, word = index.get(paths[n].arrows[-1]), words[head[n]]
-            words.append(word if c is None else (c,) + word)
+        u * v^-1, per generating pair whose chord words differ.  Path
+        words (``SpanningTree.path_words``) are all positive, so u's word
+        cancels v's inverted word at the join only."""
+        words = self.tree.path_words
         relators = []
-        for i, j in self._pairs:
+        for i, j in self.pair_numbers:
             word = cancel_join(words[i], invert_word(words[j]))
             if word:
                 relators.append(word)
@@ -341,16 +367,13 @@ class HomotopyRelation:
         queued; within each class they are already equivalent.
 
         It runs on path numbers, through the tables of ``path_tables``,
-        listed per vertex: ``after`` of the arrows out of it, ``before``
-        of those into it.  Returns the root number of each path number.
+        listed per vertex in ``SpanningTree.extensions``.  Returns the root
+        number of each path number.
         """
         quiver = self.quiver
         paths = enumerate_paths(quiver)
-        _, after, before, head, tail = path_tables(quiver)
-        outs = {x: [after[a.name] for a in quiver.arrows_from(x)]
-                for x in quiver.vertices}
-        ins = {x: [before[b.name] for b in quiver.arrows_into(x)]
-               for x in quiver.vertices}
+        head, tail = path_tables(quiver)[3:]
+        outs, ins = self.tree.extensions
         sets = DisjointSets(range(len(paths)))
         union = sets.union
         by_first = [{p.arrows[0]: i} if p.arrows else {}
@@ -358,7 +381,7 @@ class HomotopyRelation:
         by_last = [{p.arrows[-1]: i} if p.arrows else {}
                    for i, p in enumerate(paths)]
 
-        pending = list(self._pairs)
+        pending = list(self.pair_numbers)
         while pending:
             i, j = pending.pop()
             merged = union(i, j)
@@ -452,13 +475,24 @@ class HomotopyRelation:
         order: the table entry of the classes of u and v."""
         if u == v:
             return HOMOTOPIC
-        at_u = self._where.get(u)
-        at_v = self._where.get(v)
-        if at_u is None or at_v is None or at_u[0] != at_v[0]:
+        index = path_tables(self.quiver)[0]
+        i, j = index.get(u), index.get(v)
+        if i is None or j is None:
             raise HomotopyError("pair (%s, %s) is not a parallel path pair"
                                 % (u, v))
-        _, labels, table = self._homs[at_u[0]]
-        return table[labels[at_u[1]]][labels[at_v[1]]]
+        return self.number_status(i, j)
+
+    def number_status(self, i, j) -> str:
+        """``pair_status`` of the paths numbered i and j
+        (``quiver.path_tables``), read through the ``at`` table of
+        ``quiver.hom_layout``."""
+        (k, a), (l, b) = self._at[i], self._at[j]
+        if k != l:
+            paths = enumerate_paths(self.quiver)
+            raise HomotopyError("pair (%s, %s) is not a parallel path pair"
+                                % (paths[i], paths[j]))
+        _, labels, table = self._homs[k]
+        return table[labels[a]][labels[b]]
 
     def loop_exponents(self, u: Walk, v: Walk):
         """Net chord exponents of the loop u * v^-1 (order irrelevant
@@ -478,12 +512,11 @@ class HomotopyRelation:
 
     def class_image(self, n):
         """The abelian image of the path numbered n, one per class: the
-        lattice image of the path's chord exponents."""
-        index = self.tree.chord_index
+        lattice image of the path's chord exponents, read from its word
+        in ``SpanningTree.path_words``."""
         exponents = [0] * len(self.presentation.generators)
-        for a in enumerate_paths(self.quiver)[n].arrows:
-            if a in index:
-                exponents[index[a] - 1] += 1
+        for c in self.tree.path_words[n]:
+            exponents[c - 1] += 1
         return self.presentation.lattice.image(exponents)
 
     def decide(self, u: Walk, v: Walk, cap=None, want_chain=True) -> Decision:
@@ -936,6 +969,16 @@ def _expand_rewrite(before: Walk, i, y, x, pdst):
     steps.append(MoveStep("replace", pos, (psrc, pdst), cur))
     steps.extend(_reduction_steps(cur))
     return steps
+
+
+def spanning_tree(quiver: Quiver, x0) -> SpanningTree:
+    """The ``SpanningTree`` of the quiver at x0, built once per (quiver,
+    base point) and kept on the quiver, so that the relations of all its
+    ideals share the tree and its tables."""
+    tree = quiver._trees.get(x0)
+    if tree is None:
+        tree = quiver._trees[x0] = SpanningTree(quiver, x0)
+    return tree
 
 
 def homotopy_relation(ideal: Ideal, x0=None) -> HomotopyRelation:

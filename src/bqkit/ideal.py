@@ -10,7 +10,7 @@ set for the homotopy machinery (see ``Ideal.minimal_relations``).
 
 from __future__ import annotations
 
-from itertools import combinations, groupby
+from itertools import combinations
 
 from .disjoint_sets import DisjointSets
 from .errors import IdealError
@@ -247,17 +247,23 @@ class Ideal:
                                   for r in self.groebner_basis(x, y))
         return self._minimal
 
-    def support_pairs(self):
-        """The pairs (i, j), i < j, of path numbers (``quiver.path_tables``)
-        in the support of one row of ``minimal_relations``, rows in its
-        order; the generating pairs of the homotopy relation, read from
-        the rows without building a ``Relation``."""
-        pairs = []
+    def rows(self):
+        """Every reduced echelon row, a sparse ``{path number:
+        coefficient}`` dict (``quiver.path_tables``), hom-pairs in vertex
+        order and pivots ascending: the rows of ``minimal_relations``,
+        without a ``Relation``.  The dicts are the ideal's own, shared
+        with every reader, and never written after ``close_ideal``."""
         for key in self.hom_pairs():
             rows = self._spaces[key].rows
             for p in sorted(rows):
-                pairs.extend(combinations(sorted(rows[p]), 2))
-        return pairs
+                yield rows[p]
+
+    def support_pairs(self):
+        """The pairs (i, j), i < j, of path numbers in the support of one
+        row of ``rows``, rows in its order; the generating pairs of the
+        homotopy relation."""
+        return [pair for row in self.rows()
+                for pair in combinations(sorted(row), 2)]
 
     def contains(self, r: Relation) -> bool:
         if r.is_zero:
@@ -278,19 +284,21 @@ class Ideal:
             return NotImplemented
         if self.quiver != other.quiver or self.field != other.field:
             return False
-        return self._basis_snapshot() == other._basis_snapshot()
+        return self._row_snapshot() == other._row_snapshot()
 
     def __hash__(self):
         # the basis never changes once built, so neither does the hash
         if self._hash is None:
-            self._hash = hash((self.quiver, self.field, self._basis_snapshot()))
+            self._hash = hash((self.quiver, self.field, self._row_snapshot()))
         return self._hash
 
-    def _basis_snapshot(self):
+    def _row_snapshot(self):
+        """``rows`` as one tuple, each row the tuple of its entries sorted
+        by path number; on one quiver and field, two ideals are equal
+        exactly when their snapshots are."""
         if self._snapshot is None:
-            self._snapshot = tuple(sorted(
-                (k, tuple(rs)) for k, rs in groupby(
-                    self.minimal_relations(), lambda r: (r.source, r.target))))
+            self._snapshot = tuple(tuple(sorted(row.items()))
+                                   for row in self.rows())
         return self._snapshot
 
     def describe(self) -> str:
@@ -518,4 +526,4 @@ def ideals_equal(a: Ideal, b: Ideal) -> bool:
     if a.field != b.field:
         raise IdealError("ideals live over different fields (char %s vs %s)"
                          % (a.field.char, b.field.char))
-    return a._basis_snapshot() == b._basis_snapshot()
+    return a._row_snapshot() == b._row_snapshot()

@@ -82,13 +82,15 @@ class Quiver(FrozenRecord):
         setattr_(self, "_in", {v: tuple(arrs) for v, arrs in incoming.items()})
         setattr_(self, "_hash", hash((self.name, self.vertices, self.arrows)))
         # filled on first use by enumerate_paths (for paths_between and
-        # path_tables too), hom_layout, longest_path_length and path_key
+        # path_tables too), hom_layout, longest_path_length, path_key and
+        # homotopy.spanning_tree (one tree per base point)
         setattr_(self, "_paths", None)
         setattr_(self, "_homs", None)
         setattr_(self, "_layout", None)
         setattr_(self, "_tables", None)
         setattr_(self, "_longest", None)
         setattr_(self, "_keys", {})
+        setattr_(self, "_trees", {})
         self._check_acyclic()
 
     def __eq__(self, other):

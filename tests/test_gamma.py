@@ -16,7 +16,7 @@ from bqkit.gamma import (CONFIRMED, REFUTED, GammaEdge, GammaQuiver,
 from bqkit.homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, HomotopyRelation,
                             homotopy_relation, fingerprint_key,
                             relations_equal, EQUAL)
-from bqkit.ideal import close_ideal, ideals_equal, relation_of_path
+from bqkit.ideal import Ideal, close_ideal, ideals_equal, relation_of_path
 from bqkit.quiver import find_bypasses
 from bqkit.transform import (Dilatation, PathAutomorphism, Transvection,
                              apply_automorphism)
@@ -428,6 +428,28 @@ def test_surjection_checks_after_exploration_build_no_relation(monkeypatch):
     monkeypatch.setattr(HomotopyRelation, "__init__", no_build)
     for e in gamma.edges:
         assert check_surjection(e.source_rep, e.target_rep).status == CONFIRMED
+
+
+def test_exploration_reads_no_relation_objects(monkeypatch):
+    """Interning an image, the predecessor ratios and the surjection
+    checks read the echelon rows by path number: exploring two ``I2``
+    units over F_2 and over Q and checking the surjection along every
+    edge call ``minimal_relations`` zero times."""
+    calls = []
+    minimal = Ideal.minimal_relations
+
+    def spy(self):
+        calls.append(self)
+        return minimal(self)
+
+    monkeypatch.setattr(Ideal, "minimal_relations", spy)
+    for char in (2, 0):
+        gamma = explore_gamma(twobypass_chain(2, "I2", char))
+        assert gamma.edges
+        for e in gamma.edges:
+            assert check_surjection(e.source_rep, e.target_rep).status \
+                == CONFIRMED
+    assert calls == []
 
 
 def test_exploration_builds_one_automorphism_per_transvection(monkeypatch):

@@ -16,8 +16,8 @@ from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             fingerprint_key, homotopy_relation, invert_word,
                             reduce_word, relations_equal)
 from bqkit.ideal import close_ideal
-from bqkit.quiver import (FORWARD, INVERSE, Walk, hom_layout, make_walk,
-                          paths_between, walk_of_path)
+from bqkit.quiver import (FORWARD, INVERSE, Walk, enumerate_paths, hom_layout,
+                          make_walk, paths_between, walk_of_path)
 from bqkit.snf import RowLattice
 
 
@@ -334,6 +334,28 @@ def test_relations_share_the_hom_layout_of_their_quiver():
     assert hom_layout(ideal.quiver)[0] is homs
     assert hom_layout(ideal.quiver)[2] is at
     assert (homs, where, at) == snapshot
+
+
+def test_relations_share_the_spanning_tree_of_their_quiver():
+    """The relations of different ideals on one quiver and base point read
+    one ``SpanningTree``, with one table of path words and one set of
+    extension lists; another base point has a tree of its own.  A path's
+    word is the chord word of its walk."""
+    ideal = twobypass_chain(2)
+    other = close_ideal(ideal.quiver, ideal.field, ideal.generators[:1])
+    assert other != ideal
+    h, h_other = homotopy.HomotopyRelation(ideal), homotopy_relation(other)
+    tree = h.tree
+    assert h_other.tree is tree
+    assert h_other.tree.path_words is tree.path_words
+    assert h_other.tree.extensions is tree.extensions
+    x1 = ideal.quiver.vertices[1]
+    assert homotopy_relation(ideal, x1).tree is not tree
+    assert homotopy_relation(other, x1).tree is homotopy_relation(ideal, x1).tree
+    fresh = homotopy.SpanningTree(ideal.quiver, tree.x0)
+    assert fresh.chord_index == tree.chord_index
+    for n, p in enumerate(enumerate_paths(ideal.quiver)):
+        assert tree.path_words[n] == fresh.chord_word(walk_of_path(p))
 
 
 def test_lattice_is_built_only_for_hom_sets_with_two_classes():

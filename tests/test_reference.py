@@ -60,6 +60,14 @@ closure extending through ``arrows_from`` and tables looked up by arrow
 name, and the key looking up each ``Path`` in the ``path_key`` memo and
 in ``h._where``.  ``DisjointSets.union``, which halves both paths
 inline, is compared with two ``find`` calls and a link.
+
+Ideals compare and hash by a snapshot of their echelon rows by path
+number (``Ideal.rows``); that identity is compared with comparing
+``minimal_relations``, and the dense reference ideals, whose rows are
+coefficient lists, are compared with the sparse ones through
+``minimal_relations`` too.  ``check_surjection`` reads generating pairs
+and statuses by path number; it is compared with the lookup of the
+``Path`` pairs of ``generating_pairs`` through ``pair_status``.
 """
 
 import random
@@ -80,14 +88,15 @@ from bqkit.disjoint_sets import DisjointSets
 from bqkit.dsl import parse_source
 from bqkit.errors import HomotopyError, UnresolvedError
 from bqkit.fields import Field
-from bqkit.gamma import explore_gamma, tau_schedule
+from bqkit.gamma import (CONFIRMED, REFUTED, check_surjection,
+                         explore_gamma, tau_schedule)
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             UNKNOWN, Decision, HomotopyRelation,
                             _expand_rewrite, fingerprint_key,
                             homotopy_relation, relations_equal)
 from bqkit.ideal import (Ideal, Relation, _groebner_basis, add_relations,
-                         close_ideal, make_relation, mul_relations,
-                         relation_of_path, scale_relation)
+                         close_ideal, ideals_equal, make_relation,
+                         mul_relations, relation_of_path, scale_relation)
 from bqkit.quiver import (FORWARD, INVERSE, Path, Walk, enumerate_paths,
                           find_bypasses, make_path, path_key, path_tables,
                           paths_between, trivial_path, walk_of_path)
@@ -304,7 +313,7 @@ def closure_inputs():
 def test_sparse_rows_match_dense_rows():
     for ideal in closure_inputs():
         dense = relation_closure(ideal.quiver, ideal.field, ideal.generators)
-        assert dense._basis_snapshot() == ideal._basis_snapshot()
+        assert dense.minimal_relations() == ideal.minimal_relations()
 
 
 # b*a and c*b overlap in b, and their S-element c*b2*a2 - c2*b2*a has a
@@ -437,7 +446,7 @@ def test_int_scalars_close_like_fractions():
         gens = fractional_generators(ideal)
         got = close_ideal(ideal.quiver, ideal.field, gens)
         want = relation_closure(ideal.quiver, FractionField(), gens)
-        assert got._basis_snapshot() == want._basis_snapshot()
+        assert got.minimal_relations() == want.minimal_relations()
         for r in got.minimal_relations():
             for _, c in r.terms:
                 assert type(c) is int or (type(c) is Fraction
@@ -1245,18 +1254,111 @@ def test_coordinate_images_match_closure_of_relation_images():
         for phi in phis:
             image = apply_automorphism(phi, ideal)
             expected = closure_apply_automorphism(phi, ideal)
-            assert image._basis_snapshot() == expected._basis_snapshot(), phi
+            assert image.minimal_relations() == expected.minimal_relations(), phi
             # an image ideal's generators are the images of the source's
             # generators, in order, and they close to it
             auto = as_path_automorphism(phi, quiver, fld)
             assert list(image.generators) == [
                 auto.apply_to_relation(g) for g in ideal.generators], phi
             rebuilt = relation_closure(quiver, fld, image.generators)
-            assert rebuilt._basis_snapshot() == image._basis_snapshot()
+            assert rebuilt.minimal_relations() == image.minimal_relations()
             for r in ideal.minimal_relations():
                 assert auto.apply_to_relation(r) == relation_image(auto, r)
             checked += 1
     assert checked > 1000
+
+
+def identity_corpus():
+    """``closure_inputs()``, each also closed again from its basis rows
+    and from all but its last generator, and the ``apply_automorphism``
+    images of ``apply_corpus()`` under every transvection of the tau
+    schedule and one dilatation."""
+    for ideal in closure_inputs():
+        quiver, fld = ideal.quiver, ideal.field
+        yield ideal
+        yield close_ideal(quiver, fld, ideal.minimal_relations())
+        yield close_ideal(quiver, fld, ideal.generators[:-1])
+    for ideal in apply_corpus():
+        quiver, fld = ideal.quiver, ideal.field
+        for bypass in find_bypasses(quiver):
+            for tau in tau_schedule(fld):
+                yield apply_automorphism(Transvection(bypass, tau), ideal)
+        yield apply_automorphism(some_dilatation(quiver, fld), ideal)
+
+
+def test_ideal_identity_is_the_identity_of_minimal_relations():
+    """``Ideal.__eq__`` and ``__hash__`` read the echelon rows by path
+    number; they agree with comparing ``minimal_relations``, the rows as
+    relations, on every pair of ideals on one quiver over one field
+    (rows over different fields can print alike), and equal ideals hash
+    equal.  The corpus has equal ideals closed from different generator
+    sets and equal images of different ideals."""
+    groups = {}
+    for ideal in identity_corpus():
+        groups.setdefault((ideal.quiver, ideal.field), []).append(ideal)
+    equal_pairs = unequal_pairs = regenerated = 0
+    for ideals in groups.values():
+        for a, b in combinations(ideals, 2):
+            same = a.minimal_relations() == b.minimal_relations()
+            assert (a == b) == same == ideals_equal(a, b)
+            if same:
+                assert hash(a) == hash(b)
+                equal_pairs += 1
+                regenerated += a.generators != b.generators
+            else:
+                unequal_pairs += 1
+    assert regenerated > 1000 and equal_pairs > regenerated
+    assert unequal_pairs > 1000
+    by_quiver = {}
+    for quiver, fld in groups:
+        by_quiver.setdefault(quiver, []).append(groups[quiver, fld][0])
+    for ideals in by_quiver.values():
+        for a, b in combinations(ideals, 2):
+            assert a != b
+
+
+def path_pair_surjection(source_ideal, target_ideal):
+    """The (status, witness) of ``check_surjection`` as it was computed
+    from ``Path`` pairs: the source's ``generating_pairs`` looked up in
+    the target with ``pair_status``."""
+    h_target = homotopy_relation(target_ideal)
+    unknown_witness = None
+    for u, v in homotopy_relation(source_ideal).generating_pairs:
+        status = h_target.pair_status(u, v)
+        if status == NOT_HOMOTOPIC:
+            return REFUTED, (u, v)
+        if status == UNKNOWN and unknown_witness is None:
+            unknown_witness = (u, v)
+    if unknown_witness is not None:
+        return UNKNOWN, unknown_witness
+    return CONFIRMED, None
+
+
+def test_surjection_by_path_number_matches_path_pairs():
+    """``check_surjection`` reads the generating pairs and statuses by
+    path number; it gives the verdicts and witnesses of the ``Path``
+    pair lookup on every ordered pair of ideals on one quiver over one
+    field among the example ideals and the random ideals of one seed
+    reduced to two generators, and along the Gamma edges of two ``I2``
+    units over F_2."""
+    groups = {}
+    for ideal in example_ideals():
+        groups.setdefault((ideal.quiver, ideal.field), []).append(ideal)
+    for seed in range(20):
+        ideal = make_random_bound_quiver(random.Random(seed), char=0)
+        groups[ideal.quiver, ideal.field] = [ideal] + [
+            close_ideal(ideal.quiver, ideal.field, ideal.generators[k:k + 1])
+            for k in range(len(ideal.generators))]
+    pairs = [(a, b) for ideals in groups.values() for a in ideals
+             for b in ideals if a is not b]
+    gamma = explore_gamma(twobypass_chain(2, "I2", 2))
+    pairs += [(e.source_rep, e.target_rep) for e in gamma.edges]
+    verdicts = set()
+    for a, b in pairs:
+        res = check_surjection(a, b)
+        assert (res.status, res.witness) == path_pair_surjection(a, b)
+        verdicts.add(res.status)
+    assert verdicts == {CONFIRMED, REFUTED}
 
 
 def row_generating_pairs(ideal):
