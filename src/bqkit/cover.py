@@ -269,7 +269,8 @@ class _Ball:
     ``index`` maps the word of each walk classified so far to its class.
     Steps and deck maps move words by ``homotopy.cancel_join``.
     A word not yet classified is decoded and compared by ``decide`` with
-    the classes of its (target, abelian image) bucket.  With no relators
+    the classes of its bucket, keyed by the walk's target and the image
+    (``GroupPresentation.image``) of its chord word.  With no relators
     pi1 is free on the chords, and a reduced walk from the base point is
     fixed by its target and chord word, so distinct reduced walks are
     distinct classes (Serre, *Trees*, ch. I): such a word is a new class,
@@ -288,7 +289,7 @@ class _Ball:
         self.index = {(): 0}
         self._buckets = {}  # (target, abelian image) -> class indices
         if h.presentation.relators:
-            self._buckets[(root.target, h.abelian_image(root, root))] = [0]
+            self._buckets[(root.target, h.presentation.image(()))] = [0]
 
     def classify(self, walk: Walk, create=False):
         """The index of the class holding the reduced walk from the base
@@ -306,7 +307,8 @@ class _Ball:
         walk = None
         if h.presentation.relators:
             walk = h.decode(h.base_point, word)
-            key = (walk.target, h.abelian_image(walk, self.reps[0]))
+            key = (walk.target,
+                   h.presentation.image(h.tree.chord_word(walk)))
             for i in self._buckets.get(key, ()):
                 decision = h.decide(walk, self.reps[i], cap=self.cap,
                                     want_chain=False)

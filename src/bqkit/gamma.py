@@ -457,11 +457,10 @@ def check_surjection(source_ideal: Ideal,
         return SurjectionResult(UNKNOWN, unknown_witness, src_inv, tgt_inv)
 
     # abelianized cokernel: every source relator must die in the target
-    rows = h_source.presentation.exponent_rows()
-    for row in rows:
-        if not h_target.presentation.lattice.contains(row):
-            raise GammaError("abelianized well-definedness check failed even "
-                             "though all generating pairs are homotopic")
+    image = h_target.presentation.image
+    if any(any(image(w)) for w in h_source.presentation.relators):
+        raise GammaError("abelianized well-definedness check failed even "
+                         "though all generating pairs are homotopic")
     return SurjectionResult(CONFIRMED, None, src_inv, tgt_inv)
 
 
@@ -475,13 +474,9 @@ def check_lemma_3_3_chain(source_ideal: Ideal, target_ideal: Ideal):
     schedule = tau_schedule(fld)
     gamma = explore_gamma(source_ideal)
     cache = _HomotopyCache()
-    h_target = cache.get(target_ideal)
-    key_target = fingerprint_key(h_target)
-    key_source = fingerprint_key(cache.get(source_ideal))
-
-    start = gamma.vertex_of_key(key_source)
-    goal = gamma.vertex_of_key(key_target)
-    if start is None or goal is None:
+    start = gamma.vertices[0]  # the input, with its own relation
+    goal = gamma.vertex_of_key(fingerprint_key(cache.get(target_ideal)))
+    if goal is None:
         raise GammaError("target homotopy relation is not a vertex of the graph")
 
     # shortest edge path between the two fingerprints

@@ -116,9 +116,11 @@ class Decision(FrozenRecord):
 
 
 class GroupPresentation(FrozenRecord):
-    """Chord generators and relator words; the abelianization is read from
-    the lattice of the relators' exponent rows.  A relator is a word
-    (``reduce_word``) on the generators, i for generator i (1-based)."""
+    """Chord generators and relator words.  A word (``reduce_word``) on
+    the generators has letter i for generator i (1-based).  ``exponents``
+    counts a word's net exponent on each generator; the relators' rows
+    span ``lattice``, and ``image`` of a word is the lattice image of its
+    exponents, its class in the abelianization."""
 
     _fields = ("generators", "relators")
 
@@ -127,18 +129,21 @@ class GroupPresentation(FrozenRecord):
         setattr_(self, "generators", generators)
         setattr_(self, "relators", relators)
 
-    def exponent_rows(self):
+    def exponents(self, word):
         n = len(self.generators)
-        rows = []
-        for rel in self.relators:
-            row = [0] * n
-            for c in rel:
-                if not isinstance(c, int) or not 0 < abs(c) <= n:
-                    raise HomotopyError("relator letter %r names none of the "
-                                        "%d generators" % (c, n))
-                row[abs(c) - 1] += 1 if c > 0 else -1
-            rows.append(row)
-        return rows
+        row = [0] * n
+        for c in word:
+            if not isinstance(c, int) or not 0 < abs(c) <= n:
+                raise HomotopyError("letter %r names none of the %d "
+                                    "generators" % (c, n))
+            row[abs(c) - 1] += 1 if c > 0 else -1
+        return row
+
+    def exponent_rows(self):
+        return [self.exponents(rel) for rel in self.relators]
+
+    def image(self, word):
+        return self.lattice.image(self.exponents(word))
 
     @cached_property
     def lattice(self) -> RowLattice:
@@ -408,16 +413,18 @@ class HomotopyRelation:
 
         It runs on the path numbers of ``quiver.hom_layout``, classes
         keyed by root number.  Paths of one class are Homotopic.  The
-        abelian image of u * v^-1 is the difference of the
-        ``class_image`` of u and of v, computed only on a hom-set with
-        two or more classes: classes with different images are
-        Not-homotopic, the verdict an abelianization certificate gives
-        any of their member pairs.  For classes with equal images,
-        ``decide`` runs on member pairs in (u, v) order until one answer
-        is not Unknown, and that answer holds for the pair of classes.
-        If any is Homotopic, the Homotopic pairs of classes of the
-        hom-set are closed transitively: a pair inside a Homotopic root
-        becomes Homotopic, or raises if it was certified Not-homotopic.
+        abelian image of u * v^-1 is the difference of the images
+        (``GroupPresentation.image``) of the chord words of u and of v
+        in ``SpanningTree.path_words``, one per class, computed only on
+        a hom-set with two or more classes: classes with different
+        images are Not-homotopic, the verdict an abelianization
+        certificate gives any of their member pairs.  For classes with
+        equal images, ``decide`` runs on member pairs in (u, v) order
+        until one answer is not Unknown, and that answer holds for the
+        pair of classes.  If any is Homotopic, the Homotopic pairs of
+        classes of the hom-set are closed transitively: a pair inside a
+        Homotopic root becomes Homotopic, or raises if it was certified
+        Not-homotopic.
 
         Returns one ``(paths, labels, table)`` per (x, y) in vertex order:
         the paths of the hom-set in canonical order, the class number of
@@ -426,6 +433,7 @@ class HomotopyRelation:
         statuses between classes.
         """
         roots = self._path_classes
+        image, words = self.presentation.image, self.tree.path_words
         homs = []
         for paths, numbers, _ in hom_layout(self.quiver)[0]:
             members = {}  # class root -> positions, by first member
@@ -437,7 +445,7 @@ class HomotopyRelation:
                 continue
             label = {r: k for k, r in enumerate(members)}
             classes = list(members.values())
-            images = [self.class_image(numbers[c[0]]) for c in classes]
+            images = [image(words[numbers[c[0]]]) for c in classes]
             table = [[HOMOTOPIC] * len(classes) for _ in classes]
             joined = []
             for a, b in combinations(range(len(classes)), 2):
@@ -494,31 +502,6 @@ class HomotopyRelation:
         _, labels, table = self._homs[k]
         return table[labels[a]][labels[b]]
 
-    def loop_exponents(self, u: Walk, v: Walk):
-        """Net chord exponents of the loop u * v^-1 (order irrelevant
-        in the abelianization, so no conjugation is needed)."""
-        vec = [0] * len(self.presentation.generators)
-        index = self.tree.chord_index
-        for name, d in u.letters:
-            if name in index:
-                vec[index[name] - 1] += d
-        for name, d in v.letters:
-            if name in index:
-                vec[index[name] - 1] -= d
-        return vec
-
-    def abelian_image(self, u: Walk, v: Walk):
-        return self.presentation.lattice.image(self.loop_exponents(u, v))
-
-    def class_image(self, n):
-        """The abelian image of the path numbered n, one per class: the
-        lattice image of the path's chord exponents, read from its word
-        in ``SpanningTree.path_words``."""
-        exponents = [0] * len(self.presentation.generators)
-        for c in self.tree.path_words[n]:
-            exponents[c - 1] += 1
-        return self.presentation.lattice.image(exponents)
-
     def decide(self, u: Walk, v: Walk, cap=None, want_chain=True) -> Decision:
         """Tri-state decision for parallel walks u, v.
 
@@ -529,7 +512,10 @@ class HomotopyRelation:
         The certifiers, each tried only when those before it gave no
         verdict: 1. free; 2. abelianization; 3. coset action, when no
         chain is wanted; 4. search (``_bfs``); 5. coset action; 6. Unknown,
-        with the cap that ended the search.
+        with the cap that ended the search.  Past step 1 the chord word
+        of the loop u * v^-1 is built once, from the reduced walks: its
+        exponents and image (``GroupPresentation``) make the
+        abelianization certificate, and the coset action reads the word.
 
         The coset action decides both ways once pi1 is enumerated within
         its cap, but its Homotopic answer has no chain, so the search
@@ -556,7 +542,9 @@ class HomotopyRelation:
             cert = {"kind": "free", "reduced": (u_red, v_red)}
             return Decision(NOT_HOMOTOPIC, (), cert)
 
-        exponents = self.loop_exponents(u_red, v_red)
+        chord_word = self.tree.chord_word
+        word = cancel_join(chord_word(u_red), invert_word(chord_word(v_red)))
+        exponents = self.presentation.exponents(word)
         image = self.presentation.lattice.image(exponents)
         if any(image):
             cert = {
@@ -573,7 +561,7 @@ class HomotopyRelation:
             if found is not None:
                 chain = glue_u + found + _invert_steps(v, glue_v)
                 return Decision(HOMOTOPIC, chain)
-        verdict = self._coset_verdict(u_red, v_red)
+        verdict = self._coset_verdict(word)
         if verdict is not None:
             return verdict
         if not want_chain:
@@ -584,13 +572,12 @@ class HomotopyRelation:
         return Decision(UNKNOWN, cap=stop,
                         coset_cap=coset.DEFAULT_MAX_COSETS if tried else None)
 
-    def _coset_verdict(self, u_red, v_red):
-        """Full decision through the regular coset action, if it completed."""
+    def _coset_verdict(self, word):
+        """Full decision on the chord word of a loop u * v^-1 through the
+        regular coset action, if it completed."""
         table = self._cosets
         if table is None:
             return None
-        chord_word = self.tree.chord_word
-        word = cancel_join(chord_word(u_red), invert_word(chord_word(v_red)))
         if table.is_nontrivial(word):
             cert = {"kind": "coset-action", "order": table.order, "word": word}
             return Decision(NOT_HOMOTOPIC, (), cert)

@@ -2,7 +2,8 @@ import pytest
 
 from bqkit.dsl import parse_source
 from bqkit.fields import Field
-from bqkit.homotopy import UNKNOWN, Decision, HomotopyRelation
+from bqkit.homotopy import (UNKNOWN, Decision, GroupPresentation,
+                            HomotopyRelation, cancel_join, invert_word)
 from bqkit.ideal import close_ideal, make_relation
 from bqkit.quiver import Arrow, Quiver, paths_between
 
@@ -58,13 +59,20 @@ def make_random_bound_quiver(rng, char=0, max_vertices=6):
 
 
 def decide_unknown(monkeypatch):
-    """Make every class have the same class image and ``decide`` answer
+    """Make every word have the same abelian image and ``decide`` answer
     Unknown, so a relation built afterwards has an Unknown pair wherever
     a hom-set has two congruence classes."""
-    monkeypatch.setattr(HomotopyRelation, "class_image", lambda self, n: ())
+    monkeypatch.setattr(GroupPresentation, "image", lambda self, word: ())
     monkeypatch.setattr(HomotopyRelation, "decide",
                         lambda self, u, v, cap=None, want_chain=True:
                         Decision(UNKNOWN))
+
+
+def loop_chord_word(h, u, v):
+    """The chord word of the loop u * v^-1 of parallel walks, as
+    ``decide`` builds it."""
+    chord_word = h.tree.chord_word
+    return cancel_join(chord_word(u), invert_word(chord_word(v)))
 
 
 UNIT_RELATIONS = {

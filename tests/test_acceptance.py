@@ -5,7 +5,7 @@ prints one PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 import random
 from fractions import Fraction
 
-from conftest import make_random_bound_quiver
+from conftest import loop_chord_word, make_random_bound_quiver
 
 from bqkit.cover import (GALOIS, FiniteGroup, check_covering, is_galois,
                          lift_transvection, make_grading, smash_product,
@@ -64,7 +64,9 @@ def test_criterion_01_exple1_fundamental_groups(ws4, exple1, ideal_I, ideal_J):
     replay(d_J.chain, a, cb)
     lattice = RowLattice(h_I.presentation.exponent_rows(),
                          len(h_I.presentation.generators))
-    ok = ok and not lattice.contains(h_I.loop_exponents(a, cb))
+    word = loop_chord_word(h_I, a, cb)
+    ok = ok and not lattice.contains(h_I.presentation.exponents(word))
+    ok = ok and any(h_I.presentation.image(word))
     report(1, ok, "pi1(Q,I) = Z and pi1(Q,J) trivial, with replayable "
                   "certificates for (a, c*b)")
 

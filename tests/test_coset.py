@@ -29,10 +29,9 @@ def test_symmetric_group_s3():
     assert lattice.contains([0, 1])  # b vanishes in Z2
     assert table.is_nontrivial((2,))
     assert table.is_nontrivial((1, 2, -1, -2))
-    # the refuting branch of the coset verdict, on words given as chord words
-    stub = SimpleNamespace(_cosets=table,
-                           tree=SimpleNamespace(chord_word=lambda w: w))
-    d = HomotopyRelation._coset_verdict(stub, (1, 2), (2, 1))
+    # the refuting branch of the coset verdict, on the chord word of a loop
+    stub = SimpleNamespace(_cosets=table)
+    d = HomotopyRelation._coset_verdict(stub, (1, 2, -1, -2))
     assert d.status == NOT_HOMOTOPIC
     assert d.certificate == {"kind": "coset-action", "order": 6,
                              "word": (1, 2, -1, -2)}

@@ -13,8 +13,8 @@ from bqkit.cover import (GALOIS, NOT_GALOIS, TRUNCATED, CoverQuiver,
                          theorem_b_pipeline, universal_cover)
 from bqkit.dsl import parse_path, parse_quiver, parse_source
 from bqkit.errors import CoverError
-from bqkit.homotopy import (HomotopyRelation, SpanningTree,
-                            homotopy_relation)
+from bqkit.homotopy import (GroupPresentation, HomotopyRelation,
+                            SpanningTree, homotopy_relation)
 from bqkit.ideal import close_ideal
 from bqkit.quiver import FORWARD, INVERSE, Arrow, Bypass, Quiver, Walk
 from bqkit.transform import Dilatation, Transvection, apply_automorphism
@@ -75,8 +75,7 @@ def test_universal_cover_free_group_makes_no_decisions(monkeypatch):
 
     monkeypatch.setattr(HomotopyRelation, "decide",
                         refuse("a homotopy decision"))
-    monkeypatch.setattr(HomotopyRelation, "abelian_image",
-                        refuse("an abelian image"))
+    monkeypatch.setattr(GroupPresentation, "image", refuse("an abelian image"))
     monkeypatch.setattr(SpanningTree, "chord_word", refuse("a chord word"))
     cov = universal_cover(ideal, radius=6)
     assert cov._ball.h is h

@@ -68,6 +68,13 @@ coefficient lists, are compared with the sparse ones through
 ``minimal_relations`` too.  ``check_surjection`` reads generating pairs
 and statuses by path number; it is compared with the lookup of the
 ``Path`` pairs of ``generating_pairs`` through ``pair_status``.
+
+``GroupPresentation.exponents`` is the one count of a word's exponents
+on the chord generators, and ``GroupPresentation.image`` its lattice
+image.  The exponents of a loop's chord word are compared with the count
+over the letters of the two walks by arrow name, and the image of each
+path's chord word with the count over its word in
+``SpanningTree.path_words``, the two counts they replaced.
 """
 
 import random
@@ -78,8 +85,8 @@ from importlib import resources
 from itertools import chain, combinations
 
 import pytest
-from conftest import (TWO_BYPASS, grid_text, make_random_bound_quiver,
-                      twobypass_chain)
+from conftest import (TWO_BYPASS, grid_text, loop_chord_word,
+                      make_random_bound_quiver, twobypass_chain)
 
 from bqkit import homotopy
 from bqkit.coset import enumerate_cosets
@@ -91,8 +98,8 @@ from bqkit.fields import Field
 from bqkit.gamma import (CONFIRMED, REFUTED, check_surjection,
                          explore_gamma, tau_schedule)
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
-                            UNKNOWN, Decision, HomotopyRelation,
-                            _expand_rewrite, fingerprint_key,
+                            UNKNOWN, Decision, GroupPresentation,
+                            HomotopyRelation, _expand_rewrite, fingerprint_key,
                             homotopy_relation, relations_equal)
 from bqkit.ideal import (Ideal, Relation, _groebner_basis, add_relations,
                          close_ideal, ideals_equal, make_relation,
@@ -993,20 +1000,91 @@ def test_class_images_match_abelian_images():
     outcomes = set()
     for ideal in class_inputs():
         h = homotopy_relation(ideal)
+        image, words = h.presentation.image, h.tree.path_words
         index = path_tables(h.quiver)[0]
         for paths, labels, table in h._homs:
             if len(table) < 2:
                 continue
             firsts = [paths[labels.index(k)] for k in range(len(table))]
-            images = [h.class_image(index[p]) for p in firsts]
+            images = [image(words[index[p]]) for p in firsts]
             for p, k in zip(paths, labels):
-                assert h.class_image(index[p]) == images[k], p
+                assert image(words[index[p]]) == images[k], p
             for (u, a), (v, b) in combinations(zip(firsts, images), 2):
-                zero = not any(h.abelian_image(walk_of_path(u),
-                                               walk_of_path(v)))
+                zero = not any(image(loop_chord_word(h, walk_of_path(u),
+                                                     walk_of_path(v))))
                 assert (a == b) == zero, (u, v)
                 outcomes.add(zero)
     assert outcomes == {True, False}
+
+
+def walk_loop_exponents(h, u, v):
+    """Net chord exponents of the loop u * v^-1, counted over the letters
+    of u and v by arrow name."""
+    vec = [0] * len(h.presentation.generators)
+    index = h.tree.chord_index
+    for name, d in u.letters:
+        if name in index:
+            vec[index[name] - 1] += d
+    for name, d in v.letters:
+        if name in index:
+            vec[index[name] - 1] -= d
+    return vec
+
+
+def path_word_class_image(h, n):
+    """The lattice image of the chord exponents of the path numbered n,
+    counted over its word in ``SpanningTree.path_words``."""
+    exponents = [0] * len(h.presentation.generators)
+    for c in h.tree.path_words[n]:
+        exponents[c - 1] += 1
+    return h.presentation.lattice.image(exponents)
+
+
+def random_parallel_pair(h, rng):
+    """A random reduced walk u and a walk v parallel to it: a random
+    reduced walk from u's source, then the tree walks back to the base
+    point and on to u's target."""
+    tree = h.tree
+    u = random_reduced_walk(h.quiver, rng, rng.randint(0, 8))
+    r = random_reduced_walk(h.quiver, rng, rng.randint(0, 8), u.source)
+    back = tree.walk_from_root(r.target).inverse()
+    return u, Walk(u.source, u.target, r.letters + back.letters
+                   + tree.walk_from_root(u.target).letters)
+
+
+def test_word_exponents_and_images_match_walk_counts():
+    """On ``closure_inputs()``, which holds ``all_ideals()`` and the
+    word-dihedral input (two ``I0`` units over Q): the exponents of the
+    chord word of u * v^-1 equal the count over the letters of u and v,
+    for random parallel pairs, and for every path number the image of
+    its chord word equals the count over that word."""
+    rng = random.Random(7)
+    nonzero = 0
+    for ideal in closure_inputs():
+        h = homotopy_relation(ideal)
+        gp = h.presentation
+        for _ in range(6):
+            u, v = random_parallel_pair(h, rng)
+            expected = walk_loop_exponents(h, u, v)
+            assert gp.exponents(loop_chord_word(h, u, v)) == expected
+            assert gp.exponents(loop_chord_word(
+                h, u.reduced(), v.reduced())) == expected
+            nonzero += any(expected)
+        for n, word in enumerate(h.tree.path_words):
+            assert gp.image(word) == path_word_class_image(h, n), n
+    assert nonzero > 100
+
+
+@pytest.mark.parametrize("letter", [0, 3])
+def test_word_letter_naming_no_generator_raises(letter):
+    """A hand-made word with letter 0 or n + 1 raises when its exponents
+    or its image are asked for, as a relator with such a letter does
+    (``test_malformed_relator_letter_is_rejected``)."""
+    gp = GroupPresentation(("g1", "g2"), ((1, -2),))
+    for count in (gp.exponents, gp.image):
+        with pytest.raises(HomotopyError,
+                           match="names none of the 2 generators"):
+            count((1, letter))
 
 
 SQUARE = """
@@ -1024,7 +1102,7 @@ quiver three {
 
 
 def scripted_relation(monkeypatch, ideal, script):
-    """The relation built when every class has the same class image and
+    """The relation built when every word has the same abelian image and
     ``decide`` answers from ``script`` (written paths to
     status, Unknown if absent); returns it and the decided pairs.  The
     patches stay until ``monkeypatch`` is undone."""
@@ -1035,7 +1113,7 @@ def scripted_relation(monkeypatch, ideal, script):
         calls.append(pair)
         return Decision(script.get(pair, UNKNOWN))
 
-    monkeypatch.setattr(HomotopyRelation, "class_image", lambda self, n: ())
+    monkeypatch.setattr(GroupPresentation, "image", lambda self, word: ())
     monkeypatch.setattr(HomotopyRelation, "decide", decide)
     return HomotopyRelation(ideal), calls
 
