@@ -15,7 +15,7 @@ from .cover import (TRUNCATED, FiniteGroup, check_covering, is_galois,
                     lift_dilatation, lift_transvection, make_grading,
                     smash_product, theorem_b_pipeline, universal_cover)
 from .dsl import parse_path, parse_source, parse_walk
-from .errors import BqError
+from .errors import BqError, ParseError
 from .gamma import (CONFIRMED, REFUTED, check_surjection, explore_gamma,
                     find_sources)
 from .homotopy import HOMOTOPIC, NOT_HOMOTOPIC, homotopy_relation
@@ -80,7 +80,9 @@ def cmd_check(args):
 
 def cmd_paths(args):
     ws = _load(args.file)
-    name = args.quiver or next(iter(ws.quivers))
+    name = args.quiver or next(iter(ws.quivers), None)
+    if name is None:
+        raise ParseError("%s declares no quiver" % args.file)
     q = ws.quiver(name)
     for p in enumerate_paths(q):
         print("%s: %s -> %s" % (p.to_text(), p.source, p.target))

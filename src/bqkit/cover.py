@@ -263,18 +263,20 @@ class CoverQuiver:
 class _Ball:
     """Certified homotopy classes of reduced walks from the base point.
 
-    A walk is keyed by its coded word (``HomotopyRelation.encode``),
-    which fixes it, as every walk here starts at the base point.
-    ``reps[i]`` is the ``Walk`` of class i, ``words[i]`` its word, and
-    ``index`` maps the word of each walk classified so far to its class.
-    Steps and deck maps move words by ``homotopy.cancel_join``.
-    A word not yet classified is decoded and compared by ``decide`` with
-    the classes of its bucket, keyed by the walk's target and the image
-    (``GroupPresentation.image``) of its chord word.  With no relators
-    pi1 is free on the chords, and a reduced walk from the base point is
-    fixed by its target and chord word, so distinct reduced walks are
-    distinct classes (Serre, *Trees*, ch. I): such a word is a new class,
-    decoded only then, and the ball computes no image for it.
+    A walk is keyed by its coded word (``SpanningTree.encode`` of the
+    relation's tree), which fixes it, as every walk here starts at the
+    base point.  ``reps[i]`` is the ``Walk`` of class i, ``words[i]`` its
+    word, and ``index`` maps the word of each walk classified so far to
+    its class.  Steps and deck maps move words by ``homotopy.cancel_join``.
+    A word not yet classified is keyed, still coded, by the vertex it
+    ends at and the image (``GroupPresentation.image``) of its chord
+    word (``SpanningTree.chord_word``), and compared by ``decide`` with
+    the classes of its bucket.  It is decoded into a ``Walk`` only for
+    ``decide`` and for a new class.  With no relators pi1 is free on the
+    chords, and a reduced walk from the base point is fixed by its
+    target and chord word, so distinct reduced walks are distinct
+    classes (Serre, *Trees*, ch. I): such a word is a new class, and the
+    ball computes no image for it.
     """
 
     def __init__(self, h: HomotopyRelation, radius: int):
@@ -295,21 +297,21 @@ class _Ball:
         """The index of the class holding the reduced walk from the base
         point, or None (creating the class if asked and the walk fits in
         the ball)."""
-        return self.classify_word(self.h.encode(walk.letters), create)
+        return self.classify_word(self.h.tree.encode(walk.letters), create)
 
     def classify_word(self, word, create=False):
         """``classify`` for the coded word of the walk."""
         found = self.index.get(word)
         if found is not None:
             return found
-        h = self.h
-        key = None
-        walk = None
+        h, tree = self.h, self.h.tree
+        key = walk = None
         if h.presentation.relators:
-            walk = h.decode(h.base_point, word)
-            key = (walk.target,
-                   h.presentation.image(h.tree.chord_word(walk)))
-            for i in self._buckets.get(key, ()):
+            key = (tree.letter_codes[2][word[-1]] if word else h.base_point,
+                   h.presentation.image(tree.chord_word(word)))
+            bucket = self._buckets.get(key, ())
+            walk = tree.decode(h.base_point, word) if bucket else None
+            for i in bucket:
                 decision = h.decide(walk, self.reps[i], cap=self.cap,
                                     want_chain=False)
                 if decision.status == HOMOTOPIC:
@@ -327,7 +329,7 @@ class _Ball:
         if not create or len(word) > self.radius:
             return None
         if walk is None:
-            walk = h.decode(h.base_point, word)
+            walk = tree.decode(h.base_point, word)
         i = len(self.reps)
         self.reps.append(walk)
         self.words.append(word)
@@ -339,7 +341,7 @@ class _Ball:
     def grow(self):
         """Expand classes breadth-first; returns the indices of the
         classes whose every step stays in the ball."""
-        codes = self.h.letter_codes[1]
+        codes = self.h.tree.letter_codes[1]
         interior = []
         # classify_word appends new classes to reps, and the loop reaches them
         for i, rep in enumerate(self.reps):
@@ -403,7 +405,7 @@ def _universal_deck_generators(cover: CoverQuiver):
     names = cover.total.vertices
     generators = []
     for chord in h.tree.chords:
-        gamma_inv = h.encode(h.tree.chord_loop(chord).inverse().letters)
+        gamma_inv = h.tree.encode(h.tree.chord_loop(chord).inverse().letters)
         vmap = {}
         for name, word in zip(names, ball.words):
             hit = ball.classify_word(cancel_join(gamma_inv, word))

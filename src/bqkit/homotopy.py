@@ -193,9 +193,9 @@ class SpanningTree:
     ``chord_index`` numbers the arrows off it, the chords, from 1.
 
     ``spanning_tree`` builds one per (quiver, base point), and every
-    relation on that quiver and base point reads it with its tables on
-    the path numbers, ``path_words`` and ``extensions``, each made on
-    first read."""
+    relation there reads it: the alphabet of coded walks (``letter_codes``)
+    and its tables on the path numbers, ``path_words`` and
+    ``extensions``, each made on first read."""
 
     def __init__(self, quiver: Quiver, x0):
         self.quiver = quiver
@@ -265,23 +265,55 @@ class SpanningTree:
 
     def chord_loop(self, chord) -> Walk:
         """The reduced loop at the root through a chord: the tree walk to
-        its source, the chord, and the tree walk back from its target."""
+        its source, the chord, off the tree, and the tree walk back."""
         a = self.quiver.arrow(chord)
         return Walk(self.x0, self.x0,
                     self.walk_from_root(a.source).letters + ((chord, FORWARD),)
-                    + self.walk_from_root(a.target).inverse().letters).reduced()
+                    + self.walk_from_root(a.target).inverse().letters)
 
-    def chord_word(self, walk: Walk):
-        """Image of a walk under the retraction onto the chords, a reduced
-        word with chord i forward i and inverse -i.
+    @cached_property
+    def letter_codes(self):
+        """The letter codes of coded walks, in application order: arrow k
+        (1-based, in declaration order) forward is k and inverse is -k.
+        Returns the maps code -> letter, letter -> code and code -> the
+        vertex the letter ends at."""
+        letters = {}
+        ends = {}
+        for k, a in enumerate(self.quiver.arrows, 1):
+            letters[k], ends[k] = (a.name, FORWARD), a.target
+            letters[-k], ends[-k] = (a.name, INVERSE), a.source
+        codes = {letter: c for c, letter in letters.items()}
+        return letters, codes, ends
+
+    def encode(self, letters):
+        """The coded word of the ``Walk`` letters."""
+        codes = self.letter_codes[1]
+        return tuple(codes[letter] for letter in letters)
+
+    def decode(self, source, word) -> Walk:
+        """The walk from source with the coded word."""
+        letters, _, ends = self.letter_codes
+        return Walk(source, ends[word[-1]] if word else source,
+                    tuple(letters[c] for c in word))
+
+    @cached_property
+    def _chord_codes(self):
+        """Letter code -> chord letter, 0 for a tree arrow."""
+        index = self.chord_index
+        return {c: index.get(name, 0) * d
+                for c, (name, d) in self.letter_codes[0].items()}
+
+    def chord_word(self, word):
+        """Image of a reduced coded walk under the retraction onto the
+        chords, a reduced word with chord i forward i and inverse -i.
 
         Words are stored in composition order (leftmost letter applied
         last), so concatenation of walks maps to concatenation of words.
+        It is reduced: between a chord letter and its inverse would lie a
+        reduced tree walk from a vertex to itself, an empty one.
         """
-        index = self.chord_index
-        return reduce_word([index[name] * d
-                            for name, d in reversed(walk.letters)
-                            if name in index])
+        return tuple(filter(None, map(self._chord_codes.__getitem__,
+                                      reversed(word))))
 
 
 class HomotopyRelation:
@@ -512,9 +544,10 @@ class HomotopyRelation:
         The certifiers, each tried only when those before it gave no
         verdict: 1. free; 2. abelianization; 3. coset action, when no
         chain is wanted; 4. search (``_bfs``); 5. coset action; 6. Unknown,
-        with the cap that ended the search.  Past step 1 the chord word
-        of the loop u * v^-1 is built once, from the reduced walks: its
-        exponents and image (``GroupPresentation``) make the
+        with the cap that ended the search.  u and v are encoded and
+        reduced once each, and all after that reads the coded words.
+        Past step 1 the chord word of the loop u * v^-1 is built once:
+        its exponents and image (``GroupPresentation``) make the
         abelianization certificate, and the coset action reads the word.
 
         The coset action decides both ways once pi1 is enumerated within
@@ -528,22 +561,24 @@ class HomotopyRelation:
                                 % (u.source, u.target, v.source, v.target))
         if cap is None:
             cap = self.default_cap
-        u_red = u.reduced()
-        v_red = v.reduced()
+        tree = self.tree
+        first = reduce_word(tree.encode(u.letters))
+        last = reduce_word(tree.encode(v.letters))
         glue_u = _reduction_steps(u) if want_chain else ()
         glue_v = _reduction_steps(v) if want_chain else ()
 
-        if u_red == v_red:
+        if first == last:
             chain = glue_u + _invert_steps(v, glue_v) if want_chain else ()
             return Decision(HOMOTOPIC, tuple(chain))
 
         if not self.presentation.relators:
             # no relations at all: distinct reduced walks are inequivalent
-            cert = {"kind": "free", "reduced": (u_red, v_red)}
+            cert = {"kind": "free", "reduced": (tree.decode(u.source, first),
+                                                tree.decode(v.source, last))}
             return Decision(NOT_HOMOTOPIC, (), cert)
 
-        chord_word = self.tree.chord_word
-        word = cancel_join(chord_word(u_red), invert_word(chord_word(v_red)))
+        chord_word = tree.chord_word
+        word = cancel_join(chord_word(first), invert_word(chord_word(last)))
         exponents = self.presentation.exponents(word)
         image = self.presentation.lattice.image(exponents)
         if any(image):
@@ -557,7 +592,7 @@ class HomotopyRelation:
             return Decision(NOT_HOMOTOPIC, (), cert)
 
         if want_chain:
-            found, stop = self._bfs(u_red, v_red, cap, True)
+            found, stop = self._bfs(u.source, first, last, cap, True)
             if found is not None:
                 chain = glue_u + found + _invert_steps(v, glue_v)
                 return Decision(HOMOTOPIC, chain)
@@ -565,7 +600,7 @@ class HomotopyRelation:
         if verdict is not None:
             return verdict
         if not want_chain:
-            found, stop = self._bfs(u_red, v_red, cap, False)
+            found, stop = self._bfs(u.source, first, last, cap, False)
             if found is not None:
                 return Decision(HOMOTOPIC, ())
         tried = not self.presentation.abelian_invariants[0]  # see _cosets
@@ -598,8 +633,10 @@ class HomotopyRelation:
             raise HomotopyError("coset table failed its consistency check")
         return table
 
-    def _bfs(self, start: Walk, goal: Walk, cap, want_chain):
-        """Breadth-first search over reduced walks of length at most cap.
+    def _bfs(self, source, first, last, cap, want_chain):
+        """Breadth-first search over reduced walks of length at most cap,
+        from the coded reduced walk first to the coded reduced walk last,
+        both from source.
 
         A move inserts a cyclic relator loop at a vertex of the walk and
         reduces (see ``_insertion_rules``).  A word is trivial in pi1
@@ -607,13 +644,12 @@ class HomotopyRelation:
         (Lyndon and Schupp 1977, ch. IV), so these moves reach every
         homotopic walk and the search is complete up to the caps.
 
-        The search runs on coded words (see ``letter_codes``): a walk is
-        the word of its letter codes, arrow k (1-based, in declaration
-        order) being k forward and -k inverse, and only the walks on the
-        found path are decoded.  The moves, their order (rules in order,
-        then visits in order) and the per-walk dedup are those of the
-        loop-insertion search on ``Walk`` letters, so coding the letters
-        changes neither the walks visited nor the chains returned.
+        The search runs on coded words (``SpanningTree.letter_codes``),
+        and only the walks on the found path are decoded.  The moves,
+        their order (rules in order, then visits in order) and the
+        per-walk dedup are those of the loop-insertion search on
+        ``Walk`` letters, so coding the letters changes neither the
+        walks visited nor the chains returned.
 
         It runs level by level, and returns what a FIFO search that
         expands each walk in turn (``_rewrites``) returns.  Before a
@@ -634,12 +670,8 @@ class HomotopyRelation:
         "max_states" once more than ``DEFAULT_MAX_STATES`` walks are
         seen, "walk_length" when no walk within the length cap is left.
         """
-        if len(start.letters) > cap or len(goal.letters) > cap:
-            cap = max(cap, len(start.letters), len(goal.letters))
-        source = start.source
-        first = self.encode(start.letters)
-        last = self.encode(goal.letters)
-        ends = self.letter_codes[2]
+        cap = max(cap, len(first), len(last))
+        ends = self.tree.letter_codes[2]
         anchored = self._rule_table[1]
         seen = {first: None}
         level = [first]
@@ -678,33 +710,9 @@ class HomotopyRelation:
             last = moves[-1][0]
         chain = []
         for prev, move in reversed(moves):
-            chain.extend(_expand_rewrite(self.decode(source, prev), *move))
+            chain.extend(_expand_rewrite(self.tree.decode(source, prev),
+                                         *move))
         return tuple(chain)
-
-    @cached_property
-    def letter_codes(self):
-        """The letter codes of coded walks, in application order: arrow k
-        (1-based, in declaration order) forward is k and inverse is -k.
-        Returns the maps code -> letter, letter -> code and code -> the
-        vertex the letter ends at."""
-        letters = {}
-        ends = {}
-        for k, a in enumerate(self.quiver.arrows, 1):
-            letters[k], ends[k] = (a.name, FORWARD), a.target
-            letters[-k], ends[-k] = (a.name, INVERSE), a.source
-        codes = {letter: c for c, letter in letters.items()}
-        return letters, codes, ends
-
-    def encode(self, letters):
-        """The coded word of the ``Walk`` letters."""
-        codes = self.letter_codes[1]
-        return tuple(codes[letter] for letter in letters)
-
-    def decode(self, source, word) -> Walk:
-        """The walk from source with the coded word."""
-        letters, _, ends = self.letter_codes
-        return Walk(source, ends[word[-1]] if word else source,
-                    tuple(letters[c] for c in word))
 
     @cached_property
     def _insertion_rules(self):
@@ -719,7 +727,8 @@ class HomotopyRelation:
         cut past the k-th letter c of p conjugates the loop by c
         (``conjugate``), so each cut costs one conjugation of words.  The
         anchor of cut 0 is the vertex p starts at, and that of a later cut
-        the vertex the last letter of y ends at (``letter_codes``).
+        the vertex the last letter of y ends at
+        (``SpanningTree.letter_codes``).
 
         Inserting the loop at a visit of its anchor and reducing is the
         move "insert a cyclic relator loop at a vertex, then reduce".
@@ -730,13 +739,13 @@ class HomotopyRelation:
         the same walks as its first copy.  As p != q, every loop is a
         nontrivial reduced word, so no insertion gives back the walk.
         """
-        ends = self.letter_codes[2]
+        encode, ends = self.tree.encode, self.tree.letter_codes[2]
         rules = []
         seen = set()
         for psrc, pdst in self._replacement_patterns():
-            p = self.encode(psrc)
+            p = encode(psrc)
             anchor = ends[-p[0]]
-            loop = cancel_join(self.encode(pdst), invert_word(p))
+            loop = cancel_join(encode(pdst), invert_word(p))
             for cut in range(len(p) + 1):
                 if cut:
                     c = p[cut - 1]
@@ -764,7 +773,7 @@ class HomotopyRelation:
         per visit instead (``_move_to``); ``_bfs`` asks that before it
         expands a level.
         """
-        ends = self.letter_codes[2]
+        ends = self.tree.letter_codes[2]
         visits = {source: [0]}
         for i, c in enumerate(w, 1):
             visits.setdefault(ends[c], []).append(i)

@@ -271,23 +271,6 @@ class Walk(FrozenRecord):
         return Walk(self.target, self.source,
                     tuple((a, -d) for a, d in reversed(self.letters)))
 
-    def reduced(self) -> "Walk":
-        """Freely reduce: cancel adjacent (letter, formal inverse) pairs.
-        A walk that is reduced already is returned as it is."""
-        out = []
-        for letter in self.letters:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                out.pop()
-            else:
-                out.append(letter)
-        if len(out) == len(self.letters):
-            return self
-        return Walk(self.source, self.target, tuple(out))
-
-    def is_reduced(self) -> bool:
-        return all(not (a[0] == b[0] and a[1] == -b[1])
-                   for a, b in zip(self.letters, self.letters[1:]))
-
     def to_text(self) -> str:
         if not self.letters:
             return "e_%s" % self.source

@@ -114,7 +114,8 @@ class RowLattice:
     copy of each nonzero row goes into the Smith normal form, in order.
     The lattice, hence ``diag``, is the same; ``V`` may be another valid
     column transform than that of the full matrix.  ``image`` is the one
-    place that multiplies by ``V``; membership is a zero image.
+    place that multiplies by ``V``; x lies in the lattice exactly when its
+    image is zero.
     """
 
     def __init__(self, rows, n):
@@ -126,9 +127,6 @@ class RowLattice:
         else:
             self.diag = []
             self.v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def contains(self, x) -> bool:
-        return not any(self.image(x))
 
     def image(self, x):
         """Normal-form coordinates of x in Z^n / lattice.

@@ -3,7 +3,8 @@ import pytest
 from bqkit.dsl import parse_source
 from bqkit.fields import Field
 from bqkit.homotopy import (UNKNOWN, Decision, GroupPresentation,
-                            HomotopyRelation, cancel_join, invert_word)
+                            HomotopyRelation, cancel_join, invert_word,
+                            reduce_word, spanning_tree)
 from bqkit.ideal import close_ideal, make_relation
 from bqkit.quiver import Arrow, Quiver, paths_between
 
@@ -68,11 +69,25 @@ def decide_unknown(monkeypatch):
                         Decision(UNKNOWN))
 
 
+def coded(tree, walk):
+    """The free reduction of the coded word of a walk, as ``decide``
+    builds it."""
+    return reduce_word(tree.encode(walk.letters))
+
+
+def reduced(quiver, walk):
+    """The free reduction of a walk, through ``reduce_word`` on its coded
+    word in the alphabet of the quiver's spanning tree."""
+    tree = spanning_tree(quiver, quiver.vertices[0])
+    return tree.decode(walk.source, coded(tree, walk))
+
+
 def loop_chord_word(h, u, v):
     """The chord word of the loop u * v^-1 of parallel walks, as
     ``decide`` builds it."""
     chord_word = h.tree.chord_word
-    return cancel_join(chord_word(u), invert_word(chord_word(v)))
+    return cancel_join(chord_word(coded(h.tree, u)),
+                       invert_word(chord_word(coded(h.tree, v))))
 
 
 UNIT_RELATIONS = {

@@ -32,6 +32,14 @@ def test_paths(capsys):
     assert "d*c*b: 1 -> 4" in out
 
 
+def test_paths_without_a_quiver_is_an_input_error(capsys, tmp_path):
+    src = tmp_path / "empty.bq"
+    src.write_text("# no declarations\n")
+    code, out, err = run(capsys, "paths", str(src))
+    assert code == 3 and not out
+    assert err == "error: %s declares no quiver\n" % src
+
+
 def test_pi1_json(capsys):
     code, out, _ = run(capsys, "pi1", f"{EXAMPLES}/exple1.bq", "--ideal", "I",
                        "--json")

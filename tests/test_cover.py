@@ -3,7 +3,8 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from conftest import TWO_BYPASS, make_random_bound_quiver, twobypass_chain
+from conftest import (TWO_BYPASS, make_random_bound_quiver, reduced,
+                      twobypass_chain)
 
 from bqkit.coset import DEFAULT_MAX_COSETS
 from bqkit.cover import (GALOIS, NOT_GALOIS, TRUNCATED, CoverQuiver,
@@ -14,7 +15,7 @@ from bqkit.cover import (GALOIS, NOT_GALOIS, TRUNCATED, CoverQuiver,
 from bqkit.dsl import parse_path, parse_quiver, parse_source
 from bqkit.errors import CoverError
 from bqkit.homotopy import (GroupPresentation, HomotopyRelation,
-                            SpanningTree, homotopy_relation)
+                            SpanningTree, homotopy_relation, reduce_word)
 from bqkit.ideal import close_ideal
 from bqkit.quiver import FORWARD, INVERSE, Arrow, Bypass, Quiver, Walk
 from bqkit.transform import Dilatation, Transvection, apply_automorphism
@@ -96,14 +97,14 @@ def test_ball_classes_hold_reduced_walks(ideal_I0):
         for (index, name, d), target in ball.transitions.items():
             rep = ball.reps[index]
             a = ball.quiver.arrow(name)
-            ext = Walk(rep.source, a.target if d == FORWARD else a.source,
-                       rep.letters + ((name, d),)).reduced()
+            ext = reduced(ball.quiver,
+                          Walk(rep.source, a.target if d == FORWARD
+                               else a.source, rep.letters + ((name, d),)))
             if target is not None:
-                assert ball.index[h.encode(ext.letters)] == target
+                assert ball.index[h.tree.encode(ext.letters)] == target
         for i, rep in enumerate(ball.reps):
-            assert ball.index[h.encode(rep.letters)] == i
-        assert all(h.decode(h.base_point, word).is_reduced()
-                   for word in ball.index)
+            assert ball.index[h.tree.encode(rep.letters)] == i
+        assert all(reduce_word(word) == word for word in ball.index)
 
 
 def reference_deck_maps(cov):
@@ -122,8 +123,8 @@ def reference_deck_maps(cov):
         gamma_inv = h.tree.chord_loop(chord).inverse()
         vmap = {}
         for name, rep in zip(names, ball.reps):
-            moved = Walk(h.base_point, rep.target,
-                         gamma_inv.letters + rep.letters).reduced()
+            moved = reduced(h.quiver, Walk(h.base_point, rep.target,
+                                           gamma_inv.letters + rep.letters))
             hit = ball.classify(moved)
             if hit is not None:
                 vmap[name] = names[hit]
@@ -165,7 +166,7 @@ def test_chord_word_fixes_a_reduced_walk_with_its_target():
             seen = {}
             for level in reduced_walk_levels(quiver, x0):
                 for w in level:
-                    key = (w.target, tree.chord_word(w))
+                    key = (w.target, tree.chord_word(tree.encode(w.letters)))
                     assert seen.setdefault(key, w) == w, (w, seen[key])
                 if len(seen) > 300:
                     break

@@ -2,9 +2,10 @@
 
 For every ideal of both bundled examples in characteristics 0, 2 and 3,
 ``bq pi1``, ``bq groebner`` and ``bq cover`` with ``--json`` and
-``bq homotopic`` on two or three walk pairs run in process, and their
+``bq homotopic`` on four walk pairs run in process, and their
 standard output and exit code must equal ``golden_cli.json`` byte for
-byte.  A change that means to change an output rewrites the file and
+byte.  The pair ("a*a^-1*c*b", "a") has an unreduced walk, so its chain
+opens with the delete step of its free reduction.  A change that means to change an output rewrites the file and
 shows the difference in its diff:
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
@@ -27,9 +28,11 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 CHARS = (0, 2, 3)
 EXAMPLES = {
     "exple1.bq": (("I", "J"), (("a", "c*b"), ("d*a", "d*c*b"),
-                               ("b^-1*c^-1*a", "e_1"))),
+                               ("b^-1*c^-1*a", "e_1"),
+                               ("a*a^-1*c*b", "a"))),
     "twobypass.bq": (("I0", "I1", "I2"), (("a", "c*b"), ("d", "f*e"),
-                                          ("d*a", "f*e*c*b"))),
+                                          ("d*a", "f*e*c*b"),
+                                          ("a*a^-1*c*b", "a"))),
 }
 
 

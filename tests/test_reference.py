@@ -23,6 +23,12 @@ left apart.
 
 ``homotopy._reduction_steps`` frees a walk in one pass over a stack; it
 is compared with the version that rescans the walk after each deletion.
+``reduce_word`` on coded words is the one free reduction; it is compared
+with the reduction on ``Walk`` letters that ``Walk.reduced`` made, and
+``SpanningTree.chord_word`` of a reduced coded walk, which reduces
+nothing, with the chord word of ``Walk`` letters it replaced.
+``decide``, which reduces each coded walk once, is pinned on walk pairs
+with backtracks by a digest recorded while it reduced ``Walk`` letters.
 
 The homotopy search's rewrites are compared with the split enumeration
 they replaced, move for move, and ``_move_to``, which names the first
@@ -77,6 +83,7 @@ path's chord word with the count over its word in
 ``SpanningTree.path_words``, the two counts they replaced.
 """
 
+import hashlib
 import random
 import re
 from collections import deque
@@ -475,6 +482,56 @@ def invert_word(word):
     return tuple((g, -e) for g, e in reversed(word))
 
 
+def walk_reduced(walk):
+    """The free reduction on ``Walk`` letters that ``Walk.reduced`` made
+    before ``reduce_word`` on coded words became the one reduction: a
+    walk that is reduced already is returned as it is."""
+    out = []
+    for letter in walk.letters:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+            out.pop()
+        else:
+            out.append(letter)
+    if len(out) == len(walk.letters):
+        return walk
+    return Walk(walk.source, walk.target, tuple(out))
+
+
+def walk_chord_word(tree, walk):
+    """The chord word that ``SpanningTree.chord_word`` made from ``Walk``
+    letters, reduced or not, before it read reduced coded words: the
+    chord letters, last first, reduced."""
+    index = tree.chord_index
+    return homotopy.reduce_word([index[name] * d
+                                 for name, d in reversed(walk.letters)
+                                 if name in index])
+
+
+def test_coded_reduction_and_chord_words_match_walk_letters():
+    """On random walks with backtracks over ``closure_inputs()``, from
+    every vertex: ``reduce_word`` of the coded walk is the coded
+    ``walk_reduced``, and the coded ``chord_word`` of that reduced word,
+    built with no reduction of its own, is ``walk_chord_word`` of the
+    walk and of its reduction."""
+    rng = random.Random(29)
+    cancelled = with_chords = 0
+    for ideal in closure_inputs():
+        quiver = ideal.quiver
+        tree = homotopy.spanning_tree(quiver, quiver.vertices[0])
+        for _ in range(8):
+            walk = random_walk(quiver, rng, rng.randint(0, 14))
+            red = walk_reduced(walk)
+            word = homotopy.reduce_word(tree.encode(walk.letters))
+            assert word == tree.encode(red.letters), walk
+            assert tree.decode(walk.source, word) == red
+            chords = tree.chord_word(word)
+            assert chords == walk_chord_word(tree, walk), walk
+            assert chords == walk_chord_word(tree, red), walk
+            cancelled += len(red) < len(walk)
+            with_chords += bool(chords)
+    assert cancelled > 1000 and with_chords > 500, (cancelled, with_chords)
+
+
 def named_chord_word(tree, walk):
     """The chord word of a walk on (chord name, +-1) letters, in
     composition order."""
@@ -536,7 +593,7 @@ def test_coset_certificates_match_named_chord_words():
             if d.certificate is None or d.certificate["kind"] not in (
                     "coset-action", "coset-trivial"):
                 continue
-            word = loop_word(h.tree, u.reduced(), v.reduced())
+            word = loop_word(h.tree, walk_reduced(u), walk_reduced(v))
             kind = ("coset-action" if table.is_nontrivial(word)
                     else "coset-trivial")
             assert d.certificate == {"kind": kind, "order": table.order,
@@ -588,7 +645,7 @@ def split_rewrites(h, w, cap):
                                  if vertices[i] == pverts[a_idx]]
                 for i in positions:
                     raw = letters[:i] + replacement + letters[i + len(s):]
-                    nxt = Walk(w.source, w.target, raw).reduced()
+                    nxt = walk_reduced(Walk(w.source, w.target, raw))
                     if nxt == w or len(nxt.letters) > cap:
                         continue
                     if nxt in produced:
@@ -617,13 +674,14 @@ def random_reduced_walk(quiver, rng, length, start=None):
 
 def coded_rewrites(h, w, cap):
     """``h._rewrites`` on the coded walk w, its results decoded."""
-    for nxt, move in h._rewrites(w.source, h.encode(w.letters), cap):
-        yield h.decode(w.source, nxt), move
+    tree = h.tree
+    for nxt, move in h._rewrites(w.source, tree.encode(w.letters), cap):
+        yield tree.decode(w.source, nxt), move
 
 
 def assert_same_rewrites(h, walks):
     for w in walks:
-        assert w.is_reduced()
+        assert walk_reduced(w) == w
         for cap in sorted({len(w), len(w) + 1, len(w) + 4, h.default_cap}):
             expected = list(split_rewrites(h, w, cap))
             assert list(coded_rewrites(h, w, cap)) == expected, (w, cap)
@@ -677,7 +735,7 @@ def reduced_cut_rules(h):
             else:
                 anchor = end(psrc[0][0], -psrc[0][1])
             y, x = psrc[:cut], psrc[cut:]
-            loop = h.encode(free_reduce_word(
+            loop = h.tree.encode(free_reduce_word(
                 invert_word(y) + pdst + invert_word(x)))
             if (anchor, loop) not in seen:
                 seen.add((anchor, loop))
@@ -709,7 +767,7 @@ def test_move_to_matches_rewrites():
         longest = max((len(loop) for _, loop, _ in h._insertion_rules),
                       default=0)
         for walk in walks:
-            w = h.encode(walk.letters)
+            w = h.tree.encode(walk.letters)
             # no rewrite of w is longer than w and a loop
             children = dict(h._rewrites(walk.source, w, len(w) + longest))
             for g, move in children.items():
@@ -778,7 +836,85 @@ def test_stack_reduction_steps_match_rescanning():
     for w in walks:
         steps = homotopy._reduction_steps(w)
         assert steps == rescanning_reduction_steps(w), w
-        assert (steps[-1].result if steps else w) == w.reduced()
+        assert (steps[-1].result if steps else w) == walk_reduced(w)
+
+
+def visits(quiver, walk):
+    """The vertices a walk is at, from its source on."""
+    at = [walk.source]
+    for name, d in walk.letters:
+        a = quiver.arrow(name)
+        at.append(a.target if d == FORWARD else a.source)
+    return at
+
+
+def with_backtracks(quiver, walk, rng, count):
+    """The walk with ``count`` backtracks x * x^-1 inserted at random
+    visits, one after the other."""
+    for _ in range(count):
+        i = rng.randrange(len(walk.letters) + 1)
+        at = visits(quiver, walk)[i]
+        steps = [(a.name, FORWARD) for a in quiver.arrows_from(at)]
+        steps += [(a.name, INVERSE) for a in quiver.arrows_into(at)]
+        x = rng.choice(steps)
+        walk = Walk(walk.source, walk.target,
+                    walk.letters[:i] + (x, (x[0], -x[1])) + walk.letters[i:])
+    return walk
+
+
+def unreduced_pairs(h, rng):
+    """Parallel walk pairs with backtracks: the first four pairs of the
+    fingerprint and its first Unknown pair, if any, as walks of paths,
+    and random parallel pairs, each also against its own u."""
+    quiver = h.quiver
+    pairs = list(h.fingerprint)[:4]
+    pairs += [pair for pair, status in h.fingerprint.items()
+              if status == UNKNOWN][:1]
+    for u, v in pairs:
+        yield (with_backtracks(quiver, walk_of_path(u), rng, 1),
+               with_backtracks(quiver, walk_of_path(v), rng, 2))
+    for _ in range(4):
+        u, v = random_parallel_pair(h, rng)
+        yield with_backtracks(quiver, u, rng, 2), with_backtracks(quiver, v, rng, 1)
+        yield with_backtracks(quiver, u, rng, 3), u
+
+
+def decision_inputs():
+    """The bundled examples, every third random ideal over Q, one ``I0``
+    unit, one ``I2`` unit over F_3 and ``COMMUTATOR``."""
+    yield from example_ideals()
+    for seed in range(0, 60, 3):
+        yield make_random_bound_quiver(random.Random(seed))
+    yield twobypass_chain(1)
+    yield twobypass_chain(1, "I2", 3)
+    yield parse_source(COMMUTATOR).ideal("I")
+
+
+# sha256 prefix of the (status, chain, certificate, cap) of every decision
+# of test_decisions_on_unreduced_pairs_are_pinned, as decided when both
+# walks were reduced as ``Walk`` letters
+UNREDUCED_DECISIONS = "febb729b58b9e03c"
+
+
+def test_decisions_on_unreduced_pairs_are_pinned():
+    """``decide`` with and without a chain on walk pairs with backtracks:
+    every status, certificate kind and the Unknown cap "walk_length"
+    occur, and the outcomes, chains and certificates included, are
+    those pinned in ``UNREDUCED_DECISIONS``."""
+    outcomes = []
+    kinds = set()
+    for k, ideal in enumerate(decision_inputs()):
+        h = HomotopyRelation(ideal)
+        for u, v in unreduced_pairs(h, random.Random(k)):
+            for want_chain in (True, False):
+                d = h.decide(u, v, want_chain=want_chain)
+                outcomes.append((d.status, d.chain, d.certificate, d.cap))
+                kinds.add(d.certificate["kind"] if d.certificate
+                          else "chain" if d.chain else d.cap or d.status)
+    assert kinds == {"chain", HOMOTOPIC, "walk_length", "free",
+                     "abelianization", "coset-trivial"}
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16] \
+        == UNREDUCED_DECISIONS
 
 
 class FifoSearch:
@@ -794,7 +930,9 @@ class FifoSearch:
         self.expanded = 0
         self.distance = self.seen_at_hit = None
 
-    def __call__(self, start, goal, cap, want_chain):
+    def __call__(self, source, first, last, cap, want_chain):
+        start = self.h.tree.decode(source, first)
+        goal = self.h.tree.decode(source, last)
         self.expanded = 0
         self.distance = self.seen_at_hit = None
         cap = max(cap, len(start.letters), len(goal.letters))
@@ -1068,7 +1206,7 @@ def test_word_exponents_and_images_match_walk_counts():
             expected = walk_loop_exponents(h, u, v)
             assert gp.exponents(loop_chord_word(h, u, v)) == expected
             assert gp.exponents(loop_chord_word(
-                h, u.reduced(), v.reduced())) == expected
+                h, walk_reduced(u), walk_reduced(v))) == expected
             nonzero += any(expected)
         for n, word in enumerate(h.tree.path_words):
             assert gp.image(word) == path_word_class_image(h, n), n
