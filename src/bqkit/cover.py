@@ -25,7 +25,7 @@ from .ideal import (Ideal, Relation, add_relations, close_ideal, ideals_equal,
                     make_relation, mul_relations, relation_of_path,
                     scale_relation)
 from .quiver import (FORWARD, INVERSE, Arrow, Path, Quiver, Walk, make_path,
-                     trivial_path, trivial_walk, walk_of_path)
+                     trivial_path, walk_of_path)
 from .records import FrozenRecord, Record
 from .transform import (Dilatation, Transvection, apply_automorphism,
                         as_path_automorphism, identity_automorphism,
@@ -261,22 +261,21 @@ class CoverQuiver:
 # -- universal covers ---------------------------------------------------------
 
 class _Ball:
-    """Certified homotopy classes of reduced walks from the base point.
+    """Certified homotopy classes of reduced walks from the base point,
+    each one coded word (``SpanningTree.letter_codes``), which fixes it.
 
-    A walk is keyed by its coded word (``SpanningTree.encode`` of the
-    relation's tree), which fixes it, as every walk here starts at the
-    base point.  ``reps[i]`` is the ``Walk`` of class i, ``words[i]`` its
-    word, and ``index`` maps the word of each walk classified so far to
-    its class.  Steps and deck maps move words by ``homotopy.cancel_join``.
-    A word not yet classified is keyed, still coded, by the vertex it
-    ends at and the image (``GroupPresentation.image``) of its chord
-    word (``SpanningTree.chord_word``), and compared by ``decide`` with
-    the classes of its bucket.  It is decoded into a ``Walk`` only for
-    ``decide`` and for a new class.  With no relators pi1 is free on the
-    chords, and a reduced walk from the base point is fixed by its
-    target and chord word, so distinct reduced walks are distinct
-    classes (Serre, *Trees*, ch. I): such a word is a new class, and the
-    ball computes no image for it.
+    ``words[i]`` is the word of class i, ``ends[i]`` the vertex it ends
+    at, ``index`` maps the word of each walk classified so far to its
+    class and ``transitions[(i, code)]`` the step from class i by a
+    letter code to its class.  Steps and deck maps move words by
+    ``homotopy.cancel_join``.  A new word is keyed by the vertex it ends
+    at and the image (``GroupPresentation.image``) of its chord word,
+    and compared by ``decide_words`` with the classes of its bucket; it
+    is decoded only for the text of a ``CoverError``.  With no relators
+    pi1 is free on the chords, and a reduced walk from the base point is
+    fixed by its target and chord word, so distinct reduced walks are
+    distinct classes (Serre, *Trees*, ch. I): such a word is a new
+    class, and the ball computes no image for it.
     """
 
     def __init__(self, h: HomotopyRelation, radius: int):
@@ -285,35 +284,28 @@ class _Ball:
         self.quiver = h.quiver
         self.cap = 2 * (radius + 1) + h.default_cap
         self.transitions = {}
-        root = trivial_walk(self.quiver, h.base_point)
-        self.reps = [root]
         self.words = [()]
+        self.ends = [h.base_point]
         self.index = {(): 0}
         self._buckets = {}  # (target, abelian image) -> class indices
         if h.presentation.relators:
-            self._buckets[(root.target, h.presentation.image(()))] = [0]
-
-    def classify(self, walk: Walk, create=False):
-        """The index of the class holding the reduced walk from the base
-        point, or None (creating the class if asked and the walk fits in
-        the ball)."""
-        return self.classify_word(self.h.tree.encode(walk.letters), create)
+            self._buckets[(h.base_point, h.presentation.image(()))] = [0]
 
     def classify_word(self, word, create=False):
-        """``classify`` for the coded word of the walk."""
+        """The index of the class holding the reduced coded walk from the
+        base point, or None (creating the class if asked and the walk
+        fits in the ball)."""
         found = self.index.get(word)
         if found is not None:
             return found
         h, tree = self.h, self.h.tree
-        key = walk = None
+        end = tree.letter_codes[2][word[-1]]  # the root's () is indexed
+        key = None
         if h.presentation.relators:
-            key = (tree.letter_codes[2][word[-1]] if word else h.base_point,
-                   h.presentation.image(tree.chord_word(word)))
-            bucket = self._buckets.get(key, ())
-            walk = tree.decode(h.base_point, word) if bucket else None
-            for i in bucket:
-                decision = h.decide(walk, self.reps[i], cap=self.cap,
-                                    want_chain=False)
+            key = (end, h.presentation.image(tree.chord_word(word)))
+            for i in self._buckets.get(key, ()):
+                decision = h.decide_words(h.base_point, word, self.words[i],
+                                          cap=self.cap, want_chain=False)
                 if decision.status == HOMOTOPIC:
                     self.index[word] = i
                     return i
@@ -322,17 +314,16 @@ class _Ball:
                     if decision.coset_cap is not None:
                         caps += ("; the coset enumeration stopped at its cap "
                                  "of %d cosets" % decision.coset_cap)
+                    walks = [tree.decode(h.base_point, w)
+                             for w in (word, self.words[i])]
                     raise CoverError(
                         "homotopy query unresolved while building the cover: "
-                        "%s vs %s (%s)"
-                        % (walk.to_text(), self.reps[i].to_text(), caps))
+                        "%s vs %s (%s)" % (*walks, caps))
         if not create or len(word) > self.radius:
             return None
-        if walk is None:
-            walk = tree.decode(h.base_point, word)
-        i = len(self.reps)
-        self.reps.append(walk)
+        i = len(self.words)
         self.words.append(word)
+        self.ends.append(end)
         self.index[word] = i
         if key is not None:
             self._buckets.setdefault(key, []).append(i)
@@ -341,19 +332,17 @@ class _Ball:
     def grow(self):
         """Expand classes breadth-first; returns the indices of the
         classes whose every step stays in the ball."""
-        codes = self.h.tree.letter_codes[1]
+        quiver, codes = self.quiver, self.h.tree.letter_codes[1]
+        steps = {x: [codes[(a.name, FORWARD)] for a in quiver.arrows_from(x)]
+                 + [codes[(a.name, INVERSE)] for a in quiver.arrows_into(x)]
+                 for x in quiver.vertices}
         interior = []
-        # classify_word appends new classes to reps, and the loop reaches them
-        for i, rep in enumerate(self.reps):
-            at = rep.target
-            steps = [(a.name, FORWARD) for a in self.quiver.arrows_from(at)]
-            steps += [(a.name, INVERSE) for a in self.quiver.arrows_into(at)]
-            word = self.words[i]
+        # classify_word appends new classes to words, and the loop reaches them
+        for i, word in enumerate(self.words):
             kept = True
-            for name, d in steps:
-                ext = cancel_join(word, (codes[(name, d)],))
-                target = self.classify_word(ext, create=True)
-                self.transitions[(i, name, d)] = target
+            for c in steps[self.ends[i]]:
+                target = self.classify_word(cancel_join(word, (c,)), create=True)
+                self.transitions[(i, c)] = target
                 kept = kept and target is not None
             if kept:
                 interior.append(i)
@@ -363,7 +352,8 @@ class _Ball:
 def universal_cover(ideal: Ideal, x0=None, radius=None) -> CoverQuiver:
     """The cover of certified walk classes out of the base point, read
     from the homotopy relation kept on the ideal (``homotopy_relation``).
-    Vertex ``total.vertices[i]`` is the class of ``_ball.reps[i]``."""
+    Vertex ``total.vertices[i]`` is the class of the coded walk
+    ``_ball.words[i]``, over the vertex ``_ball.ends[i]``."""
     quiver = ideal.quiver
     if not quiver.is_connected():
         raise CoverError("universal cover needs a connected quiver")
@@ -372,13 +362,14 @@ def universal_cover(ideal: Ideal, x0=None, radius=None) -> CoverQuiver:
     ball = _Ball(homotopy_relation(ideal, x0), radius)
     interior = ball.grow()
 
-    names = ["w%d" % i for i in range(len(ball.reps))]
-    vertex_map = {name: rep.target for name, rep in zip(names, ball.reps)}
+    names = ["w%d" % i for i in range(len(ball.words))]
+    vertex_map = dict(zip(names, ball.ends))
+    codes = ball.h.tree.letter_codes[1]
     arrows = []
     arrow_map = {}
-    for i, rep in enumerate(ball.reps):
-        for a in quiver.arrows_from(rep.target):
-            tgt = ball.transitions[(i, a.name, FORWARD)]
+    for i, end in enumerate(ball.ends):
+        for a in quiver.arrows_from(end):
+            tgt = ball.transitions[(i, codes[(a.name, FORWARD)])]
             if tgt is None:
                 continue
             name = "%s_%s" % (a.name, names[i])
@@ -665,13 +656,15 @@ class CoverMorphism(Record):
 
 def _match_vertices_by_reps(cov_src: CoverQuiver, cov_tgt: CoverQuiver):
     """Send each walk class of the source cover to the class of the same
-    representative walk in the target cover."""
+    coded word in the target cover, whose ball has the same quiver and
+    base point and so the same ``homotopy.spanning_tree``."""
+    h = cov_tgt._ball.h
     vmap = {}
-    for v, rep in zip(cov_src.total.vertices, cov_src._ball.reps):
-        i = cov_tgt._ball.classify(rep)
+    for v, word in zip(cov_src.total.vertices, cov_src._ball.words):
+        i = cov_tgt._ball.classify_word(word)
         if i is None:
             raise CoverError("representative %s has no class in the target "
-                             "cover" % rep.to_text())
+                             "cover" % h.tree.decode(h.base_point, word))
         vmap[v] = cov_tgt.total.vertices[i]
     return vmap
 
@@ -836,7 +829,8 @@ def factor_through_cover(univ: CoverQuiver, target: CoverQuiver) -> CoverMorphis
                     "%s ~ %s" % (u, v))
 
     vmap = {}
-    for v, rep in zip(univ.total.vertices, univ._ball.reps):
+    for v, word in zip(univ.total.vertices, univ._ball.words):
+        rep = h.tree.decode(h.base_point, word)
         end = target.lift_walk(rep, v0)
         if end is None:
             raise CoverError("walk %s does not lift in the target" % rep.to_text())

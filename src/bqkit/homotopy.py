@@ -14,6 +14,7 @@ from collections import deque
 from collections.abc import Mapping
 from functools import cached_property
 from itertools import combinations, repeat
+from operator import add
 
 from . import coset
 from .disjoint_sets import DisjointSets
@@ -535,20 +536,41 @@ class HomotopyRelation:
         return table[labels[a]][labels[b]]
 
     def decide(self, u: Walk, v: Walk, cap=None, want_chain=True) -> Decision:
-        """Tri-state decision for parallel walks u, v.
+        """Tri-state decision for parallel walks u, v: ``decide_words`` on
+        their coded words, each encoded and reduced once, with a Homotopic
+        chain wrapped in the delete steps that reduce u
+        (``_reduction_steps``) and the insertions that restore v."""
+        if (u.source, u.target) != (v.source, v.target):
+            raise HomotopyError("walks are not parallel: %s -> %s vs %s -> %s"
+                                % (u.source, u.target, v.source, v.target))
+        encode = self.tree.encode
+        decision = self.decide_words(u.source, reduce_word(encode(u.letters)),
+                                     reduce_word(encode(v.letters)), cap,
+                                     want_chain)
+        if want_chain and decision.is_homotopic and decision.chain is not None:
+            return Decision(HOMOTOPIC, _reduction_steps(u) + decision.chain
+                            + _invert_steps(v, _reduction_steps(v)))
+        return decision
+
+    def decide_words(self, source, first, last, cap=None,
+                     want_chain=True) -> Decision:
+        """Tri-state decision for the reduced coded walks first and last
+        (``SpanningTree.letter_codes``) from source to one vertex; a
+        Homotopic chain runs between their walks.  Raises HomotopyError
+        when a word is not freely reduced, a nonempty word does not leave
+        source, or the two end at different vertices.
 
         ``cap`` bounds the length of the walks the search visits; only
         None stands for ``default_cap``, and the search lifts a cap below
-        the lengths of u and v to those lengths.
+        the lengths of first and last to those lengths.
 
         The certifiers, each tried only when those before it gave no
         verdict: 1. free; 2. abelianization; 3. coset action, when no
         chain is wanted; 4. search (``_bfs``); 5. coset action; 6. Unknown,
-        with the cap that ended the search.  u and v are encoded and
-        reduced once each, and all after that reads the coded words.
-        Past step 1 the chord word of the loop u * v^-1 is built once:
-        its exponents and image (``GroupPresentation``) make the
-        abelianization certificate, and the coset action reads the word.
+        with the cap that ended the search.  Past step 1 the chord word of
+        the loop first * last^-1 is built once: its exponents and image
+        (``GroupPresentation``) make the abelianization certificate, and
+        the coset action reads the word.
 
         The coset action decides both ways once pi1 is enumerated within
         its cap, but its Homotopic answer has no chain, so the search
@@ -556,25 +578,29 @@ class HomotopyRelation:
         once, so step 5 after step 3 would repeat it and is skipped; it
         is not enumerated at all when pi1 has free rank > 0.
         """
-        if (u.source, u.target) != (v.source, v.target):
-            raise HomotopyError("walks are not parallel: %s -> %s vs %s -> %s"
-                                % (u.source, u.target, v.source, v.target))
+        tree = self.tree
+        ends = tree.letter_codes[2]
+        for word in (first, last):
+            if word and ends[-word[0]] != source:
+                raise HomotopyError("coded walk %r does not leave %s"
+                                    % (word, source))
+            if 0 in map(add, word, word[1:]):  # a code, then its negation
+                raise HomotopyError("coded walk %r is not freely reduced"
+                                    % (word,))
+        end = ends[first[-1]] if first else source
+        if end != (ends[last[-1]] if last else source):
+            raise HomotopyError("coded walks %r and %r end at different "
+                                "vertices" % (first, last))
         if cap is None:
             cap = self.default_cap
-        tree = self.tree
-        first = reduce_word(tree.encode(u.letters))
-        last = reduce_word(tree.encode(v.letters))
-        glue_u = _reduction_steps(u) if want_chain else ()
-        glue_v = _reduction_steps(v) if want_chain else ()
 
         if first == last:
-            chain = glue_u + _invert_steps(v, glue_v) if want_chain else ()
-            return Decision(HOMOTOPIC, tuple(chain))
+            return Decision(HOMOTOPIC, ())
 
         if not self.presentation.relators:
             # no relations at all: distinct reduced walks are inequivalent
-            cert = {"kind": "free", "reduced": (tree.decode(u.source, first),
-                                                tree.decode(v.source, last))}
+            cert = {"kind": "free", "reduced": (tree.decode(source, first),
+                                                tree.decode(source, last))}
             return Decision(NOT_HOMOTOPIC, (), cert)
 
         chord_word = tree.chord_word
@@ -592,15 +618,14 @@ class HomotopyRelation:
             return Decision(NOT_HOMOTOPIC, (), cert)
 
         if want_chain:
-            found, stop = self._bfs(u.source, first, last, cap, True)
+            found, stop = self._bfs(source, first, last, cap, True)
             if found is not None:
-                chain = glue_u + found + _invert_steps(v, glue_v)
-                return Decision(HOMOTOPIC, chain)
+                return Decision(HOMOTOPIC, found)
         verdict = self._coset_verdict(word)
         if verdict is not None:
             return verdict
         if not want_chain:
-            found, stop = self._bfs(u.source, first, last, cap, False)
+            found, stop = self._bfs(source, first, last, cap, False)
             if found is not None:
                 return Decision(HOMOTOPIC, ())
         tried = not self.presentation.abelian_invariants[0]  # see _cosets
@@ -918,16 +943,10 @@ def _reduction_steps(walk: Walk):
 
 def _invert_steps(original: Walk, steps):
     """Inverse of a delete-chain: insertions restoring ``original``."""
-    out = []
-    cur = original
-    walks = [cur]
-    for st in steps:
-        walks.append(st.result)
-    for st, before in zip(reversed(steps), reversed(walks[:-1])):
-        i = st.position
-        pair = before.letters[i:i + 2]
-        out.append(MoveStep("insert", i, pair, before))
-    return tuple(out)
+    befores = [original] + [st.result for st in steps[:-1]]
+    return tuple(MoveStep("insert", st.position,
+                          before.letters[st.position:st.position + 2], before)
+                 for st, before in zip(reversed(steps), reversed(befores)))
 
 
 def _expand_rewrite(before: Walk, i, y, x, pdst):

@@ -15,7 +15,7 @@ from itertools import combinations
 from .disjoint_sets import DisjointSets
 from .errors import IdealError
 from .fields import Field
-from .quiver import (Path, Quiver, compose_paths, enumerate_paths, path_key,
+from .quiver import (Path, Quiver, compose_paths, enumerate_paths,
                      path_tables, paths_between)
 from .records import FrozenRecord
 
@@ -75,20 +75,26 @@ class Relation(FrozenRecord):
 
 
 def make_relation(quiver: Quiver, fld: Field, source, target, terms) -> Relation:
-    """Normalize (path, scalar) terms: merge duplicates, drop zeros, sort.
+    """Normalize (path, scalar) terms: merge duplicates, drop zeros, sort
+    by path number (``quiver.path_tables``), which within one hom-set is
+    the canonical order.
 
     Scalars are coerced into the field exactly, so a fraction fed to a
     prime field either lands on the right residue or raises.
     """
+    index = path_tables(quiver)[0]
     acc = {}
     items = terms.items() if isinstance(terms, dict) else terms
     for path, c in items:
         if (path.source, path.target) != (source, target):
             raise IdealError("path %s is not parallel to %s -> %s"
                              % (path, source, target))
+        if path not in index:
+            raise IdealError("%s is not a path of quiver %s"
+                             % (path, quiver.name))
         acc[path] = fld.add(acc.get(path, fld.zero), fld.scalar(c))
     kept = [(p, c) for p, c in acc.items() if not fld.is_zero(c)]
-    kept.sort(key=lambda pc: path_key(quiver, pc[0]))
+    kept.sort(key=lambda pc: index[pc[0]])
     return Relation(source, target, tuple(kept))
 
 
@@ -473,7 +479,8 @@ def decompose_minimal(ideal: Ideal, r: Relation):
                                   scale_relation(quiver, fld, used[p],
                                                  space.relation(space.rows[p])))
         pieces.extend(_split_off_minimal(ideal, piece))
-    pieces.sort(key=lambda rel: path_key(quiver, rel.support()[0]))
+    index = path_tables(quiver)[0]
+    pieces.sort(key=lambda rel: index[rel.support()[0]])
     return pieces
 
 

@@ -11,10 +11,9 @@ Each ``Quiver`` indexes itself once, at construction: names, arrow
 positions and in/out adjacency.  It also owns the caches of the
 functions below that depend on it alone (``enumerate_paths``, the
 hom-sets of ``paths_between`` and their layout in ``hom_layout``, the
-composition tables of ``path_tables``, ``longest_path_length`` and a
-memo of ``path_key``), filled on first use.  The caches live and die
-with the quiver, so a cover quiver that is dropped takes its paths
-with it.  A path's number is its position in ``enumerate_paths``;
+composition tables of ``path_tables`` and ``longest_path_length``),
+filled on first use.  The caches live and die with the quiver, so a
+cover quiver that is dropped takes its paths with it.  A path's number is its position in ``enumerate_paths``;
 ideals, automorphisms and the homotopy relation key their sparse
 vectors by it.
 """
@@ -82,14 +81,13 @@ class Quiver(FrozenRecord):
         setattr_(self, "_in", {v: tuple(arrs) for v, arrs in incoming.items()})
         setattr_(self, "_hash", hash((self.name, self.vertices, self.arrows)))
         # filled on first use by enumerate_paths (for paths_between and
-        # path_tables too), hom_layout, longest_path_length, path_key and
+        # path_tables too), hom_layout, longest_path_length and
         # homotopy.spanning_tree (one tree per base point)
         setattr_(self, "_paths", None)
         setattr_(self, "_homs", None)
         setattr_(self, "_layout", None)
         setattr_(self, "_tables", None)
         setattr_(self, "_longest", None)
-        setattr_(self, "_keys", {})
         setattr_(self, "_trees", {})
         self._check_acyclic()
 
@@ -233,15 +231,11 @@ def compose_paths(quiver: Quiver, later: Path, earlier: Path) -> Path:
 def path_key(quiver: Quiver, path: Path):
     """Canonical total order: length, then lex on the written form.
 
-    Memoised on the quiver, so a caller that keeps many keys shares one
-    tuple per path; ``hom_layout`` holds the same keys by path number.
+    ``hom_layout`` holds the same keys by path number, and within one
+    hom-set the order of the path numbers is this order.
     """
-    key = quiver._keys.get(path)
-    if key is None:
-        idx = quiver._index
-        key = (len(path.arrows), tuple(idx[a] for a in reversed(path.arrows)))
-        quiver._keys[path] = key
-    return key
+    idx = quiver._index
+    return (len(path.arrows), tuple(idx[a] for a in reversed(path.arrows)))
 
 
 class Walk(FrozenRecord):

@@ -76,6 +76,8 @@ def test_universal_cover_free_group_makes_no_decisions(monkeypatch):
 
     monkeypatch.setattr(HomotopyRelation, "decide",
                         refuse("a homotopy decision"))
+    monkeypatch.setattr(HomotopyRelation, "decide_words",
+                        refuse("a homotopy decision on words"))
     monkeypatch.setattr(GroupPresentation, "image", refuse("an abelian image"))
     monkeypatch.setattr(SpanningTree, "chord_word", refuse("a chord word"))
     cov = universal_cover(ideal, radius=6)
@@ -83,6 +85,12 @@ def test_universal_cover_free_group_makes_no_decisions(monkeypatch):
     expected = reduced_walk_count(ideal.quiver, ideal.quiver.vertices[0], 6)
     assert len(cov.total.vertices) == expected
     assert len(cov.total.arrows) == expected - 1
+
+
+def ball_reps(ball):
+    """The walk of each class of the ball, decoded from its word."""
+    h = ball.h
+    return [h.tree.decode(h.base_point, word) for word in ball.words]
 
 
 def test_ball_classes_hold_reduced_walks(ideal_I0):
@@ -94,38 +102,40 @@ def test_ball_classes_hold_reduced_walks(ideal_I0):
     for ideal, radius in ((ideal_I0, 8), (free, 6)):
         ball = universal_cover(ideal, radius=radius)._ball
         h = ball.h
-        for (index, name, d), target in ball.transitions.items():
-            rep = ball.reps[index]
+        reps = ball_reps(ball)
+        assert [rep.target for rep in reps] == ball.ends
+        for (index, code), target in ball.transitions.items():
+            rep = reps[index]
+            name, d = h.tree.letter_codes[0][code]
             a = ball.quiver.arrow(name)
             ext = reduced(ball.quiver,
                           Walk(rep.source, a.target if d == FORWARD
                                else a.source, rep.letters + ((name, d),)))
             if target is not None:
                 assert ball.index[h.tree.encode(ext.letters)] == target
-        for i, rep in enumerate(ball.reps):
+        for i, rep in enumerate(reps):
             assert ball.index[h.tree.encode(rep.letters)] == i
         assert all(reduce_word(word) == word for word in ball.index)
 
 
 def reference_deck_maps(cov):
-    """(name, vertex map) of each chord's deck map, classifying with
-    ``classify`` the reduced walk gamma^-1 * rep of every class rep,
-    gamma the chord loop.  The walks are classified in a ball grown
-    afresh, so no class the deck maps stored in the cover's ball is
-    read back."""
+    """(name, vertex map) of each chord's deck map, classifying the
+    reduced walk gamma^-1 * rep of every class rep, gamma the chord loop,
+    by its coded word.  The walks are classified in a ball grown afresh,
+    so no class the deck maps stored in the cover's ball is read back."""
     ball = _Ball(cov._ball.h, cov.radius)
     ball.grow()
-    assert ball.reps == cov._ball.reps
+    assert ball.words == cov._ball.words
     h = ball.h
     names = cov.total.vertices
     maps = []
     for chord in h.tree.chords:
         gamma_inv = h.tree.chord_loop(chord).inverse()
         vmap = {}
-        for name, rep in zip(names, ball.reps):
+        for name, rep in zip(names, ball_reps(ball)):
             moved = reduced(h.quiver, Walk(h.base_point, rep.target,
                                            gamma_inv.letters + rep.letters))
-            hit = ball.classify(moved)
+            hit = ball.classify_word(h.tree.encode(moved.letters))
             if hit is not None:
                 vmap[name] = names[hit]
         maps.append(("g_%s" % chord, vmap))
@@ -345,8 +355,10 @@ def test_lift_dilatation_identity(ideal_I):
     m = lift_dilatation(cov, d)
     assert m.checks["squares"] == len(cov.total.arrows)
     assert m.checks["bijective"]
-    reps = dict(zip(cov.total.vertices, cov._ball.reps))
-    target_reps = dict(zip(m.target.total.vertices, m.target._ball.reps))
+    assert m.target._ball.h.tree is cov._ball.h.tree  # one letter alphabet
+    reps = dict(zip(cov.total.vertices, ball_reps(cov._ball)))
+    target_reps = dict(zip(m.target.total.vertices,
+                           ball_reps(m.target._ball)))
     for v, w in m.vertex_map.items():
         assert reps[v] == target_reps[w]
 

@@ -159,6 +159,48 @@ def test_decide_unreduced_inputs(h_J, exple1):
     replay(d.chain, u, v)
 
 
+def coded_walk(h, quiver, text):
+    return h.tree.encode(parse_walk(quiver, text).letters)
+
+
+def test_decide_words_rejects_an_unreduced_word(h_J, exple1):
+    """``decide_words`` takes reduced coded walks: a code followed by its
+    negation raises, though the free reduction of the same word decides
+    Homotopic, with a chain between the reduced walks."""
+    unreduced = coded_walk(h_J, exple1, "d^-1*d*a")
+    cb = coded_walk(h_J, exple1, "c*b")
+    with pytest.raises(HomotopyError, match="not freely reduced"):
+        h_J.decide_words("1", unreduced, cb)
+    with pytest.raises(HomotopyError, match="not freely reduced"):
+        h_J.decide_words("1", cb, unreduced)
+    d = h_J.decide_words("1", reduce_word(unreduced), cb)
+    assert d.status == HOMOTOPIC
+    replay(d.chain, parse_walk(exple1, "a"), parse_walk(exple1, "c*b"))
+
+
+def test_decide_words_rejects_a_word_from_another_vertex(h_J, exple1):
+    """A nonempty word must leave the source: c ends where a does but
+    starts at 2, not 1."""
+    a = coded_walk(h_J, exple1, "a")
+    c = coded_walk(h_J, exple1, "c")
+    with pytest.raises(HomotopyError, match="does not leave 1"):
+        h_J.decide_words("1", c, a)
+    with pytest.raises(HomotopyError, match="does not leave 1"):
+        h_J.decide_words("1", a, c)
+    assert h_J.decide_words("2", c, c).status == HOMOTOPIC
+
+
+def test_decide_words_rejects_words_with_different_ends(h_J, exple1):
+    """The two words must end at one vertex: a ends at 3 and b at 2, and
+    the empty word at the source."""
+    a = coded_walk(h_J, exple1, "a")
+    b = coded_walk(h_J, exple1, "b")
+    with pytest.raises(HomotopyError, match="end at different vertices"):
+        h_J.decide_words("1", a, b)
+    with pytest.raises(HomotopyError, match="end at different vertices"):
+        h_J.decide_words("1", (), b)
+
+
 def test_fingerprint_exple1(h_I, h_J, exple1):
     a = parse_path(exple1, "a")
     cb = parse_path(exple1, "c*b")

@@ -1,7 +1,9 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
-from conftest import grid_text
+from conftest import grid_text, make_random_bound_quiver
 
 from bqkit.dsl import parse_path, parse_source
 from bqkit.errors import FieldError, IdealError
@@ -9,7 +11,7 @@ from bqkit.fields import Field
 from bqkit.ideal import (SPLIT_ENUMERATION_BITS, close_ideal,
                          decompose_minimal, ideals_equal, is_constricted,
                          make_relation, relation_of_path, support_equivalence)
-from bqkit.quiver import enumerate_paths, paths_between
+from bqkit.quiver import Path, enumerate_paths, path_key, paths_between
 
 
 def brute_rank(vectors):
@@ -289,6 +291,39 @@ def test_field_char2_scalars():
         f2.scalar(1, 2)
     with pytest.raises(FieldError):
         Field(4)
+
+
+def test_relation_terms_follow_the_canonical_order():
+    """``make_relation`` sorts terms by path number; within a hom-set that
+    is the ``path_key`` order, on the hom-sets of 40 random quivers."""
+    fld = Field(0)
+    homs = 0
+    for seed in range(40):
+        quiver = make_random_bound_quiver(random.Random(seed)).quiver
+        for x in quiver.vertices:
+            for y in quiver.vertices:
+                paths = paths_between(quiver, x, y)
+                if len(paths) < 2:
+                    continue
+                homs += 1
+                terms = [(p, 1) for p in reversed(paths)]
+                rel = make_relation(quiver, fld, x, y, terms)
+                assert list(rel.support()) == sorted(
+                    paths, key=lambda p: path_key(quiver, p))
+    assert homs > 20
+
+
+def test_relation_term_off_the_quiver_raises(twobypass, exple1):
+    """A term whose path is not a path of the quiver is named in an
+    ``IdealError``: an unknown arrow, arrows that do not chain, and a
+    path of another quiver (d*c*b runs 1 -> 4 in exple1, 1 -> 5 here)."""
+    good = parse_path(twobypass, "d*a")
+    for bad in (Path("1", "5", ("a", "z")), Path("1", "5", ("d", "a")),
+                parse_path(exple1, "d*c*b")):
+        terms = [(bad, 1)] if bad.target == "4" else [(good, 1), (bad, 1)]
+        with pytest.raises(IdealError, match=re.escape(
+                "%s is not a path of quiver twobypass" % bad)):
+            make_relation(twobypass, Field(0), bad.source, bad.target, terms)
 
 
 def test_scalar_coercion_into_prime_field(twobypass):

@@ -63,8 +63,8 @@ closure and ``fingerprint_key`` are compared with the build it replaced:
 pairs from the supports of the ``Relation`` objects of
 ``minimal_relations``, relators from the arrows of ``Path`` pairs, the
 closure extending through ``arrows_from`` and tables looked up by arrow
-name, and the key looking up each ``Path`` in the ``path_key`` memo and
-in ``h._where``.  ``DisjointSets.union``, which halves both paths
+name, and the key computing each ``Path``'s ``path_key`` and looking it
+up in ``h._where``.  ``DisjointSets.union``, which halves both paths
 inline, is compared with two ``find`` calls and a link.
 
 Ideals compare and hash by a snapshot of their echelon rows by path
@@ -1637,8 +1637,8 @@ def path_pair_closure(quiver, pairs):
 
 
 def path_lookup_key(h):
-    """``fingerprint_key`` with each path looked up by ``Path``: its key in
-    the ``path_key`` memo and its (hom index, position) in ``h._where``."""
+    """``fingerprint_key`` with each path looked up by ``Path``: its
+    ``path_key`` and its (hom index, position) in ``h._where``."""
     quiver = h.quiver
     keys = [[path_key(quiver, p) for p in paths] for paths, _, _ in h._homs]
     items = []

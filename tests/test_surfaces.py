@@ -8,14 +8,18 @@ chain keeps the homotopy type while the paths grow like a grid.  So
 these inputs are an oracle that bqkit did not compute itself.
 """
 
+import hashlib
+import json
 from collections import defaultdict
 from itertools import combinations
 
 import pytest
 
-from bqkit.cover import GALOIS, check_covering, is_galois, universal_cover
+from bqkit import homotopy
+from bqkit.cover import (GALOIS, _Ball, check_covering, is_galois,
+                         universal_cover)
 from bqkit.dsl import parse_source
-from bqkit.homotopy import homotopy_relation
+from bqkit.homotopy import HomotopyRelation, SpanningTree, homotopy_relation
 
 # the 6-vertex real projective plane: the hemi-icosahedron
 RP2 = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
@@ -65,6 +69,22 @@ def face_poset_text(triangles, chain=1, name="surface"):
     return "\n".join(lines) + "\n"
 
 
+def cover_digest(cov):
+    """The first 16 hex digits of the sha256 of the cover's vertices,
+    arrows, vertex map and deck maps."""
+    total = cov.total
+    text = json.dumps([total.vertices,
+                       [(a.name, a.source, a.target) for a in total.arrows],
+                       sorted(cov.vertex_map.items()),
+                       [(g.name, sorted(g.vertex_map.items()))
+                        for g in cov.action]])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# cover_digest of the universal cover of the RP^2 face poset x chain
+RP2_COVER_DIGESTS = {1: "377993269ec0703e", 2: "fdd50a0da6abb89d"}
+
+
 @pytest.mark.parametrize("chain", [1, 2])
 def test_rp2_face_poset_has_pi1_z2(chain):
     ideal = parse_source(face_poset_text(RP2, chain)).ideal("I")
@@ -83,3 +103,33 @@ def test_rp2_face_poset_has_pi1_z2(chain):
     report = check_covering(cov)
     assert report.ok
     assert report.violations == []
+    assert cover_digest(cov) == RP2_COVER_DIGESTS[chain]
+
+
+def test_ball_decisions_read_coded_words(monkeypatch):
+    """The cover ball hands its coded words to ``decide_words`` as they
+    are.  On the RP^2 face poset, where pi1 = Z2 has a relator, a ball
+    grown afresh from the cover's relation makes decisions, and none of
+    them encodes, decodes or reduces a word."""
+    ideal = parse_source(face_poset_text(RP2)).ideal("I")
+    cov = universal_cover(ideal)  # builds what the relation keeps
+    decisions = []
+    decide_words = HomotopyRelation.decide_words
+
+    def counted(self, *args, **kwargs):
+        decisions.append(args)
+        return decide_words(self, *args, **kwargs)
+
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError("a ball decision called " + what)
+        return call
+
+    monkeypatch.setattr(HomotopyRelation, "decide_words", counted)
+    monkeypatch.setattr(SpanningTree, "encode", refuse("encode"))
+    monkeypatch.setattr(SpanningTree, "decode", refuse("decode"))
+    monkeypatch.setattr(homotopy, "reduce_word", refuse("reduce_word"))
+    ball = _Ball(cov._ball.h, cov.radius)
+    ball.grow()
+    assert decisions
+    assert ball.words == cov._ball.words
