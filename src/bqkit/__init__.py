@@ -12,7 +12,8 @@ from .quiver import (Arrow, Bypass, Path, Quiver, Walk, enumerate_paths,
                      paths_between, trivial_path, trivial_walk)
 from .dsl import parse_quiver, parse_path, parse_source, parse_walk
 from .ideal import (Ideal, Relation, close_ideal, decompose_minimal,
-                    ideals_equal, is_constricted, make_relation,
+                    ideals_equal, is_constricted, linear_combination,
+                    make_relation,
                     support_equivalence)
 from .homotopy import (GroupPresentation, HomotopyRelation, homotopy_relation,
                        relations_equal)

@@ -309,13 +309,15 @@ def _parse_group(text):
 
 
 def _parse_assignments(text):
-    """``name=value,...`` as {name: value}; the empty text gives {}."""
-    values = {}
+    """``name=value,...`` as [(name, value), ...], a repeated name kept for
+    ``make_dilatation`` or ``make_grading`` to reject; the empty text
+    gives []."""
+    values = []
     for chunk in text.split(",") if text else ():
         name, eq, val = chunk.partition("=")
         if not eq:
             raise BqError("expected name=value, got %r" % chunk.strip())
-        values[name.strip()] = val.strip()
+        values.append((name.strip(), val.strip()))
     return values
 
 
@@ -346,8 +348,8 @@ def cmd_lift(args):
         t = _parse_transvection(ideal.quiver, fld, args.transvection)
         m = lift_transvection(cov, t)
     else:
-        scales = {name: fld.parse(val)
-                  for name, val in _parse_assignments(args.dilatation).items()}
+        scales = [(name, fld.parse(val))
+                  for name, val in _parse_assignments(args.dilatation)]
         m = lift_dilatation(cov, make_dilatation(ideal.quiver, fld, scales))
     payload = {"base_map": m.base_label, "checks": _jsonable(m.checks),
                "target_complete": m.target.complete}

@@ -21,9 +21,9 @@ from .gamma import check_lemma_3_3_chain
 from .homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, UNKNOWN, HomotopyRelation,
                        cancel_join, homotopy_relation, relations_equal,
                        EQUAL)
-from .ideal import (Ideal, Relation, add_relations, close_ideal, ideals_equal,
-                    make_relation, mul_relations, relation_of_path,
-                    scale_relation)
+from .ideal import (Ideal, Relation, close_ideal, ideals_equal,
+                    linear_combination, make_relation, mul_relations,
+                    relation_of_path)
 from .quiver import (FORWARD, INVERSE, Arrow, Path, Quiver, Walk, make_path,
                      trivial_path, walk_of_path)
 from .records import FrozenRecord, Record
@@ -116,6 +116,8 @@ def make_grading(quiver: Quiver, group: FiniteGroup, degrees) -> Grading:
     for name, g in items:
         quiver.arrow(name)
         group.index(g)
+        if any(name == n for n, _ in out):
+            raise CoverError("grading repeats arrow %r" % name)
         out.append((name, g))
     out.sort(key=lambda ng: quiver.arrow_index(ng[0]))
     return Grading(group, tuple(out))
@@ -639,13 +641,10 @@ class CoverMorphism(Record):
         return acc
 
     def apply_to_relation(self, rel: Relation) -> Relation:
-        fld = self.target.field
-        out = Relation(self.vertex_map[rel.source], self.vertex_map[rel.target], ())
-        for p, c in rel.terms:
-            out = add_relations(self.target.total, fld, out,
-                                scale_relation(self.target.total, fld, c,
-                                               self.apply_to_path(p)))
-        return out
+        return linear_combination(
+            self.target.total, self.target.field, self.vertex_map[rel.source],
+            self.vertex_map[rel.target],
+            [(c, self.apply_to_path(p)) for p, c in rel.terms])
 
     def fiber_sizes(self):
         counts = {}

@@ -38,14 +38,6 @@ class Field(FrozenRecord):
             raise FieldError("field characteristic must be 0 or a prime, got %r" % (char,))
         object.__setattr__(self, "char", char)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.char == other.char
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.char,))
-
     @property
     def zero(self):
         return 0

@@ -50,15 +50,6 @@ class MoveStep(FrozenRecord):
         setattr_(self, "data", data)
         setattr_(self, "result", result)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.kind, self.position, self.data, self.result)
-                    == (other.kind, other.position, other.data, other.result))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.position, self.data, self.result))
-
     def apply_to(self, walk: Walk) -> Walk:
         letters = walk.letters
         i = self.position
@@ -290,6 +281,31 @@ class SpanningTree:
         """The coded word of the ``Walk`` letters."""
         codes = self.letter_codes[1]
         return tuple(codes[letter] for letter in letters)
+
+    def walk_end(self, source, word):
+        """The vertex at which the coded walk from source ends.  Raises
+        HomotopyError when its first letter does not leave source or a
+        letter does not start where the one before it ends."""
+        if not word:
+            return source
+        ends = self.letter_codes[2]
+        if ends[-word[0]] != source:
+            raise HomotopyError("coded walk %r does not leave %s"
+                                % (word, source))
+        if not self._chained_pairs.issuperset(zip(word, word[1:])):
+            raise HomotopyError("the letters of coded walk %r do not chain"
+                                % (word,))
+        return ends[word[-1]]
+
+    @cached_property
+    def _chained_pairs(self):
+        """The pairs (c, d) of letter codes where letter d starts at the
+        vertex where letter c ends."""
+        ends = self.letter_codes[2]
+        leaving = {}
+        for d in ends:
+            leaving.setdefault(ends[-d], []).append(d)
+        return frozenset((c, d) for c in ends for d in leaving[ends[c]])
 
     def decode(self, source, word) -> Walk:
         """The walk from source with the coded word."""
@@ -536,17 +552,26 @@ class HomotopyRelation:
         return table[labels[a]][labels[b]]
 
     def decide(self, u: Walk, v: Walk, cap=None, want_chain=True) -> Decision:
-        """Tri-state decision for parallel walks u, v: ``decide_words`` on
-        their coded words, each encoded and reduced once, with a Homotopic
-        chain wrapped in the delete steps that reduce u
-        (``_reduction_steps``) and the insertions that restore v."""
+        """Tri-state decision for parallel walks u, v: the core of
+        ``decide_words`` on their coded words, each encoded, checked and
+        reduced once, with a Homotopic chain wrapped in the delete steps
+        that reduce u (``_reduction_steps``) and the insertions that
+        restore v.  Raises HomotopyError unless u and v are parallel and
+        the letters of each, unreduced, chain from its source to its
+        target."""
         if (u.source, u.target) != (v.source, v.target):
             raise HomotopyError("walks are not parallel: %s -> %s vs %s -> %s"
                                 % (u.source, u.target, v.source, v.target))
-        encode = self.tree.encode
-        decision = self.decide_words(u.source, reduce_word(encode(u.letters)),
-                                     reduce_word(encode(v.letters)), cap,
-                                     want_chain)
+        tree = self.tree
+        words = []
+        for walk in (u, v):
+            word = tree.encode(walk.letters)
+            if tree.walk_end(walk.source, word) != walk.target:
+                raise HomotopyError("walk %s does not end at its target %s"
+                                    % (walk, walk.target))
+            words.append(reduce_word(word))
+        decision = self._decide_words(u.source, words[0], words[1], cap,
+                                      want_chain)
         if want_chain and decision.is_homotopic and decision.chain is not None:
             return Decision(HOMOTOPIC, _reduction_steps(u) + decision.chain
                             + _invert_steps(v, _reduction_steps(v)))
@@ -557,8 +582,9 @@ class HomotopyRelation:
         """Tri-state decision for the reduced coded walks first and last
         (``SpanningTree.letter_codes``) from source to one vertex; a
         Homotopic chain runs between their walks.  Raises HomotopyError
-        when a word is not freely reduced, a nonempty word does not leave
-        source, or the two end at different vertices.
+        when a nonempty word does not leave source, its letters do not
+        chain (``SpanningTree.walk_end``), a word is not freely reduced, or
+        the two end at different vertices.
 
         ``cap`` bounds the length of the walks the search visits; only
         None stands for ``default_cap``, and the search lifts a cap below
@@ -578,19 +604,20 @@ class HomotopyRelation:
         once, so step 5 after step 3 would repeat it and is skipped; it
         is not enumerated at all when pi1 has free rank > 0.
         """
-        tree = self.tree
-        ends = tree.letter_codes[2]
+        walk_end = self.tree.walk_end
         for word in (first, last):
-            if word and ends[-word[0]] != source:
-                raise HomotopyError("coded walk %r does not leave %s"
-                                    % (word, source))
             if 0 in map(add, word, word[1:]):  # a code, then its negation
                 raise HomotopyError("coded walk %r is not freely reduced"
                                     % (word,))
-        end = ends[first[-1]] if first else source
-        if end != (ends[last[-1]] if last else source):
+        if walk_end(source, first) != walk_end(source, last):
             raise HomotopyError("coded walks %r and %r end at different "
                                 "vertices" % (first, last))
+        return self._decide_words(source, first, last, cap, want_chain)
+
+    def _decide_words(self, source, first, last, cap, want_chain):
+        """``decide_words`` past its input checks, which ``decide`` makes
+        on the unreduced walks instead."""
+        tree = self.tree
         if cap is None:
             cap = self.default_cap
 

@@ -102,18 +102,16 @@ def relation_of_path(quiver: Quiver, fld: Field, path: Path) -> Relation:
     return Relation(path.source, path.target, ((path, fld.one),))
 
 
-def add_relations(quiver: Quiver, fld: Field, a: Relation, b: Relation) -> Relation:
-    if (a.source, a.target) != (b.source, b.target):
-        raise IdealError("cannot add relations in different hom-pairs")
-    return make_relation(quiver, fld, a.source, a.target,
-                         list(a.terms) + list(b.terms))
-
-
-def scale_relation(quiver: Quiver, fld: Field, c, r: Relation) -> Relation:
-    if fld.is_zero(c):
-        return Relation(r.source, r.target, ())
-    return Relation(r.source, r.target,
-                    tuple((p, fld.mul(c, x)) for p, x in r.terms))
+def linear_combination(quiver: Quiver, fld: Field, source, target,
+                       parts) -> Relation:
+    """The sum of c * r over the (c, r) in parts, each r in hom(source,
+    target), as one ``make_relation`` call; each c is coerced into the
+    field once."""
+    terms = []
+    for c, r in parts:
+        c = fld.scalar(c)
+        terms += [(p, fld.mul(c, x)) for p, x in r.terms]
+    return make_relation(quiver, fld, source, target, terms)
 
 
 def mul_relations(quiver: Quiver, fld: Field, later: Relation, earlier: Relation) -> Relation:
@@ -473,11 +471,9 @@ def decompose_minimal(ideal: Ideal, r: Relation):
 
     pieces = []
     for group in overlap.classes():
-        piece = Relation(r.source, r.target, ())
-        for p in group:
-            piece = add_relations(quiver, fld, piece,
-                                  scale_relation(quiver, fld, used[p],
-                                                 space.relation(space.rows[p])))
+        piece = linear_combination(
+            quiver, fld, r.source, r.target,
+            [(used[p], space.relation(space.rows[p])) for p in group])
         pieces.extend(_split_off_minimal(ideal, piece))
     index = path_tables(quiver)[0]
     pieces.sort(key=lambda rel: index[rel.support()[0]])
@@ -505,8 +501,8 @@ def _split_off_minimal(ideal: Ideal, r: Relation):
         part = make_relation(quiver, fld, r.source, r.target,
                              [(p, r.coefficient(p, fld)) for p in sub])
         if ideal.contains(part):
-            rest = add_relations(quiver, fld, r,
-                                 scale_relation(quiver, fld, fld.neg(fld.one), part))
+            rest = linear_combination(quiver, fld, r.source, r.target,
+                                      [(1, r), (-1, part)])
             return _split_off_minimal(ideal, part) + _split_off_minimal(ideal, rest)
     return [r]
 

@@ -318,14 +318,6 @@ class Bypass(FrozenRecord):
         setattr_(self, "arrow", arrow)
         setattr_(self, "path", path)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.arrow, self.path) == (other.arrow, other.path)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.arrow, self.path))
-
 
 def enumerate_paths(quiver: Quiver):
     """All paths of the quiver, sorted by the canonical total order.

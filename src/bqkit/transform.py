@@ -9,10 +9,12 @@ arrows whose image is not a scalar multiple of themselves.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import TransformError
 from .fields import Field
-from .ideal import (Ideal, Relation, add_relations, close_ideal, ideals_equal,
-                    make_relation, relation_of_path, scale_relation)
+from .ideal import (Ideal, Relation, close_ideal, ideals_equal,
+                    linear_combination, make_relation, relation_of_path)
 from .quiver import Bypass, Path, Quiver, enumerate_paths, path_tables
 from .records import FrozenRecord
 from .snf import smith_normal_form
@@ -27,14 +29,6 @@ class Transvection(FrozenRecord):
         setattr_ = object.__setattr__
         setattr_(self, "bypass", bypass)
         setattr_(self, "tau", tau)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.bypass, self.tau) == (other.bypass, other.tau)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.bypass, self.tau))
 
     @property
     def arrow(self):
@@ -92,6 +86,8 @@ def make_dilatation(quiver: Quiver, fld: Field, scales) -> Dilatation:
         quiver.arrow(name)
         if fld.is_zero(c):
             raise TransformError("dilatation scale for %r is zero" % name)
+        if any(name == n for n, _ in out):
+            raise TransformError("dilatation repeats arrow %r" % name)
         out.append((name, c))
     out.sort(key=lambda nc: quiver.arrow_index(nc[0]))
     return Dilatation(tuple(out))
@@ -254,18 +250,16 @@ def as_path_automorphism(phi, quiver: Quiver, fld: Field) -> PathAutomorphism:
         return phi
     if isinstance(phi, Transvection):
         a = quiver.arrow(phi.arrow)
-        base = relation_of_path(quiver, fld, Path(a.source, a.target, (a.name,)))
-        img = add_relations(quiver, fld, base,
-                            scale_relation(quiver, fld, phi.tau,
-                                           relation_of_path(quiver, fld, phi.path)))
+        img = make_relation(quiver, fld, a.source, a.target,
+                            [(Path(a.source, a.target, (a.name,)), fld.one),
+                             (phi.path, phi.tau)])
         return PathAutomorphism(quiver, fld, {a.name: img})
     if isinstance(phi, Dilatation):
         images = {}
         for name, c in phi.scales:
             a = quiver.arrow(name)
-            images[name] = scale_relation(
-                quiver, fld, c,
-                relation_of_path(quiver, fld, Path(a.source, a.target, (a.name,))))
+            images[name] = make_relation(quiver, fld, a.source, a.target,
+                                         [(Path(a.source, a.target, (name,)), c)])
         return PathAutomorphism(quiver, fld, images)
     raise TransformError("not an automorphism: %r" % (phi,))
 
@@ -446,13 +440,8 @@ class Derivation:
                              path.target, terms)
 
     def apply_to_relation(self, rel: Relation) -> Relation:
-        fld = self.field
-        out = Relation(rel.source, rel.target, ())
-        for p, c in rel.terms:
-            out = add_relations(self.quiver, fld, out,
-                                scale_relation(self.quiver, fld, c,
-                                               self.apply_to_path(p)))
-        return out
+        return linear_combination(self.quiver, self.field, rel.source, rel.target,
+                                  [(c, self.apply_to_path(p)) for p, c in rel.terms])
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):
@@ -466,9 +455,8 @@ def exp_derivation(nu: Derivation) -> PathAutomorphism:
     quiver, fld = nu.quiver, nu.field
     images = {}
     for a in quiver.arrows:
-        base = relation_of_path(quiver, fld, Path(a.source, a.target, (a.name,)))
-        acc = base
-        term = base
+        term = relation_of_path(quiver, fld, Path(a.source, a.target, (a.name,)))
+        parts = [(1, term)]
         factorial = 1
         l = 0
         while True:
@@ -481,10 +469,8 @@ def exp_derivation(nu: Derivation) -> PathAutomorphism:
                 raise TransformError(
                     "exponential needs 1/%d! which does not exist in char %d"
                     % (l, fld.char))
-            acc = add_relations(quiver, fld, acc,
-                                scale_relation(quiver, fld,
-                                               fld.inv(fld.scalar(factorial)), term))
-        images[a.name] = acc
+            parts.append((Fraction(1, factorial), term))
+        images[a.name] = linear_combination(quiver, fld, a.source, a.target, parts)
     return PathAutomorphism(quiver, fld, images)
 
 
@@ -503,27 +489,24 @@ def log_unipotent(phi: PathAutomorphism) -> Derivation:
                                      "length-1 term %s" % (a.name, p))
 
     def delta(rel):
-        return add_relations(quiver, fld, phi.apply_to_relation(rel),
-                             scale_relation(quiver, fld, fld.neg(fld.one), rel))
+        return linear_combination(quiver, fld, rel.source, rel.target,
+                                  [(1, phi.apply_to_relation(rel)), (-1, rel)])
 
     images = {}
     for a in quiver.arrows:
-        base = relation_of_path(quiver, fld, Path(a.source, a.target, (a.name,)))
-        power = delta(base)
-        acc = Relation(a.source, a.target, ())
+        power = delta(relation_of_path(quiver, fld,
+                                       Path(a.source, a.target, (a.name,))))
+        parts = []
         l = 1
         while not power.is_zero:
             if fld.char and l >= fld.char:
                 raise TransformError(
                     "logarithm needs 1/%d which does not exist in char %d"
                     % (l, fld.char))
-            sign = fld.one if l % 2 == 1 else fld.neg(fld.one)
-            acc = add_relations(quiver, fld, acc,
-                                scale_relation(quiver, fld,
-                                               fld.div(sign, fld.scalar(l)), power))
+            parts.append((Fraction((-1) ** (l + 1), l), power))
             power = delta(power)
             l += 1
-        images[a.name] = acc
+        images[a.name] = linear_combination(quiver, fld, a.source, a.target, parts)
     return Derivation(quiver, fld, images)
 
 

@@ -232,6 +232,8 @@ def test_input_error_exit_code(capsys, tmp_path):
     ["lift", "--transvection", "a:c*b", "--radius", "6"],
     ["smash", "--group", "Zx", "--degrees", "a=1"],
     ["smash", "--group", "Z2", "--degrees", "a"],
+    ["smash", "--group", "Z2", "--degrees", "a=1,a=0"],
+    ["lift", "--dilatation", "a=2,a=3", "--radius", "6"],
     ["cover", "--radius", "-1"],
     ["lift", "--dilatation", "a=2", "--radius", "-1"],
     ["pipeline", "--radius", "-1"],

@@ -291,6 +291,15 @@ def test_smash_product_z2(exple1, ideal_I):
     assert res.group_order == 2
 
 
+def test_make_grading_rejects_a_repeated_arrow(exple1):
+    """Two degrees for a would leave ``degree`` reading the first."""
+    group = FiniteGroup.cyclic(2)
+    with pytest.raises(CoverError, match="repeats arrow 'a'"):
+        make_grading(exple1, group, [("a", "1"), ("a", "0")])
+    with pytest.raises(CoverError, match="repeats arrow 'a'"):
+        make_grading(exple1, group, [("a", "1"), ("a", "1")])
+
+
 def test_smash_product_trivial_group_identity(ideal_I):
     grading = make_grading(ideal_I.quiver, FiniteGroup.trivial(), {})
     cov = smash_product(ideal_I, grading)

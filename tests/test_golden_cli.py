@@ -2,11 +2,15 @@
 
 For every ideal of both bundled examples in characteristics 0, 2 and 3,
 ``bq pi1``, ``bq groebner`` and ``bq cover`` with ``--json`` and
-``bq homotopic`` on four walk pairs run in process, and their
-standard output and exit code must equal ``golden_cli.json`` byte for
-byte.  The pair ("a*a^-1*c*b", "a") has an unreduced walk, so its chain
-opens with the delete step of its free reduction.  A change that means to change an output rewrites the file and
-shows the difference in its diff:
+``bq homotopic`` on four walk pairs run in process, as do ``bq lift``,
+``bq smash`` and ``bq pipeline`` on a few transvections, dilatations and
+gradings (the commands that map relations through
+``as_path_automorphism`` and ``CoverMorphism.apply_to_relation``).
+Their standard output and exit code must equal ``golden_cli.json`` byte
+for byte.  The pair ("a*a^-1*c*b", "a") has an unreduced walk, so its
+chain opens with the delete step of its free reduction.  A change that
+means to change an output rewrites the file and shows the difference in
+its diff:
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 
@@ -46,6 +50,25 @@ def invocations():
                     yield [command] + on + ["--json"]
                 for u, v in pairs:
                     yield ["homotopic"] + on + [u, v]
+    yield from RELATION_MAPS
+
+
+RADIUS = ["--radius", "6", "--json"]
+# smash on twobypass I0 exits 3: a=1 in Z2 is homogeneous on neither of its
+# minimal relations
+RELATION_MAPS = (
+    ["lift", "exple1.bq", "--ideal", "I", "--transvection", "a:c*b:-1"] + RADIUS,
+    ["lift", "exple1.bq", "--ideal", "I", "--dilatation", "a=2,b=3"] + RADIUS,
+    ["lift", "twobypass.bq", "--ideal", "I0", "--transvection", "a:c*b:1"] + RADIUS,
+    ["lift", "twobypass.bq", "--ideal", "I0", "--dilatation", "a=2"] + RADIUS,
+    ["smash", "exple1.bq", "--ideal", "I", "--group", "Z2", "--degrees", "a=1",
+     "--json"],
+    ["smash", "twobypass.bq", "--ideal", "I0", "--group", "Z2", "--degrees",
+     "a=1", "--json"],
+    ["pipeline", "exple1.bq", "--ideal", "I", "--group", "Z2", "--degrees",
+     "a=1"] + RADIUS,
+    ["pipeline", "twobypass.bq", "--ideal", "I0", "--target", "I1"] + RADIUS,
+)
 
 
 def run(argv):

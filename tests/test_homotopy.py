@@ -201,6 +201,48 @@ def test_decide_words_rejects_words_with_different_ends(h_J, exple1):
         h_J.decide_words("1", (), b)
 
 
+def test_decide_words_rejects_letters_that_do_not_chain(h_J, exple1):
+    """b ends at 2 and d starts at 3, so (b, d) is no walk, though it
+    leaves 1, is reduced and ends where (a, d) ends."""
+    tree = h_J.tree
+    bd = tree.encode((("b", FORWARD), ("d", FORWARD)))
+    ad = coded_walk(h_J, exple1, "d*a")
+    with pytest.raises(HomotopyError, match="do not chain"):
+        h_J.decide_words("1", bd, ad)
+    with pytest.raises(HomotopyError, match="do not chain"):
+        h_J.decide_words("1", ad, bd)
+    assert tree.walk_end("1", ad) == "4"
+
+
+B, C, D = ("b", FORWARD), ("c", FORWARD), ("d", FORWARD)
+
+
+@pytest.mark.parametrize("broken, other", (
+    (Walk("1", "4", (B, D)), "d*a"),
+    (Walk("1", "3", (B, D, ("d", INVERSE), C)), "a")),
+    ids=("break", "reduced-away-break"))
+def test_decide_rejects_walks_whose_letters_do_not_chain(h_J, exple1, broken,
+                                                         other):
+    """``decide`` checks each walk's letters before it reduces them.  b
+    ends at 2 and d starts at 3; in the second walk d d^-1 cancels, and
+    the free reduction b, c is the walk c*b, Homotopic to a under J."""
+    other = parse_walk(exple1, other)
+    with pytest.raises(HomotopyError, match="do not chain"):
+        h_J.decide(broken, other)
+    with pytest.raises(HomotopyError, match="do not chain"):
+        h_J.decide(other, broken)
+
+
+def test_decide_rejects_a_walk_that_misses_its_target(h_J, exple1):
+    """The letters of a walk must end at its declared target: a and c*b
+    end at 3, so declared 1 -> 2 they are no walks, though they are
+    parallel and Homotopic under J as walks 1 -> 3."""
+    a = parse_walk(exple1, "a").letters
+    cb = parse_walk(exple1, "c*b").letters
+    with pytest.raises(HomotopyError, match="does not end at its target 2"):
+        h_J.decide(Walk("1", "2", a), Walk("1", "2", cb))
+
+
 def test_fingerprint_exple1(h_I, h_J, exple1):
     a = parse_path(exple1, "a")
     cb = parse_path(exple1, "c*b")

@@ -10,7 +10,8 @@ from bqkit.errors import FieldError, IdealError
 from bqkit.fields import Field
 from bqkit.ideal import (SPLIT_ENUMERATION_BITS, close_ideal,
                          decompose_minimal, ideals_equal, is_constricted,
-                         make_relation, relation_of_path, support_equivalence)
+                         linear_combination, make_relation, relation_of_path,
+                         support_equivalence)
 from bqkit.quiver import Path, enumerate_paths, path_key, paths_between
 
 
@@ -120,10 +121,9 @@ def test_groebner_zero_subspace(exple1, ideal_I):
 def test_groebner_unique_from_any_spanning_set(twobypass, ideal_I0, rationals):
     # respan using sums of the generators; Groebner basis must not change
     g1, g2 = ideal_I0.generators
-    from bqkit.ideal import add_relations, scale_relation
-    h1 = add_relations(twobypass, rationals, g1, g2)
-    h2 = add_relations(twobypass, rationals, g1,
-                       scale_relation(twobypass, rationals, Fraction(2), g2))
+    h1 = linear_combination(twobypass, rationals, "1", "5", [(1, g1), (1, g2)])
+    h2 = linear_combination(twobypass, rationals, "1", "5",
+                            [(1, g1), (Fraction(2), g2)])
     other = close_ideal(twobypass, rationals, [h1, h2])
     assert ideals_equal(ideal_I0, other)
 
@@ -167,9 +167,8 @@ def test_groebner_elements_are_minimal(ideal_I0, ideal_J, ideal_I1):
 
 
 def test_decompose_minimal(twobypass, ideal_I0, rationals):
-    from bqkit.ideal import add_relations
     g1, g2 = ideal_I0.groebner_basis("1", "5")
-    s = add_relations(twobypass, rationals, g1, g2)
+    s = linear_combination(twobypass, rationals, "1", "5", [(1, g1), (1, g2)])
     parts = decompose_minimal(ideal_I0, s)
     assert len(parts) == 2
     assert sorted(p.to_text(rationals) for p in parts) == \

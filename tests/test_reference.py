@@ -45,6 +45,13 @@ hom-set at a time; it is compared with the Relation-based version it
 replaced, which multiplies arrow images one arrow at a time and closes
 the images of the minimal relations again.
 
+``ideal.linear_combination`` sums c * r over its parts in one
+``make_relation`` call; it is compared with the pairwise helpers it
+replaced, ``add_relations`` and ``scale_relation``, kept here, on random
+relations over Q, F_2 and F_3.  ``scale_relation`` multiplied without
+coercing the scalar into the field, so over F_3 it kept 1/2 as a
+``Fraction``, where ``linear_combination`` gives 2.
+
 Over Q the field keeps integral scalars as ints; ``close_ideal`` on
 generators with fractional coefficients is compared with the dense
 closure run in ``FractionField``, the all-``Fraction`` arithmetic it
@@ -99,8 +106,8 @@ from bqkit import homotopy
 from bqkit.coset import enumerate_cosets
 from bqkit.cover import universal_cover
 from bqkit.disjoint_sets import DisjointSets
-from bqkit.dsl import parse_source
-from bqkit.errors import HomotopyError, UnresolvedError
+from bqkit.dsl import parse_path, parse_source
+from bqkit.errors import HomotopyError, IdealError, UnresolvedError
 from bqkit.fields import Field
 from bqkit.gamma import (CONFIRMED, REFUTED, check_surjection,
                          explore_gamma, tau_schedule)
@@ -108,9 +115,9 @@ from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             UNKNOWN, Decision, GroupPresentation,
                             HomotopyRelation, _expand_rewrite, fingerprint_key,
                             homotopy_relation, relations_equal)
-from bqkit.ideal import (Ideal, Relation, _groebner_basis, add_relations,
-                         close_ideal, ideals_equal, make_relation,
-                         mul_relations, relation_of_path, scale_relation)
+from bqkit.ideal import (Ideal, Relation, _groebner_basis, close_ideal,
+                         ideals_equal, linear_combination, make_relation,
+                         mul_relations, relation_of_path)
 from bqkit.quiver import (FORWARD, INVERSE, Path, Walk, enumerate_paths,
                           find_bypasses, make_path, path_key, path_tables,
                           paths_between, trivial_path, walk_of_path)
@@ -1407,6 +1414,73 @@ def test_partition_matches_pair_dict(monkeypatch):
     assert outcomes[UNKNOWN] >= {("a1", "a2")}
     # a certified difference after an earlier Unknown pair is the witness
     assert ("b1*a1", "b1*a2") in outcomes[DIFFERENT]
+
+
+def add_relations(quiver, fld, a, b):
+    """a + b, the pairwise sum that ``ideal.linear_combination`` replaced."""
+    if (a.source, a.target) != (b.source, b.target):
+        raise IdealError("cannot add relations in different hom-pairs")
+    return make_relation(quiver, fld, a.source, a.target,
+                         list(a.terms) + list(b.terms))
+
+
+def scale_relation(quiver, fld, c, r):
+    """c * r for a scalar c already in the field, the multiple that
+    ``ideal.linear_combination`` replaced."""
+    if fld.is_zero(c):
+        return Relation(r.source, r.target, ())
+    return Relation(r.source, r.target,
+                    tuple((p, fld.mul(c, x)) for p, x in r.terms))
+
+
+def random_relation(quiver, fld, rng, x, y):
+    """A relation over about half the paths x -> y, with coefficients
+    that are often zero, and fractions over Q."""
+    terms = [(p, Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))))
+             for p in paths_between(quiver, x, y) if rng.random() < 0.5]
+    if fld.char:
+        terms = [(p, c.numerator) for p, c in terms]
+    return make_relation(quiver, fld, x, y, terms)
+
+
+@pytest.mark.parametrize("char", (0, 2, 3))
+def test_linear_combination_matches_pairwise_sums(char):
+    """One ``linear_combination`` call equals the sum of its parts added
+    one at a time with ``scale_relation`` and ``add_relations``, on
+    random relations of random quivers, zero scalars and zero relations
+    included."""
+    fld = Field(char)
+    rng = random.Random(char)
+    checked = 0
+    for _ in range(40):
+        quiver = make_random_bound_quiver(rng).quiver
+        homs = [(x, y) for x in quiver.vertices for y in quiver.vertices
+                if len(paths_between(quiver, x, y)) >= 2]
+        if not homs:
+            continue
+        x, y = rng.choice(homs)
+        parts = [(fld.scalar(rng.randint(-2, 2)),
+                  random_relation(quiver, fld, rng, x, y))
+                 for _ in range(rng.randint(0, 4))]
+        pairwise = Relation(x, y, ())
+        for c, r in parts:
+            pairwise = add_relations(quiver, fld, pairwise,
+                                     scale_relation(quiver, fld, c, r))
+        assert linear_combination(quiver, fld, x, y, parts) == pairwise
+        checked += 1
+    assert checked >= 20
+
+
+def test_linear_combination_coerces_scalars_into_the_field(exple1):
+    """Over F_3 the scalar 1/2 is 2, so (1/2) * c*b is 2*c*b: each scalar
+    is coerced before it multiplies, where ``scale_relation`` kept the
+    Fraction and printed 0*c*b."""
+    f3 = Field(3)
+    cb = relation_of_path(exple1, f3, parse_path(exple1, "c*b"))
+    half = linear_combination(exple1, f3, "1", "3", [(Fraction(1, 2), cb)])
+    assert half == make_relation(exple1, f3, "1", "3", [(cb.terms[0][0], 2)])
+    assert half.to_text(f3) == "2*c*b"
+    assert scale_relation(exple1, f3, Fraction(1, 2), cb).to_text(f3) == "0*c*b"
 
 
 def relation_image(auto, rel):

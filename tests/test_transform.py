@@ -8,7 +8,8 @@ from bqkit.dsl import parse_path, parse_quiver, parse_source
 from bqkit.errors import TransformError
 from bqkit.fields import Field
 from bqkit.homotopy import homotopy_relation, relations_equal, EQUAL
-from bqkit.ideal import ideals_equal, make_relation, relation_of_path
+from bqkit.ideal import (ideals_equal, linear_combination, make_relation,
+                         relation_of_path)
 from bqkit.quiver import Bypass, enumerate_paths, find_bypasses, find_double_bypasses
 from bqkit.transform import (Derivation, Transvection,
                              apply_automorphism, as_path_automorphism, compose,
@@ -100,6 +101,16 @@ def test_transvections_commute_iff_no_double_bypass(f0):
     assert compose(t1, t2) != compose(t2, t1)
 
 
+def test_make_dilatation_rejects_a_repeated_arrow(Q, f0):
+    """Two scales for a would give ``scale`` one and the arrow image the
+    other."""
+    with pytest.raises(TransformError, match="repeats arrow 'a'"):
+        make_dilatation(Q, f0, [("a", Fraction(2)), ("a", Fraction(3))])
+    with pytest.raises(TransformError, match="repeats arrow 'a'"):
+        make_dilatation(Q, f0, [("a", Fraction(2)), ("c", Fraction(3)),
+                                ("a", Fraction(2))])
+
+
 def test_dilatation_conjugation_rule(Q, f0):
     # D o phi_{a,u,tau} o D^-1 = phi_{a,u,tau*lambda/mu}
     d = make_dilatation(Q, f0, {"a": Fraction(3), "c": Fraction(2)})
@@ -164,11 +175,9 @@ def test_decompose_single_transvection(Q, f0):
 def test_decompose_mixed(Q, f0):
     # a -> 2a + cb == (D: a -> 2) o phi_{a, cb, 1}: the dilatation is applied
     # last and only rescales the arrow a, leaving the tail cb untouched
-    from bqkit.ideal import add_relations, scale_relation
-    a_rel = scale_relation(Q, f0, Fraction(2),
-                           relation_of_path(Q, f0, parse_path(Q, "a")))
-    img = add_relations(Q, f0, a_rel,
-                        relation_of_path(Q, f0, parse_path(Q, "c*b")))
+    img = linear_combination(Q, f0, "1", "3",
+                             [(Fraction(2), relation_of_path(Q, f0, parse_path(Q, "a"))),
+                              (1, relation_of_path(Q, f0, parse_path(Q, "c*b")))])
     from bqkit.transform import PathAutomorphism
     phi = PathAutomorphism(Q, f0, {"a": img})
     dil, ts = decompose_DT(phi)
@@ -206,13 +215,12 @@ def test_decompose_with_parallel_arrows(f0):
       vertices: 1 2 3;
       arrow a: 1 -> 2; arrow b: 1 -> 2; arrow c: 2 -> 3;
     }""")
-    from bqkit.ideal import add_relations, scale_relation
     from bqkit.transform import PathAutomorphism
     # swap-like mixing of the parallel pair: a -> b, b -> a + 2b
     ra = relation_of_path(q, f0, parse_path(q, "a"))
     rb = relation_of_path(q, f0, parse_path(q, "b"))
     img_a = rb
-    img_b = add_relations(q, f0, ra, scale_relation(q, f0, Fraction(2), rb))
+    img_b = linear_combination(q, f0, "1", "2", [(1, ra), (Fraction(2), rb)])
     phi = PathAutomorphism(q, f0, {"a": img_a, "b": img_b})
     dil, ts = decompose_DT(phi)
     assert recompose_DT(q, f0, dil, ts) == phi
@@ -273,19 +281,17 @@ def test_exp_noncommuting_images_against_series_oracle(f0):
     })
     phi = exp_derivation(nu)
     # series oracle: sum nu^l(x)/l! term by term, independently
-    from bqkit.ideal import add_relations, scale_relation
     for arrow in q.arrows:
-        base = relation_of_path(q, f0, parse_path(q, arrow.name))
-        total = base
-        term = base
+        term = relation_of_path(q, f0, parse_path(q, arrow.name))
+        series = [(1, term)]
         fact = 1
         for l in range(1, 10):
             term = nu.apply_to_relation(term)
             fact *= l
             if term.is_zero:
                 break
-            total = add_relations(q, f0, total,
-                                  scale_relation(q, f0, Fraction(1, fact), term))
+            series.append((Fraction(1, fact), term))
+        total = linear_combination(q, f0, arrow.source, arrow.target, series)
         assert phi.images[arrow.name] == total
 
 
