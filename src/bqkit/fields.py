@@ -48,8 +48,9 @@ class Field(FrozenRecord):
 
     def scalar(self, num, den=1):
         """Coerce an integer (pair) or Fraction into a field scalar."""
-        if isinstance(num, float) or isinstance(den, float):
-            raise FieldError("floating point scalars are not allowed")
+        if not (isinstance(num, (int, Fraction)) and isinstance(den, int)):
+            raise FieldError("a scalar is an int or a Fraction over an int, "
+                             "not %r / %r" % (num, den))
         if self.char == 0:
             if den == 1 and type(num) is int:
                 return num

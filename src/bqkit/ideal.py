@@ -34,15 +34,6 @@ class Relation(FrozenRecord):
         # ((Path, scalar), ...) sorted by canonical path order
         setattr_(self, "terms", terms)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.source, self.target, self.terms)
-                    == (other.source, other.target, other.terms))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.terms))
-
     @property
     def is_zero(self):
         return not self.terms
@@ -529,4 +520,4 @@ def ideals_equal(a: Ideal, b: Ideal) -> bool:
     if a.field != b.field:
         raise IdealError("ideals live over different fields (char %s vs %s)"
                          % (a.field.char, b.field.char))
-    return a._row_snapshot() == b._row_snapshot()
+    return a == b

@@ -13,9 +13,9 @@ functions below that depend on it alone (``enumerate_paths``, the
 hom-sets of ``paths_between`` and their layout in ``hom_layout``, the
 composition tables of ``path_tables`` and ``longest_path_length``),
 filled on first use.  The caches live and die with the quiver, so a
-cover quiver that is dropped takes its paths with it.  A path's number is its position in ``enumerate_paths``;
-ideals, automorphisms and the homotopy relation key their sparse
-vectors by it.
+cover quiver that is dropped takes its paths with it.  A path's number
+is its position in ``enumerate_paths``; ideals, automorphisms and the
+homotopy relation key their sparse vectors by it.
 """
 
 from __future__ import annotations
@@ -35,15 +35,6 @@ class Arrow(FrozenRecord):
         setattr_(self, "name", name)
         setattr_(self, "source", source)
         setattr_(self, "target", target)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.name, self.source, self.target)
-                    == (other.name, other.source, other.target))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.source, self.target))
 
 
 class Quiver(FrozenRecord):
@@ -90,12 +81,6 @@ class Quiver(FrozenRecord):
         setattr_(self, "_longest", None)
         setattr_(self, "_trees", {})
         self._check_acyclic()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.name, self.vertices, self.arrows)
-                    == (other.name, other.vertices, other.arrows))
-        return NotImplemented
 
     def __hash__(self):
         return self._hash
@@ -177,12 +162,6 @@ class Path(FrozenRecord):
         # paths key every hot dictionary in the ideal layer
         setattr_(self, "_hash", hash((source, target, arrows)))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.source, self.target, self.arrows)
-                    == (other.source, other.target, other.arrows))
-        return NotImplemented
-
     def __hash__(self):
         return self._hash
 
@@ -248,15 +227,6 @@ class Walk(FrozenRecord):
         setattr_(self, "source", source)
         setattr_(self, "target", target)
         setattr_(self, "letters", letters)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.source, self.target, self.letters)
-                    == (other.source, other.target, other.letters))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.letters))
 
     def __len__(self):
         return len(self.letters)

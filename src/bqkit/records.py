@@ -1,21 +1,23 @@
 """The base classes of bqkit's value records.
 
 A record names its fields in ``_fields`` and sets them in an
-``__init__`` of its own.  ``Record`` prints it as
+``__init__`` of its own.  Each record class gets one field getter,
+``_values``, built from ``_fields`` by ``operator.attrgetter`` when the
+class is defined; it returns the record's field tuple, and equality,
+hashing and the repr all read it.  ``Record`` prints a record as
 ``Name(field=value, ...)``, compares it by its field tuple with records
 of the same class only, and leaves it unhashable.  ``FrozenRecord``
 also hashes the field tuple and refuses to assign or delete any
 attribute, so a frozen record's ``__init__`` sets each field with
 ``object.__setattr__``.  It never writes ``self.__dict__`` directly:
 that would give up CPython's compact per-instance attribute storage,
-and every later attribute read would be slower.  The records that key
-hot dictionaries or are compared in inner loops (arrows, paths, walks,
-relations, ...) spell out ``__eq__`` and ``__hash__`` over their
-fields, which is faster than the generic methods here.
+and every later attribute read would be slower.
 
 Nothing is generated at import time, so ``import bqkit`` loads neither
 ``dataclasses`` nor ``inspect``.
 """
+
+from operator import attrgetter
 
 
 class Record:
@@ -23,16 +25,23 @@ class Record:
 
     _fields = ()
 
-    def _values(self):
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls):
+        fields = cls._fields
+        if len(fields) == 1:
+            # attrgetter of one name returns the bare value, not a 1-tuple
+            get = attrgetter(fields[0])
+            cls._values = staticmethod(lambda record: (get(record),))
+        elif fields:
+            cls._values = staticmethod(attrgetter(*fields))
 
     def __repr__(self):
         return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
-            ["%s=%r" % (name, getattr(self, name)) for name in self._fields]))
+            ["%s=%r" % pair for pair in zip(self._fields, self._values(self))]))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            values = self._values
+            return values(self) == values(other)
         return NotImplemented
 
 
@@ -40,7 +49,7 @@ class FrozenRecord(Record):
     """An immutable record, hashed by value."""
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % (name,))

@@ -84,6 +84,7 @@ def make_dilatation(quiver: Quiver, fld: Field, scales) -> Dilatation:
     out = []
     for name, c in items:
         quiver.arrow(name)
+        c = fld.scalar(c)
         if fld.is_zero(c):
             raise TransformError("dilatation scale for %r is zero" % name)
         if any(name == n for n, _ in out):
@@ -216,10 +217,6 @@ class PathAutomorphism:
         return (self.quiver, self.field) == (other.quiver, other.field) \
             and self.images == other.images
 
-    def __hash__(self):
-        return hash((self.quiver, self.field, tuple(sorted(self.images.items(),
-                     key=lambda kv: self.quiver.arrow_index(kv[0])))))
-
 
 def _invertible(fld: Field, mat) -> bool:
     n = len(mat)
@@ -250,6 +247,8 @@ def as_path_automorphism(phi, quiver: Quiver, fld: Field) -> PathAutomorphism:
         return phi
     if isinstance(phi, Transvection):
         a = quiver.arrow(phi.arrow)
+        if phi.path.arrows == (a.name,):
+            raise TransformError("the bypass of %s is the arrow itself" % a.name)
         img = make_relation(quiver, fld, a.source, a.target,
                             [(Path(a.source, a.target, (a.name,)), fld.one),
                              (phi.path, phi.tau)])

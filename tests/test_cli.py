@@ -237,6 +237,7 @@ def test_input_error_exit_code(capsys, tmp_path):
     ["cover", "--radius", "-1"],
     ["lift", "--dilatation", "a=2", "--radius", "-1"],
     ["pipeline", "--radius", "-1"],
+    ["lift", "--transvection", "a:a:1", "--radius", "6"],
 ])
 def test_malformed_arguments_are_input_errors(capsys, argv):
     """Malformed input exits 3 with a message, not 1 (refuted) through a

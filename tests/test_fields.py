@@ -69,6 +69,15 @@ def test_inverse_of_an_int_is_a_fraction_not_a_float():
         RATIONALS.inv(0)
 
 
+@pytest.mark.parametrize("char", [0, 5])
+@pytest.mark.parametrize("num, den", [
+    ("3", 1), (None, 1), (1.5, 1), (3, "2"), (3, None), (3, 2.0),
+], ids=["str", "none", "float", "str-den", "none-den", "float-den"])
+def test_scalar_rejects_what_is_not_rational(char, num, den):
+    with pytest.raises(FieldError):
+        Field(char).scalar(num, den)
+
+
 def test_integral_results_are_ints():
     assert type(RATIONALS.mul(Fraction(2, 3), Fraction(3, 2))) is int
     assert type(RATIONALS.add(Fraction(1, 2), Fraction(1, 2))) is int

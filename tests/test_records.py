@@ -5,8 +5,10 @@ here with the same fields, defaults and frozen flag: the constructor's
 parameters, the repr, ``==`` and ``!=`` (also against a record of
 another class with equal fields), the hash or its ``TypeError``, fresh
 default containers, and the ``AttributeError`` raised when a field of a
-frozen record is assigned or deleted.  A last test checks that
-importing bqkit loads neither ``dataclasses`` nor ``inspect``.
+frozen record is assigned or deleted.  Another test checks that every
+record compares and hashes through the field getter of its class, and
+a last one that importing bqkit loads neither ``dataclasses`` nor
+``inspect``.
 
 The file needs no pytest, so it also runs as a script:
 ``PYTHONPATH=src python tests/test_records.py``.
@@ -14,6 +16,7 @@ The file needs no pytest, so it also runs as a script:
 
 import dataclasses
 import inspect
+import operator
 import os
 import subprocess
 import sys
@@ -375,6 +378,23 @@ def test_hash_matches_or_is_refused():
     args = ("not-homotopic", None, {"kind": "free"})
     assert outcome(hash, homotopy.Decision(*args)) == outcome(hash, Decision(*args)) \
         == ("raises", TypeError)
+
+
+def test_records_compare_and_hash_through_their_field_getter():
+    """No record class writes its own ``__eq__``, and only ``Path`` and
+    ``Quiver`` their own ``__hash__``, which returns the hash of the
+    field tuple stored at construction."""
+    for record, _, a, b in CASES:
+        assert "__eq__" not in vars(record), record
+        assert ("__hash__" in vars(record)) == (record in (quiver.Path,
+                                                           quiver.Quiver)), record
+        assert "_values" in vars(record), record
+        if len(record._fields) > 1:
+            assert isinstance(record._values, operator.attrgetter), record
+        for args in (a, b):
+            x = record(*args)
+            assert record._values(x) == tuple(getattr(x, name)
+                                              for name in record._fields)
 
 
 def test_default_containers_are_fresh():

@@ -111,6 +111,18 @@ def test_make_dilatation_rejects_a_repeated_arrow(Q, f0):
                                 ("a", Fraction(2))])
 
 
+def test_make_dilatation_coerces_its_scales(Q):
+    """A scale is read in the field before it is checked for zero: 3 is
+    zero in F_3, and 1/2 is 2 there."""
+    f3 = Field(3)
+    with pytest.raises(TransformError, match="zero"):
+        make_dilatation(Q, f3, {"a": 3})
+    d = make_dilatation(Q, f3, {"a": Fraction(1, 2)})
+    assert d.scales == (("a", 2),)
+    assert d.to_text(f3) == "D(a=2)"
+    assert d.inverse(f3).scales == (("a", 2),)
+
+
 def test_dilatation_conjugation_rule(Q, f0):
     # D o phi_{a,u,tau} o D^-1 = phi_{a,u,tau*lambda/mu}
     d = make_dilatation(Q, f0, {"a": Fraction(3), "c": Fraction(2)})
