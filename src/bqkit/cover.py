@@ -24,7 +24,8 @@ from .homotopy import (HOMOTOPIC, NOT_HOMOTOPIC, UNKNOWN, HomotopyRelation,
 from .ideal import (Ideal, Relation, close_ideal, ideals_equal,
                     linear_combination, make_relation, mul_relations,
                     relation_of_path)
-from .quiver import (FORWARD, INVERSE, Arrow, Path, Quiver, Walk, make_path,
+from .quiver import (FORWARD, INVERSE, Arrow, Path, Quiver, Walk,
+                     enumerate_paths, make_path, path_tables, paths_between,
                      trivial_path, walk_of_path)
 from .records import FrozenRecord, Record
 from .transform import (Dilatation, Transvection, apply_automorphism,
@@ -194,21 +195,23 @@ class CoverQuiver:
 
     def lift_path(self, base_path: Path, vertex, at_target=False):
         """The unique lift of a base path starting at ``vertex`` (with
-        ``at_target``, ending there); None if it leaves the cover."""
-        direction = INVERSE if at_target else FORWARD
-        names = []
+        ``at_target``, ending there); None if it leaves the cover.
+
+        The lift is the total quiver's own ``Path`` object, found by
+        extending e_vertex one arrow at a time through the tables of
+        ``path_tables``, so the relation builders find it by identity."""
+        index, after, before, _, _ = path_tables(self.total)
+        n = index[paths_between(self.total, vertex, vertex)[0]]
+        direction, table = (INVERSE, before) if at_target else (FORWARD, after)
         cur = vertex
         for name in (reversed(base_path.arrows) if at_target
                      else base_path.arrows):
             e = self.arrow_over(cur, name, direction)
             if e is None:
                 return None
-            names.append(e.name)
+            n = table[e.name][n]
             cur = e.source if at_target else e.target
-        if at_target:
-            names.reverse()
-            return Path(cur, vertex, tuple(names))
-        return Path(vertex, cur, tuple(names))
+        return enumerate_paths(self.total)[n]
 
     def lift_walk(self, walk: Walk, start_vertex):
         """Endpoint of the unique lift of a base walk; None outside the ball."""

@@ -21,7 +21,8 @@ from .disjoint_sets import DisjointSets
 from .errors import HomotopyError, UnresolvedError
 from .ideal import Ideal
 from .quiver import (FORWARD, INVERSE, Quiver, Walk, longest_path_length,
-                     enumerate_paths, hom_layout, path_tables, walk_of_path)
+                     enumerate_paths, hom_layout, path_tables,
+                     paused_collector, walk_of_path)
 from .records import FrozenRecord
 from .snf import RowLattice
 
@@ -1023,6 +1024,7 @@ def spanning_tree(quiver: Quiver, x0) -> SpanningTree:
     return tree
 
 
+@paused_collector
 def homotopy_relation(ideal: Ideal, x0=None) -> HomotopyRelation:
     """The homotopy relation of (Q, I) based at x0 (by default the first
     vertex), built once per (ideal, base point) and kept on the ideal.
@@ -1069,6 +1071,7 @@ def relations_equal(h1: HomotopyRelation, h2: HomotopyRelation):
     return (EQUAL, None)
 
 
+@paused_collector
 def fingerprint_key(h: HomotopyRelation):
     """Canonical hashable form of a fully certified fingerprint: the
     pairs ((path_key(u), path_key(v)), status) in sorted order, computed

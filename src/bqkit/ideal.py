@@ -16,7 +16,7 @@ from .disjoint_sets import DisjointSets
 from .errors import IdealError
 from .fields import Field
 from .quiver import (Path, Quiver, compose_paths, enumerate_paths,
-                     path_tables, paths_between)
+                     path_tables, paths_between, paused_collector)
 from .records import FrozenRecord
 
 SPLIT_ENUMERATION_BITS = 12
@@ -301,6 +301,7 @@ class Ideal:
         return "<%s>" % (gens or "0")
 
 
+@paused_collector
 def close_ideal(quiver: Quiver, fld: Field, generators) -> Ideal:
     """Two-sided closure plus echelonization of the given relations.
 
@@ -320,18 +321,21 @@ def close_ideal(quiver: Quiver, fld: Field, generators) -> Ideal:
     that element by their rows, each once, leaves p - NF(p); no row
     already built changes.
     """
+    index, after, before, head, tail = path_tables(quiver)
     gens = []
     for g in generators:
         if g.is_zero:
             continue
         for p in g.support():
+            if p not in index:
+                raise IdealError("%s is not a path of quiver %s"
+                                 % (p, quiver.name))
             if len(p) < 2:
                 raise IdealError(
                     "generator %s is not admissible: path %s has length %d"
                     % (g.to_text(fld), p, len(p)))
         gens.append(g)
 
-    index, after, before, head, tail = path_tables(quiver)
     basis = _groebner_basis(quiver, fld, [
         {index[p]: c for p, c in g.terms if not fld.is_zero(c)} for g in gens])
     paths = enumerate_paths(quiver)

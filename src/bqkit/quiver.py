@@ -16,9 +16,15 @@ filled on first use.  The caches live and die with the quiver, so a
 cover quiver that is dropped takes its paths with it.  A path's number
 is its position in ``enumerate_paths``; ideals, automorphisms and the
 homotopy relation key their sparse vectors by it.
+
+``paused_collector`` keeps CPython's cyclic garbage collector off while
+the bulk builders of ``ideal`` and ``homotopy`` run.
 """
 
 from __future__ import annotations
+
+import gc
+from functools import wraps
 
 from .errors import QuiverError
 from .records import FrozenRecord
@@ -412,3 +418,34 @@ def find_double_bypasses(quiver: Quiver):
             if b2.arrow in b1.path.arrows:
                 out.append((b1, b2))
     return out
+
+
+def paused_collector(fn):
+    """Run fn with the cyclic garbage collector paused.
+
+    The bulk builders (``ideal.close_ideal``, ``homotopy.homotopy_relation``
+    and ``homotopy.fingerprint_key``) allocate millions of tuples that
+    stay alive while they run.  Left on, the collector starts a young
+    collection every 700 of them, and the older generations'
+    collections walk the growing heap again and again, finding nothing
+    to free.
+
+    The pause only delays collection, it never skips it: a cycle made
+    meanwhile (``homotopy_relation`` makes one, ideal <-> relation) is
+    collected, once unreachable, after the collector is back on, and
+    the first young collection after the pause walks everything fn
+    made.  The pause is process-wide, which is safe because bqkit
+    starts no threads.  If the collector is already off, fn just runs,
+    so calls nest and a caller's ``gc.disable()`` stays in force;
+    otherwise it is turned back on when fn returns or raises.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused

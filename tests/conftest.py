@@ -169,6 +169,19 @@ ideal I1 over twobypass(0) { rel d*a + d*c*b + f*e*c*b; rel f*e*a + d*c*b + f*e*
 ideal I2 over twobypass(0) { rel d*a; rel f*e*a + d*c*b - 2*f*e*c*b; }
 """
 
+# pi1 is free on the chords b and d (e and g are words in them), so the
+# classes of f*c*b and g*c*a have one abelian image though their loop,
+# a commutator, is nontrivial; ``decide`` answers Unknown on them
+COMMUTATOR = """
+quiver twist {
+  vertices: 1 2 3 4;
+  arrow a: 1 -> 2; arrow b: 1 -> 2;
+  arrow c: 2 -> 3; arrow d: 2 -> 3; arrow e: 2 -> 3;
+  arrow f: 3 -> 4; arrow g: 3 -> 4;
+}
+ideal I over twist(0) { rel d*b - e*a; rel f*e - g*d; }
+"""
+
 
 @pytest.fixture(scope="session")
 def ws4():

@@ -1,23 +1,26 @@
+import gc
 import hashlib
 import importlib.util
 import os
 import random
+import sys
 from itertools import combinations
 
 import pytest
-from conftest import (decide_unknown, grid_text, loop_chord_word,
-                      make_random_bound_quiver, reduced, twobypass_chain)
+from conftest import (COMMUTATOR, TWO_BYPASS, decide_unknown, grid_text,
+                      loop_chord_word, make_random_bound_quiver, reduced,
+                      twobypass_chain)
 
 from bqkit import homotopy
 from bqkit.dsl import parse_path, parse_quiver, parse_source, parse_walk
-from bqkit.errors import HomotopyError, UnresolvedError
+from bqkit.errors import HomotopyError, IdealError, UnresolvedError
 from bqkit.homotopy import (DIFFERENT, EQUAL, HOMOTOPIC, NOT_HOMOTOPIC,
                             GroupPresentation, cancel_join, conjugate,
                             fingerprint_key, homotopy_relation, invert_word,
                             reduce_word, relations_equal)
-from bqkit.ideal import close_ideal
-from bqkit.quiver import (FORWARD, INVERSE, Walk, enumerate_paths, hom_layout,
-                          make_walk, paths_between, walk_of_path)
+from bqkit.ideal import Relation, close_ideal
+from bqkit.quiver import (FORWARD, INVERSE, Path, Walk, enumerate_paths,
+                          hom_layout, make_walk, paths_between, walk_of_path)
 from bqkit.snf import RowLattice
 
 
@@ -719,3 +722,83 @@ def test_word_dihedral_decisions_are_pinned():
                     for d in decisions]
         assert hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16] \
             == digest, seed
+
+
+# -- the collector pause of the bulk builders ----------------------------------
+
+@pytest.fixture
+def collector_on():
+    """Turns the cyclic collector on for the test and back to its
+    state before it afterwards."""
+    was_on = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was_on else gc.disable)()
+
+
+def test_no_collection_starts_inside_a_builder(collector_on):
+    """On the 5 x 5 grid, whose builders allocate enough to start young
+    collections many times over, none starts while the body of
+    ``close_ideal``, ``homotopy_relation`` or ``fingerprint_key`` runs."""
+    bodies = {f.__wrapped__.__code__
+              for f in (close_ideal, homotopy_relation, fingerprint_key)}
+    inside = []
+
+    def watch(phase, info):
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code in bodies:
+                inside.append((frame.f_code.co_name, info["generation"]))
+                return
+            frame = frame.f_back
+
+    ideal = parse_source(grid_text(5)).ideal("I")
+    gc.callbacks.append(watch)
+    try:
+        closed = close_ideal(ideal.quiver, ideal.field, ideal.generators)
+        fingerprint_key(homotopy_relation(closed))
+    finally:
+        gc.callbacks.remove(watch)
+    assert inside == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("paused_by_caller", (False, True))
+def test_builders_restore_the_collector(collector_on, paused_by_caller):
+    """Each builder leaves the collector as its caller had it, on or
+    off, after a normal return and after a raise."""
+    ideal = parse_source(grid_text(3)).ideal("I")
+    twobypass = parse_source(TWO_BYPASS).ideal("I0").quiver
+    off_the_quiver = Relation("1", "5", ((Path("1", "5", ("a", "z")), 1),))
+    calls = (
+        (lambda: close_ideal(ideal.quiver, ideal.field, ideal.generators),
+         None, None),
+        (lambda: homotopy_relation(ideal), None, None),
+        (lambda: fingerprint_key(homotopy_relation(ideal)), None, None),
+        (lambda: fingerprint_key(homotopy_relation(
+            parse_source(COMMUTATOR).ideal("I"))),
+         UnresolvedError, "Unknown pair"),
+        (lambda: close_ideal(twobypass, ideal.field, [off_the_quiver]),
+         IdealError, "not a path of quiver twobypass"),
+    )
+    if paused_by_caller:
+        gc.disable()
+    for call, error, match in calls:
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error, match=match):
+                call()
+        assert gc.isenabled() is not paused_by_caller
+
+
+def test_builders_do_not_depend_on_the_collector(collector_on):
+    """``fingerprint_key`` and ``support_pairs`` of the 4 x 4 grid are
+    the same whether or not the caller paused the collector."""
+    def build():
+        ideal = parse_source(grid_text(4)).ideal("I")
+        return ideal.support_pairs(), fingerprint_key(homotopy_relation(ideal))
+
+    on = build()
+    gc.disable()
+    assert build() == on

@@ -99,7 +99,7 @@ from importlib import resources
 from itertools import chain, combinations
 
 import pytest
-from conftest import (TWO_BYPASS, grid_text, loop_chord_word,
+from conftest import (COMMUTATOR, TWO_BYPASS, grid_text, loop_chord_word,
                       make_random_bound_quiver, twobypass_chain)
 
 from bqkit import homotopy
@@ -1103,20 +1103,6 @@ def built_while_exploring(monkeypatch, ideal):
         m.setattr(HomotopyRelation, "__init__", record)
         explore_gamma(ideal)
     return built
-
-
-# pi1 is free on the chords b and d (e and g are words in them), so the
-# classes of f*c*b and g*c*a have one abelian image though their loop,
-# a commutator, is nontrivial; ``decide`` answers Unknown on them
-COMMUTATOR = """
-quiver twist {
-  vertices: 1 2 3 4;
-  arrow a: 1 -> 2; arrow b: 1 -> 2;
-  arrow c: 2 -> 3; arrow d: 2 -> 3; arrow e: 2 -> 3;
-  arrow f: 3 -> 4; arrow g: 3 -> 4;
-}
-ideal I over twist(0) { rel d*b - e*a; rel f*e - g*d; }
-"""
 
 
 def class_inputs():
